@@ -20,7 +20,6 @@ from .history import (
     HistorySegment,
     constant_delay,
     delayed_state,
-    eta_rate_estimate,
     evaluate_eta,
     integral_delay,
     state_mean_reducer,
@@ -33,7 +32,6 @@ from .lyapunov import (
     distance_to_equilibrium,
     monitor,
     rate_decomposition,
-    u_sdd_pointwise,
     u_sdd_total,
     volterra_v,
 )

@@ -438,6 +438,18 @@ def load_config(path: str | Path) -> RunConfig:
             validate_schedule(schedule, solver.t_end, params)
         except ValueError as exc:
             ss._fail("schedule", None, str(exc))
+    if params is not None and grid is not None and solver is not None and solver.stepper == "euler":
+        # explicit Euler on the diffusion stencil needs dt <= dx^2/(2 max d_i)
+        # for the initial coefficients and for every scheduled value
+        d_max = max([*params.diff, *(j.value for j in schedule if j.name in ("d1", "d2", "d3"))])
+        bound = grid.dx**2 / (2.0 * d_max) if d_max > 0.0 else float("inf")
+        if solver.dt > bound:
+            st._fail(
+                "dt",
+                st.line_of("dt"),
+                f"{solver.dt!r} exceeds the explicit-Euler diffusion bound "
+                f"dx^2/(2 max d_i) = {bound!r} (dx = {grid.dx!r}, max d_i = {d_max!r})",
+            )
 
     so = section("output")
     output = OutputConfig(

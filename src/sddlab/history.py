@@ -35,7 +35,6 @@ __all__ = [
     "smooth_clamp",
     "evaluate_eta",
     "delayed_state",
-    "eta_rate_estimate",
 ]
 
 
@@ -293,10 +292,3 @@ def delayed_state(seg: HistorySegment, lag: float) -> FieldState:
     if lag == 0.0:
         return seg.state_now
     return seg.state_at(seg.t_now - lag)
-
-
-def eta_rate_estimate(df: DelayFunctional, seg_prev: HistorySegment, seg_now: HistorySegment, dt: float) -> float:
-    """Difference quotient of the delay functional between two segments."""
-    if not dt > 0.0:
-        raise ValueError(f"dt: must be positive, got {dt}")
-    return (evaluate_eta(df, seg_now) - evaluate_eta(df, seg_prev)) / dt

@@ -9,10 +9,26 @@ Volterra function v(s) = s - 1 - ln(s):
     + (V_hat/N) * v(V/V_hat)
     + delta T*_hat * int_{t-eta(u_t)}^{t} v( f(T(theta,x), V(theta,x)) / f_hat ) dtheta
 
-with f_hat = f(T_hat, V_hat).  Its time derivative decomposes into strictly
-dissipative terms (grouped here as D_int >= 0, including the diffusion
-contribution Ddiff <= 0) and one sign-indefinite term S_int proportional to
-the delay rate d(eta)/dt, which vanishes identically for constant delay.
+with f_hat = f(T_hat, V_hat).  Every supported incidence has the form
+f(theta, V_hat) = k*V_hat*theta / (a + b*theta) with (a, b) from
+``model.incidence_ab``, so the integral in the first piece has the
+closed form
+
+    G(T) = f_hat/(k V_hat) * ( a*ln(T/T_hat) + b*(T - T_hat) )
+
+and, since f_hat/(k V_hat) = T_hat/(a + b T_hat), the first piece is
+
+    e^{-omega h} * a T_hat/(a + b T_hat) * v(T/T_hat),
+
+the Volterra-type construction of Korobeinikov, Bull. Math. Biol. 69
+(2007).  It is evaluated in this form because T - T_hat and G(T) cancel
+near the equilibrium.  The same (a, b) give df/dT = k V_hat a /
+(a + b T)^2 for the diffusion term.
+
+The time derivative decomposes into strictly dissipative terms (grouped
+here as D_int >= 0, including the diffusion contribution Ddiff <= 0) and
+one sign-indefinite term S_int proportional to the delay rate d(eta)/dt,
+which vanishes identically for constant delay.
 The monitor computes the rate both ways: by central differences of the
 directly evaluated functional and from the decomposition; their mismatch is
 reported as a discretization health metric.
@@ -37,16 +53,14 @@ from .history import (
     FieldState,
     HistorySegment,
     delayed_state,
-    eta_rate_estimate,
     evaluate_eta,
 )
-from .model import IncidenceFn, ModelParams, incidence_dT, incidence_values
+from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
 from .solver import InitialData, SolverConfig, Trajectory, run
 
 __all__ = [
     "LOG_FLOOR",
     "volterra_v",
-    "u_sdd_pointwise",
     "u_sdd_fields",
     "u_sdd_total",
     "c1_algebraic_fields",
@@ -74,64 +88,6 @@ def volterra_v(s: float) -> float:
 def _v(arr: np.ndarray) -> np.ndarray:
     """Vectorized Volterra function; the caller guarantees positivity."""
     return arr - 1.0 - np.log(arr)
-
-
-def _adaptive_simpson(g, a: float, b: float, tol_abs: float, max_depth: int = 40) -> float:
-    """Classic adaptive Simpson with Richardson correction."""
-    if b == a:
-        return 0.0
-
-    def rec(x0, x2, f0, fm, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = g(lm)
-        frm = g(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        right = (x2 - x1) / 6.0 * (fm + 4.0 * frm + f2)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        return rec(x0, x1, f0, flm, fm, left, 0.5 * tol, depth + 1) + rec(
-            x1, x2, fm, frm, f2, right, 0.5 * tol, depth + 1
-        )
-
-    m = 0.5 * (a + b)
-    f0, fm, f2 = g(a), g(m), g(b)
-    whole = (b - a) / 6.0 * (f0 + 4.0 * fm + f2)
-    return rec(a, b, f0, fm, f2, whole, tol_abs, 0)
-
-
-def _reciprocal_integrals(
-    f: IncidenceFn,
-    v_hat: float,
-    t_hat: float,
-    f_hat: float,
-    T_values: np.ndarray,
-    rel_tol: float = 1e-8,
-) -> np.ndarray | None:
-    """G(T_i) = int_{t_hat}^{T_i} f_hat / f(theta, v_hat) dtheta for every node.
-
-    The reciprocal may be steep near theta = 0 for saturating kinds, so each
-    stretch between consecutive sorted endpoints is integrated by adaptive
-    Simpson and the signed values are recovered from the cumulative sums.
-    Returns None (invalid sample) if any endpoint is nonpositive.
-    """
-    if t_hat <= 0.0 or np.any(T_values <= 0.0):
-        return None
-
-    def g(theta: float) -> float:
-        return f_hat / float(incidence_values(f, theta, v_hat))
-
-    pts = np.unique(np.concatenate(([t_hat], T_values)))
-    cum = np.zeros(pts.size)
-    for i in range(pts.size - 1):
-        a, b = float(pts[i]), float(pts[i + 1])
-        rough = abs(g(0.5 * (a + b))) * (b - a)
-        cum[i + 1] = cum[i] + _adaptive_simpson(g, a, b, rel_tol * rough + 1e-300)
-    base = cum[int(np.searchsorted(pts, t_hat))]
-    idx = np.searchsorted(pts, T_values)
-    return cum[idx] - base
 
 
 def _window_states(seg: HistorySegment, t_lo: float) -> tuple[list[float], list[FieldState]]:
@@ -174,14 +130,15 @@ def u_sdd_fields(
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional,
+    df: DelayFunctional | None,
     grid: Grid1D,
     state_now: FieldState | None = None,
     eta: float | None = None,
-    simpson_rel_tol: float = 1e-8,
 ) -> tuple[np.ndarray | None, bool]:
     """Pointwise functional over the grid, or (None, False) when a logarithm
-    argument falls at or below the floor (sample invalidated, not clamped)."""
+    argument falls at or below the floor (sample invalidated, not clamped).
+
+    df is evaluated on seg only when eta is not given."""
     state = state_now if state_now is not None else seg.state_now
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     if min(T_hat, Ts_hat, V_hat) <= 0.0:
@@ -189,15 +146,14 @@ def u_sdd_fields(
     f_hat = float(incidence_values(f, T_hat, V_hat))
     if f_hat <= 0.0:
         return None, False
+    r1 = state.T / T_hat
     r2 = state.T_star / Ts_hat
     r3 = state.V / V_hat
-    if np.any(r2 <= LOG_FLOOR) or np.any(r3 <= LOG_FLOOR):
+    if np.any(r1 <= LOG_FLOOR) or np.any(r2 <= LOG_FLOOR) or np.any(r3 <= LOG_FLOOR):
         return None, False
-    G = _reciprocal_integrals(f, V_hat, T_hat, f_hat, state.T, simpson_rel_tol)
-    if G is None:
-        return None, False
+    a, b = incidence_ab(f, V_hat)
     emwh = math.exp(-params.omega * params.h_max)
-    term1 = emwh * (state.T - T_hat - G)
+    term1 = emwh * (a * T_hat / (a + b * T_hat)) * _v(r1)
     term2 = Ts_hat * _v(r2)
     term3 = (V_hat / params.burst_n) * _v(r3)
     eta_val = evaluate_eta(df, seg) if eta is None else eta
@@ -207,29 +163,12 @@ def u_sdd_fields(
     return term1 + term2 + term3 + params.delta * Ts_hat * tail, True
 
 
-def u_sdd_pointwise(
-    state_now: FieldState,
-    seg: HistorySegment,
-    eq: Equilibrium,
-    params: ModelParams,
-    f: IncidenceFn,
-    df: DelayFunctional,
-    grid: Grid1D,
-    node: int,
-) -> float:
-    """The functional at one grid node; raises on an invalid sample."""
-    fields, ok = u_sdd_fields(seg, eq, params, f, df, grid, state_now=state_now)
-    if not ok:
-        raise ValueError("u_sdd_pointwise: sample invalid (logarithm argument at or below the floor)")
-    return float(fields[node])
-
-
 def u_sdd_total(
     seg: HistorySegment,
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional,
+    df: DelayFunctional | None,
     grid: Grid1D,
     state_now: FieldState | None = None,
     eta: float | None = None,
@@ -338,13 +277,13 @@ def rate_decomposition(
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional,
     grid: Grid1D,
 ) -> LyapunovSample:
     """Central-difference rate of the functional at sample k plus its split.
 
     Needs the two neighboring samples for the central differences of U and
-    of eta.  The decomposition residual |dU/dt - (A + B + Ddiff + dTs*S)| is
+    of eta; the delay values are the ones the run recorded in ``traj.eta``.
+    The decomposition residual |dU/dt - (A + B + Ddiff + dTs*S)| is
     the discretization health metric; each diffusion integral is computed
     in its gradient form and is nonpositive by construction.
     """
@@ -356,12 +295,12 @@ def rate_decomposition(
     seg_p = traj.segment_at(k + 1)
     span = float(traj.times[k + 1] - traj.times[k - 1])
 
-    eta_k = evaluate_eta(df, seg_k)
-    eta_rate = eta_rate_estimate(df, seg_m, seg_p, span)
+    eta_m, eta_k, eta_p = (float(e) for e in traj.eta[k - 1 : k + 2])
+    eta_rate = (eta_p - eta_m) / span
 
-    U_m, ok_m = u_sdd_total(seg_m, eq, params, f, df, grid)
-    U_k, ok_k = u_sdd_total(seg_k, eq, params, f, df, grid, eta=eta_k)
-    U_p, ok_p = u_sdd_total(seg_p, eq, params, f, df, grid)
+    U_m, ok_m = u_sdd_total(seg_m, eq, params, f, None, grid, eta=eta_m)
+    U_k, ok_k = u_sdd_total(seg_k, eq, params, f, None, grid, eta=eta_k)
+    U_p, ok_p = u_sdd_total(seg_p, eq, params, f, None, grid, eta=eta_p)
     if not (ok_m and ok_k and ok_p):
         return _invalid_sample(t_k, eta_k, eta_rate)
     dU = (U_p - U_m) / span
@@ -433,7 +372,6 @@ def monitor(
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional,
     grid: Grid1D,
     stride: int = 10,
     warmup: float | None = None,
@@ -452,7 +390,7 @@ def monitor(
     earliest = int(np.searchsorted(traj.times, t0 + params.h_max + traj.dt * (1.0 - 1e-9))) + 1
     start = max(int(np.searchsorted(traj.times, t0 + warmup)), earliest)
     return [
-        rate_decomposition(traj, k, eq, params, f, df, grid)
+        rate_decomposition(traj, k, eq, params, f, grid)
         for k in range(start, len(traj) - 1, max(stride, 1))
     ]
 
@@ -551,7 +489,7 @@ def certify_local_stability(
                 continue
             d0 = distance_to_equilibrium(traj.states[0], eq, grid)
             d1 = distance_to_equilibrium(traj.states[-1], eq, grid)
-            samples = monitor(traj, eq, params, f, df, grid, stride=stride, warmup=warmup)
+            samples = monitor(traj, eq, params, f, grid, stride=stride, warmup=warmup)
             valid = [s for s in samples if s.valid]
             n_samples += len(samples)
             n_valid += len(valid)

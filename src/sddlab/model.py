@@ -38,6 +38,7 @@ __all__ = [
     "HypothesisReport",
     "eval_incidence",
     "incidence_values",
+    "incidence_ab",
     "incidence_mu",
     "incidence_dT",
     "default_sample_box",
@@ -129,6 +130,30 @@ def incidence_values(f: IncidenceFn, T, V):
     return f.k * T * V / ((1.0 + f.k1 * T) * (1.0 + f.k2 * V))
 
 
+def incidence_ab(f: IncidenceFn, v_hat: float) -> tuple[float, float]:
+    """(a, b) with f(T, v_hat) = k*v_hat*T / (a + b*T), the same form for every kind.
+
+    This shape gives the Lyapunov layer closed forms for its integral of
+    f_hat / f(theta, v_hat) and for the derivative of f in T.
+    """
+    if f.kind == "bilinear":
+        return 1.0, 0.0
+    a = 1.0 + f.k2 * v_hat
+    if f.kind == "saturated":
+        return a, 0.0
+    if f.kind == "beddington_deangelis":
+        return a, f.k1
+    # crowley_martin
+    return a, f.k1 * a
+
+
+def incidence_dT(f: IncidenceFn, T, v_hat: float):
+    """Closed-form partial derivative k*v_hat*a / (a + b*T)^2 in T (vectorized)."""
+    a, b = incidence_ab(f, v_hat)
+    T = np.asarray(T, dtype=float)
+    return f.k * v_hat * a / (a + b * T) ** 2
+
+
 def eval_incidence(f: IncidenceFn, T, V):
     """Validated incidence evaluation; rejects negative T or V."""
     T = np.asarray(T, dtype=float)
@@ -150,14 +175,6 @@ def incidence_mu(f: IncidenceFn) -> float | None:
     if f.kind in ("saturated", "beddington_deangelis", "crowley_martin") and f.k2 > 0.0:
         return f.k / f.k2
     return None
-
-
-def incidence_dT(f, T, v_hat: float, rel_step: float = 1e-6):
-    """Partial derivative in T by central differences (vectorized)."""
-    fn = _as_callable(f)
-    T = np.asarray(T, dtype=float)
-    e = rel_step * np.maximum(1.0, np.abs(T))
-    return (fn(T + e, v_hat) - fn(T - e, v_hat)) / (2.0 * e)
 
 
 def _as_callable(f) -> Callable:

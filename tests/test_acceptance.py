@@ -170,7 +170,7 @@ def lyapunov_reference_run():
             bump_width=0.15,
         )
         traj = run(initial, params, SATURATED, df, cfg, grid)
-        sample_sets[direction] = monitor(traj, eq, params, SATURATED, df, grid, stride=10, warmup=2.0)
+        sample_sets[direction] = monitor(traj, eq, params, SATURATED, grid, stride=10, warmup=2.0)
     return {
         "hypotheses": hypotheses,
         "samples": sample_sets,

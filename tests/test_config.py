@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from sddlab.config import ConfigError, load_config
@@ -136,3 +138,26 @@ class TestDelayMaterialization:
     def test_eta_const_auto_is_half_window(self, tmp_path):
         cfg = load_config(write(tmp_path, "[params]\nh_max = 2\n[delay]\neta_const = auto\n"))
         assert cfg.delay.eta_const == 1.0
+
+
+class TestEulerBound:
+    # saturated_constant_delay.ini has d = (0.001, 0.001, 0.002) and dt = 0.01
+    def test_fine_grid_rejected_with_bound(self, tmp_path):
+        text = Path("configs/saturated_constant_delay.ini").read_text()
+        text = text.replace("nx = 101", "nx = 1001").replace("direction = constant", "direction = gaussian_bump")
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, text))
+        (msg,) = info.value.errors
+        assert "[time] dt" in msg
+        assert "0.01 exceeds" in msg
+        assert "dx^2/(2 max d_i) = 0.00025" in msg
+
+    def test_only_scheduled_d3_jump_breaks_bound(self, tmp_path):
+        base = "[params]\nd1 = 0.001\nd2 = 0.001\nd3 = 0.001\n[time]\nt_end = 20\n"
+        assert load_config(write(tmp_path, base)).params.diff == (0.001, 0.001, 0.001)
+        with pytest.raises(ConfigError, match=r"dx\^2/\(2 max d_i\) = 0\.0025 .*max d_i = 0\.02"):
+            load_config(write(tmp_path, base + "[schedule]\njump1 = 5 d3 0.02\n"))
+
+    def test_rk4_frozen_lag_not_checked(self, tmp_path):
+        text = "[params]\nd3 = 0.02\n[time]\nstepper = rk4_frozen_lag\n"
+        assert load_config(write(tmp_path, text)).params.diff[2] == 0.02

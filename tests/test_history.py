@@ -9,7 +9,6 @@ from sddlab import (
     HistorySegment,
     constant_delay,
     delayed_state,
-    eta_rate_estimate,
     evaluate_eta,
     integral_delay,
     state_mean_reducer,
@@ -147,18 +146,23 @@ class TestDelayedState:
             delayed_state(seg, -0.1)
 
 
+def eta_rate(df, seg_prev, seg_now, dt):
+    """Difference quotient of the delay functional between two segments."""
+    return (evaluate_eta(df, seg_now) - evaluate_eta(df, seg_prev)) / dt
+
+
 class TestEtaRate:
     def test_constant_kind_exact_zero(self, small_grid):
         df = constant_delay(1.0, 0.7)
         seg_a = segment_with_v(small_grid, lambda t: 1.0, t_now=0.0)
         seg_b = segment_with_v(small_grid, lambda t: 9.0, t_now=0.1)
-        assert eta_rate_estimate(df, seg_a, seg_b, 0.1) == 0.0
+        assert eta_rate(df, seg_a, seg_b, 0.1) == 0.0
 
     def test_equilibrium_history_zero(self, small_grid):
         df = integral_delay(1.0, state_mean_reducer(small_grid, "V", 0.03))
         seg_a = segment_with_v(small_grid, lambda t: 4.0, t_now=0.0)
         seg_b = segment_with_v(small_grid, lambda t: 4.0, t_now=0.1)
-        assert abs(eta_rate_estimate(df, seg_a, seg_b, 0.1)) <= 1e-12
+        assert abs(eta_rate(df, seg_a, seg_b, 0.1)) <= 1e-12
 
     def test_integral_kind_matches_endpoint_difference(self, small_grid):
         # d/dt of the windowed integral is xi(u(t)) - xi(u(t - h))
@@ -168,7 +172,7 @@ class TestEtaRate:
         t1 = 0.5
         seg_a = segment_with_v(small_grid, v_of_t, h_max=h, dt=dt, t_now=t1 - dt)
         seg_b = segment_with_v(small_grid, v_of_t, h_max=h, dt=dt, t_now=t1 + dt)
-        rate = eta_rate_estimate(df, seg_a, seg_b, 2 * dt)
+        rate = eta_rate(df, seg_a, seg_b, 2 * dt)
         expected = a * (v_of_t(t1) - v_of_t(t1 - h))
         assert rate == pytest.approx(expected, abs=1e-5)
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from sddlab import (
+    Equilibrium,
     FieldState,
     Grid1D,
     HistorySegment,
+    IncidenceFn,
     ModelParams,
     SolverConfig,
     certify_local_stability,
@@ -22,11 +25,11 @@ from sddlab import (
     run,
     state_mean_reducer,
     trivial_equilibrium,
-    u_sdd_pointwise,
     u_sdd_total,
     volterra_v,
 )
 from sddlab.lyapunov import c1_algebraic_fields, c1_seven_v_fields, u_sdd_fields
+from sddlab.model import incidence_values
 from sddlab.solver import InitialData
 
 
@@ -82,14 +85,14 @@ class TestUsdd:
         total, ok = u_sdd_total(seg, sat_equilibrium, ref_params, saturated, df, grid5)
         assert ok
         assert abs(total) <= 1e-10
-        assert u_sdd_pointwise(seg.state_now, seg, sat_equilibrium, ref_params, saturated, df, grid5, 2) == 0.0
+        assert u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5)[0][2] == 0.0
 
     def test_doubled_v_gives_third_term_only(self, ref_params, saturated, grid5, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
         seg = eq_segment(grid5, sat_equilibrium)
         base = equilibrium_state(grid5, sat_equilibrium)
         state2 = FieldState(base.T, base.T_star, 2.0 * base.V)
-        got = u_sdd_pointwise(state2, seg, sat_equilibrium, ref_params, saturated, df, grid5, 1)
+        got = u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5, state_now=state2)[0][1]
         expected = (sat_equilibrium.V_hat / ref_params.burst_n) * volterra_v(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -104,6 +107,40 @@ class TestUsdd:
         assert ok1 and ok2
         assert with_lag > no_lag  # the eta > 0 tail adds a positive term
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IncidenceFn("bilinear", k=0.3),
+            IncidenceFn("saturated", k=0.3, k2=0.7),
+            IncidenceFn("beddington_deangelis", k=0.3, k1=0.2, k2=0.7),
+            IncidenceFn("crowley_martin", k=0.3, k1=0.2, k2=0.7),
+        ],
+    )
+    def test_first_piece_matches_quadrature(self, f):
+        # with T*, V at the equilibrium and eta = 0 only the first piece is left:
+        # T - T_hat - int_{T_hat}^{T} f_hat / f(theta, V_hat) dtheta, T below and above T_hat
+        t_hat, v_hat = 4.0, 6.0
+        eq = Equilibrium(t_hat, 3.0, v_hat, "interior", 0.0)
+        params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0)
+        T = np.array([0.05, 1.0, 3.9, t_hat, 4.1, 9.0, 60.0])
+        grid = Grid1D(0.0, 1.0, T.size)
+        seg = eq_segment(grid, eq)
+        f_hat = float(incidence_values(f, t_hat, v_hat))
+
+        def first_piece(T_values):
+            state = FieldState(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat))
+            return u_sdd_fields(seg, eq, params, f, None, grid, state_now=state, eta=0.0)
+
+        got, ok = first_piece(T)
+        assert ok
+        for Ti, Ui in zip(T, got):
+            G, _ = quad(lambda th: f_hat / float(incidence_values(f, th, v_hat)), t_hat, Ti, epsabs=0.0, epsrel=1e-13)
+            assert Ui == pytest.approx(Ti - t_hat - G, rel=1e-9, abs=1e-12)
+        assert got[3] == 0.0
+        for bad in (0.0, -2.0):
+            fields, ok = first_piece(np.where(T == 9.0, bad, T))
+            assert not ok and fields is None
+
     def test_invalid_on_nonpositive_state(self, ref_params, saturated, grid5, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
         seg = eq_segment(grid5, sat_equilibrium)
@@ -111,8 +148,6 @@ class TestUsdd:
         bad = FieldState(base.T, 0.0 * base.T_star, base.V)
         fields, ok = u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5, state_now=bad)
         assert not ok and fields is None
-        with pytest.raises(ValueError):
-            u_sdd_pointwise(bad, seg, sat_equilibrium, ref_params, saturated, df, grid5, 0)
 
     def test_nonnegative_along_perturbed_run(self, ref_params, saturated, grid5, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
@@ -171,7 +206,7 @@ class TestRateDecomposition:
         df = constant_delay(1.0, 0.4)
         initial = InitialData(preset="equilibrium_perturbation", epsilon=0.0, equilibrium=sat_equilibrium)
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        sample = rate_decomposition(traj, len(traj) // 2, sat_equilibrium, ref_params, saturated, df, grid5)
+        sample = rate_decomposition(traj, len(traj) // 2, sat_equilibrium, ref_params, saturated, grid5)
         assert sample.valid
         assert abs(sample.U) <= 1e-10
         assert abs(sample.dU_dt_fd) <= 1e-10
@@ -181,25 +216,25 @@ class TestRateDecomposition:
 
     def test_constant_delay_s_term_identically_zero(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
-        samples = monitor(traj, sat_equilibrium, params, saturated, df, grid, stride=20)
+        samples = monitor(traj, sat_equilibrium, params, saturated, grid, stride=20)
         assert len(samples) > 5
         assert all(s.valid for s in samples)
         assert all(s.S_int == 0.0 for s in samples)
 
     def test_diffusion_terms_nonpositive(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
-        for s in monitor(traj, sat_equilibrium, params, saturated, df, grid, stride=20):
+        for s in monitor(traj, sat_equilibrium, params, saturated, grid, stride=20):
             assert all(term <= 1e-8 for term in s.Ddiff_terms)
             assert s.Ddiff <= 1e-8
 
     def test_identity_along_trajectory(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
-        for s in monitor(traj, sat_equilibrium, params, saturated, df, grid, stride=20):
+        for s in monitor(traj, sat_equilibrium, params, saturated, grid, stride=20):
             assert s.c1_abs_dev <= 1e-9 * s.c1_scale + 1e-14
 
     def test_decomposition_residual_small(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
-        samples = monitor(traj, sat_equilibrium, params, saturated, df, grid, stride=20)
+        samples = monitor(traj, sat_equilibrium, params, saturated, grid, stride=20)
         for s in samples:
             assert s.residual <= 1e-3 * max(1.0, abs(s.dU_dt_fd))
 
@@ -212,7 +247,7 @@ class TestRateDecomposition:
             direction="gaussian_bump",
         )
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        sample = rate_decomposition(traj, len(traj) - 10, sat_equilibrium, ref_params, saturated, df, grid5)
+        sample = rate_decomposition(traj, len(traj) - 10, sat_equilibrium, ref_params, saturated, grid5)
         assert sample.valid
         assert sample.Ddiff == 0.0
         assert sample.Ddiff_terms == (0.0, 0.0, 0.0)
@@ -220,7 +255,7 @@ class TestRateDecomposition:
     def test_needs_neighbors(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
         with pytest.raises(ValueError):
-            rate_decomposition(traj, 0, sat_equilibrium, params, saturated, df, grid)
+            rate_decomposition(traj, 0, sat_equilibrium, params, saturated, grid)
 
 
 class TestCertify:

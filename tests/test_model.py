@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sddlab import IncidenceFn, ModelParams, eval_incidence, incidence_mu
+from sddlab.model import incidence_dT
 from sddlab.model import (
     check_hf1,
     check_hf1_plus,
@@ -14,6 +15,13 @@ from sddlab.model import (
 )
 
 BOX = ((0.0, 100.0), (0.0, 200.0))
+
+ALL_KINDS = [
+    IncidenceFn("bilinear", k=0.3),
+    IncidenceFn("saturated", k=0.3, k2=0.7),
+    IncidenceFn("beddington_deangelis", k=0.3, k1=0.2, k2=0.7),
+    IncidenceFn("crowley_martin", k=0.3, k1=0.2, k2=0.7),
+]
 
 
 class TestTypes:
@@ -45,18 +53,18 @@ class TestEvalIncidence:
         f = IncidenceFn("bilinear", k=0.1)
         assert eval_incidence(f, 5.0, 19.0) == pytest.approx(9.5, rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            IncidenceFn("bilinear", k=0.3),
-            IncidenceFn("saturated", k=0.3, k2=0.7),
-            IncidenceFn("beddington_deangelis", k=0.3, k1=0.2, k2=0.7),
-            IncidenceFn("crowley_martin", k=0.3, k1=0.2, k2=0.7),
-        ],
-    )
+    @pytest.mark.parametrize("f", ALL_KINDS)
     def test_axis_zeros_bit_exact(self, f):
         assert eval_incidence(f, 5.0, 0.0) == 0.0
         assert eval_incidence(f, 0.0, 7.0) == 0.0
+
+    @pytest.mark.parametrize("f", ALL_KINDS)
+    def test_closed_form_dT_matches_central_difference(self, f):
+        v_hat = 6.0
+        T = np.array([0.01, 0.5, 4.0, 30.0, 250.0])
+        e = 1e-5 * T
+        fd = (eval_incidence(f, T + e, v_hat) - eval_incidence(f, T - e, v_hat)) / (2.0 * e)
+        assert incidence_dT(f, T, v_hat) == pytest.approx(fd, rel=1e-8)
 
     def test_negative_inputs_rejected(self):
         f = IncidenceFn("bilinear", k=0.1)

@@ -16,9 +16,12 @@ from sddlab import (
     equilibrium_norm,
     equilibrium_state,
     eval_incidence,
+    evaluate_eta,
+    integral_delay,
     omega_lip_bounds,
     rhs,
     run,
+    state_mean_reducer,
     step,
     uniform_state,
 )
@@ -171,6 +174,24 @@ class TestRun:
         expected_kink = 0.5 * Ts[k] * (5.0 - 10.0)
         assert gap <= 10.0 * dt * abs(expected_kink)  # continuous in value
         assert (d_plus - d_minus) == pytest.approx(expected_kink, rel=0.10)
+
+    @pytest.mark.parametrize("schedule", [(), (ParamJump(1.505, "burst_n", 5.0),)])
+    def test_recorded_eta_equals_segment_eta_bitwise(self, ref_params, saturated, grid3, sat_equilibrium, schedule):
+        # the Lyapunov monitor reads traj.eta instead of re-evaluating the delay
+        # on traj.segment_at(k), so the two must agree exactly, also across the
+        # shortened step that lands a jump on its time
+        df = integral_delay(1.0, state_mean_reducer(grid3, "V", 0.4 / sat_equilibrium.V_hat))
+        initial = InitialData(
+            preset="equilibrium_perturbation",
+            epsilon=0.1 * equilibrium_norm(sat_equilibrium),
+            equilibrium=sat_equilibrium,
+        )
+        traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.01, t_end=3.0), grid3, schedule)
+        first = int(np.searchsorted(traj.times, traj.times[0] + 1.0))
+        assert len(traj) - first > 150
+        assert len(set(traj.eta[first:].tolist())) > 100  # the lag really moves
+        for k in range(first, len(traj)):
+            assert traj.eta[k] == evaluate_eta(df, traj.segment_at(k))
 
     def test_determinism_bitwise(self, ref_params, saturated, grid3, sat_equilibrium):
         initial = InitialData(
