@@ -113,20 +113,17 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     initial = _resolve_initial(cfg)
     traj = run(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
 
+    upper = traj.upper_violations if traj.upper_violations is not None else 0
+    violated = traj.lower_violations + upper > 0
     rows = []
     for k in range(len(traj)):
-        state = traj.states[k]
         row = [_fmt(traj.times[k])]
         for i in probes:
-            row += [_fmt(state.T[i]), _fmt(state.T_star[i]), _fmt(state.V[i])]
-        violated = traj.lower_violations[k] > 0 or (
-            traj.upper_violations is not None and traj.upper_violations[k] > 0
-        )
-        row += [_fmt(traj.eta[k]), _fmt(traj.eta_rate[k]), "1" if violated else "0"]
-        rows.append(row)
+            row += [_fmt(x) for x in traj.fields[k, :, i]]
+        rows.append(row + [_fmt(traj.eta[k]), _fmt(traj.eta_rate[k]), "1" if violated[k] else "0"])
     _write_csv(out / "trajectory.csv", header, rows)
 
-    last = traj.states[-1]
+    last = traj.state(-1)
     wall = time.perf_counter() - t_start
     summary = {
         "event": "run_summary",
@@ -208,6 +205,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     header = ["equilibrium", "eps", "decrease_fraction", "max_eta_rate", "S_over_D", "verdict"]
     interior = _interior_equilibria(cfg)
     rows: list[list[str]] = []
+    aborts: list[str] = []
     for idx, eq in enumerate(interior):
         if eq.degenerate:
             print(f"equilibrium {idx} is a degenerate boundary root (T_hat = 0); skipped")
@@ -243,10 +241,14 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
                 f"(decrease fraction {v.decrease_fraction:.4f}, max |deta/dt| {v.max_eta_rate:.3g}, "
                 f"S/D {v.s_over_d:.3g}, distance {v.initial_distance:.4g} -> {v.terminal_distance:.4g})"
             )
+            if v.abort is not None:
+                aborts.append(f"equilibrium {idx} eps={v.epsilon:.6g} direction {v.abort[0]} at t={v.abort[1]:.6g}")
     _write_csv(out / "certify.csv", header, rows)
     if not rows:
         print("no certifiable interior equilibrium; certify.csv written with header only")
-    return EXIT_OK
+    for line in aborts:
+        print(f"solver abort: {line}; certify.csv written")
+    return EXIT_RUNTIME if aborts else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -70,7 +70,7 @@ _KEYS = {
     "incidence": ("kind", "k", "k1", "k2", "mu"),
     "delay": ("kind", "eta_const", "xi_component", "xi_scale", "kappa", "rho"),
     "grid": ("x_min", "x_max", "nx"),
-    "time": ("dt", "t_end", "stepper", "clip_negative", "invariance_tol"),
+    "time": ("dt", "t_end", "clip_negative", "invariance_tol"),
     "initial": (
         "preset",
         "t0",
@@ -113,7 +113,7 @@ DEFAULTS_DOC = """\
 [delay]    kind=constant eta_const=auto (h_max/2) xi_component=V xi_scale=0.01
            kappa=uniform rho=smooth
 [grid]     x_min=0 x_max=1 nx=101
-[time]     dt=0.01 t_end=50 stepper=euler clip_negative=false invariance_tol=1e-9
+[time]     dt=0.01 t_end=50 clip_negative=false invariance_tol=1e-9
 [initial]  preset=uniform t0=50 tstar0=10 v0=10 profile=constant_in_time ramp_depth=0.1
            (equilibrium_perturbation: epsilon_rel=0.05 direction=constant eq_index=0)
 [schedule] empty (jumpN = <t> <param> <value>)
@@ -361,7 +361,6 @@ def load_config(path: str | Path) -> RunConfig:
         solver = SolverConfig(
             dt=st.get_float("dt", 0.01),
             t_end=st.get_float("t_end", 50.0),
-            stepper=st.get_enum("stepper", "euler", ("euler", "rk4_frozen_lag")),
             clip_negative=st.get_bool("clip_negative", False),
             invariance_tol=st.get_float("invariance_tol", 1e-9),
         )
@@ -438,7 +437,7 @@ def load_config(path: str | Path) -> RunConfig:
             validate_schedule(schedule, solver.t_end, params)
         except ValueError as exc:
             ss._fail("schedule", None, str(exc))
-    if params is not None and grid is not None and solver is not None and solver.stepper == "euler":
+    if params is not None and grid is not None and solver is not None:
         # explicit Euler on the diffusion stencil needs dt <= dx^2/(2 max d_i)
         # for the initial coefficients and for every scheduled value
         d_max = max([*params.diff, *(j.value for j in schedule if j.name in ("d1", "d2", "d3"))])

@@ -1,22 +1,25 @@
 """Trailing solution history and the state-dependent delay functional.
 
 The true state of a delay system is the segment of the solution over the
-trailing window [t - h, t].  ``HistorySegment`` keeps a ring of snapshots
-at (nominally) the solver step spacing and serves two queries: the delayed
-field at an arbitrary lag (linear interpolation in time, nodewise in
-space), and the delay functional
+trailing window [t - h, t].  The history is stored once, as two append-only
+arrays: row times (n,) and fields (n, 3, nx).  A ``HistorySegment`` is an
+index range of rows over that store; the run's ``Trajectory`` reads the
+same rows, so a step is written once and a segment ending at any sample is
+a view, not a copy.  A segment serves two queries: the delayed field at an
+arbitrary lag (linear interpolation in time, nodewise in space), and the
+delay functional
 
     eta(u_t) = rho( integral_{-h}^{0} xi(u(t + theta)) kappa(theta) dtheta ),
 
 whose output always lies in [0, h].  The constant kind short-circuits the
 quadrature; the integral kind is the special case kappa = 1, rho =
-identity-then-clamp.
+identity-then-clamp.  A stored row never changes, so each row's xi value is
+computed once and cached beside it, keyed by the xi callable: xi must be a
+pure function of the snapshot it is given.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,35 +56,31 @@ class FieldState:
         if not (self.T.shape == self.T_star.shape == self.V.shape):
             raise ValueError("FieldState: components must share one grid")
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.T.copy(), self.T_star.copy(), self.V.copy())
 
-    def allfinite(self) -> bool:
-        return bool(np.all(np.isfinite(self.T)) and np.all(np.isfinite(self.T_star)) and np.all(np.isfinite(self.V)))
+class _Rows:
+    """The stored history: the first n rows of the buffers times (cap,) and
+    fields (cap, 3, nx), and per xi callable the xi values of rows 0, 1, ..."""
 
-    def __add__(self, other: "FieldState") -> "FieldState":
-        return FieldState(self.T + other.T, self.T_star + other.T_star, self.V + other.V)
+    __slots__ = ("times", "fields", "n", "xi")
 
-    def __sub__(self, other: "FieldState") -> "FieldState":
-        return FieldState(self.T - other.T, self.T_star - other.T_star, self.V - other.V)
-
-    def __mul__(self, a: float) -> "FieldState":
-        return FieldState(a * self.T, a * self.T_star, a * self.V)
-
-    __rmul__ = __mul__
+    def __init__(self, times: np.ndarray, fields: np.ndarray):
+        self.times, self.fields, self.n = times, fields, len(times)
+        self.xi: dict[Callable[[FieldState], float], list[float]] = {}
 
 
 class HistorySegment:
-    """Snapshots (time, FieldState) covering at least [t - h_max, t].
+    """Rows (time, fields) covering at least [t - h_max, t]: the index range
+    [lo, hi) of an append-only array store.
 
-    Single writer (the solver) appends via :meth:`push`; eviction drops an
-    oldest snapshot only once its successor still covers the window start,
-    so an interpolation bracket for t - h_max is always retained.  Spacing
-    is the solver step dt except for at most one shortened step per
-    scheduled parameter jump.
+    The single writer (the solver) appends via :meth:`push`; eviction moves
+    lo past an oldest row only once its successor still covers the window
+    start, so an interpolation bracket for t - h_max is always retained.
+    Evicted rows stay stored, and :meth:`view` gives the segment over any
+    stored rows without a copy.  Spacing is the solver step dt except for
+    at most one shortened step per scheduled parameter jump.
     """
 
-    __slots__ = ("h_max", "dt", "_times", "_states")
+    __slots__ = ("h_max", "dt", "_rows", "_lo", "_hi")
 
     def __init__(self, h_max: float, dt: float, times: Sequence[float], states: Sequence[FieldState]):
         if not h_max > 0.0:
@@ -94,11 +93,12 @@ class HistorySegment:
             raise ValueError("HistorySegment: times must be strictly increasing")
         self.h_max = float(h_max)
         self.dt = float(dt)
-        self._times = deque(float(t) for t in times)
-        self._states = deque(states)
+        fields = np.array([(s.T, s.T_star, s.V) for s in states], dtype=float)
+        self._rows = _Rows(np.array(times, dtype=float), fields)
+        self._lo, self._hi = 0, len(times)
         if not self.covers():
             raise ValueError(
-                f"HistorySegment: snapshots span [{self._times[0]}, {self._times[-1]}], "
+                f"HistorySegment: snapshots span [{times[0]}, {times[-1]}], "
                 f"shorter than the delay window h_max={h_max}"
             )
 
@@ -111,55 +111,101 @@ class HistorySegment:
         times = [t_now - (m - i) * dt for i in range(m + 1)]
         return cls(h_max, dt, times, [profile(t) for t in times])
 
+    def view(self, lo: int, hi: int) -> "HistorySegment":
+        """The segment over rows lo..hi-1, counted from this segment's first
+        row and reaching up to the newest stored row; copies nothing."""
+        if not 0 <= lo < hi <= self._rows.n - self._lo:
+            raise ValueError(f"view: rows [{lo}, {hi}) outside the stored history")
+        seg = object.__new__(HistorySegment)
+        seg.h_max, seg.dt, seg._rows = self.h_max, self.dt, self._rows
+        seg._lo, seg._hi = self._lo + lo, self._lo + hi
+        return seg
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more pushes, so that none reallocates.  A
+        holder of the old buffers still reads correct rows: stored rows never change."""
+        r = self._rows
+        if r.n + rows > len(r.times):
+            times, fields = np.empty(r.n + rows), np.empty((r.n + rows,) + r.fields.shape[1:])
+            times[: r.n], fields[: r.n] = r.times[: r.n], r.fields[: r.n]
+            r.times, r.fields = times, fields
+
     @property
     def t_now(self) -> float:
-        return self._times[-1]
+        return float(self._rows.times[self._hi - 1])
 
     @property
     def state_now(self) -> FieldState:
-        return self._states[-1]
+        return self.state(-1)
 
     @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(self._times)
+    def times(self) -> np.ndarray:
+        return self._rows.times[self._lo : self._hi]
 
     @property
-    def states(self) -> tuple[FieldState, ...]:
-        return tuple(self._states)
+    def fields(self) -> np.ndarray:
+        """(len, 3, nx) view of the window's rows: T, T_star, V."""
+        return self._rows.fields[self._lo : self._hi]
+
+    def state(self, i: int) -> FieldState:
+        """Row i of the window (negative counts from the newest) as views."""
+        row = self.fields[i]
+        return FieldState(row[0], row[1], row[2])
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._hi - self._lo
 
     def covers(self) -> bool:
-        return self._times[0] <= self.t_now - self.h_max + 1e-9 * self.dt
+        return self._rows.times[self._lo] <= self.t_now - self.h_max + 1e-9 * self.dt
 
-    def push(self, t: float, state: FieldState) -> None:
+    def next_row(self) -> np.ndarray:
+        """The (3, nx) row after the newest, to fill in place before
+        ``push(t)`` commits it; until then it is not part of the history."""
+        rows = self._rows
+        if self._hi != rows.n:
+            raise ValueError("push: only a segment ending at the newest stored row can grow")
+        if rows.n == len(rows.times):
+            self.reserve(rows.n)
+        return rows.fields[rows.n]
+
+    def push(self, t: float, state: FieldState | None = None) -> None:
+        """Append the row at time t: ``state``, or the filled ``next_row()``."""
+        row = self.next_row()
         if t <= self.t_now:
             raise ValueError(f"push: time must advance ({t} <= {self.t_now})")
-        self._times.append(float(t))
-        self._states.append(state)
-        cutoff = t - self.h_max
-        while len(self._times) > 2 and self._times[1] <= cutoff + 1e-9 * self.dt:
-            self._times.popleft()
-            self._states.popleft()
+        if state is not None:
+            row[0], row[1], row[2] = state.T, state.T_star, state.V
+        rows = self._rows
+        rows.times[rows.n] = t
+        rows.n += 1
+        self._hi += 1
+        cutoff = t - self.h_max + 1e-9 * self.dt
+        while self._hi - self._lo > 2 and rows.times[self._lo + 1] <= cutoff:
+            self._lo += 1
 
-    def state_at(self, t_query: float) -> FieldState:
-        """Linear interpolation in time; exact snapshot on node hits."""
-        tq = float(t_query)
-        lo, hi = self._times[0], self._times[-1]
+    def window(self, t_lo: float) -> tuple[np.ndarray, int, FieldState | None]:
+        """Trapezoid nodes over [t_lo, t_now] as (nodes, i, start): the times
+        of window rows i, i+1, ...  A row within 1e-9*dt of t_lo is row i and
+        keeps its own time (start is None; nodes is then a view of the row
+        times); otherwise t_lo leads the nodes, with the interpolated ``start``.
+        """
+        times = self.times
         slack = 1e-9 * self.dt
-        if tq < lo - slack or tq > hi + slack:
-            raise ValueError(f"state_at: query {tq} outside covered window [{lo}, {hi}]")
-        tq = min(max(tq, lo), hi)
-        times = self._times
-        j = bisect_left(times, tq)
-        if j < len(times) and abs(times[j] - tq) <= slack:
-            return self._states[j]
-        if j > 0 and abs(times[j - 1] - tq) <= slack:
-            return self._states[j - 1]
-        t0, t1 = times[j - 1], times[j]
-        w = (tq - t0) / (t1 - t0)
-        return (1.0 - w) * self._states[j - 1] + w * self._states[j]
+        if not times[0] - slack <= t_lo <= times[-1] + slack:
+            raise ValueError(f"history: time {t_lo} outside the covered window [{times[0]}, {times[-1]}]")
+        i = int(times.searchsorted(t_lo - slack))
+        if times[i] <= t_lo + slack:
+            return times[i:], i, None
+        w = (t_lo - times[i - 1]) / (times[i] - times[i - 1])
+        start = (1.0 - w) * self.fields[i - 1] + w * self.fields[i]
+        return np.concatenate(([t_lo], times[i:])), i, FieldState(start[0], start[1], start[2])
+
+    def xi_values(self, xi: Callable[[FieldState], float]) -> np.ndarray:
+        """xi of every row of the window; each stored row is reduced once."""
+        rows = self._rows
+        vals = rows.xi.setdefault(xi, [])
+        vals.extend(xi(FieldState(*rows.fields[i])) for i in range(len(vals), self._hi))
+        return np.array(vals[self._lo : self._hi])
 
 
 @dataclass(frozen=True)
@@ -242,25 +288,6 @@ def smooth_clamp(h_max: float, band: float = 0.01) -> Callable[[float], float]:
     return rho
 
 
-def _window_nodes(seg: HistorySegment) -> tuple[list[float], list[FieldState]]:
-    """Quadrature nodes for [t - h, t]: snapshots plus the exact window start."""
-    t_now = seg.t_now
-    t_start = t_now - seg.h_max
-    slack = 1e-9 * seg.dt
-    times = seg.times
-    states = seg.states
-    nodes: list[float] = []
-    vals: list[FieldState] = []
-    for t, s in zip(times, states):
-        if t >= t_start - slack:
-            nodes.append(t)
-            vals.append(s)
-    if not nodes or nodes[0] > t_start + slack:
-        nodes.insert(0, t_start)
-        vals.insert(0, seg.state_at(t_start))
-    return nodes, vals
-
-
 def evaluate_eta(df: DelayFunctional, seg: HistorySegment) -> float:
     """Trapezoidal quadrature of xi*kappa over the window, then rho.
 
@@ -269,26 +296,24 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment) -> float:
     """
     if df.kind == "constant":
         return df.eta_const
-    if not seg.covers():
-        raise ValueError("evaluate_eta: segment does not cover [t - h_max, t]")
-    nodes, vals = _window_nodes(seg)
     t_now = seg.t_now
-    g = []
-    for t, s in zip(nodes, vals):
-        w = df.kappa(t - t_now) if df.kappa is not None else 1.0
-        g.append(w * df.xi(s))
-    raw = 0.0
-    for i in range(len(nodes) - 1):
-        raw += 0.5 * (g[i] + g[i + 1]) * (nodes[i + 1] - nodes[i])
+    t_start = t_now - seg.h_max
+    nodes, i, start = seg.window(t_start)
+    g = seg.xi_values(df.xi)[i:]
+    if start is not None:
+        g = np.concatenate(([df.xi(start)], g))
+    if df.kappa is not None:
+        g = np.array([df.kappa(t - t_now) for t in nodes.tolist()]) * g
+    # summed left to right; 0.0 + turns an all -0.0 sum into +0.0, as summing from 0.0 does
+    raw = 0.0 + float(np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes))[-1])
     if df.kind == "wrapped" and df.rho is not None:
         raw = df.rho(raw)
     return min(max(raw, 0.0), df.h_max)
 
 
 def delayed_state(seg: HistorySegment, lag: float) -> FieldState:
-    """The fields at time t - lag; lag = 0 returns the newest snapshot."""
+    """The fields at time t - lag; on a stored row, views of that row."""
     if not 0.0 <= lag <= seg.h_max * (1.0 + 1e-12):
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
-    if lag == 0.0:
-        return seg.state_now
-    return seg.state_at(seg.t_now - lag)
+    _, i, start = seg.window(seg.t_now - lag)
+    return seg.state(i) if start is None else start

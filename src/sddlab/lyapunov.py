@@ -90,18 +90,6 @@ def _v(arr: np.ndarray) -> np.ndarray:
     return arr - 1.0 - np.log(arr)
 
 
-def _window_states(seg: HistorySegment, t_lo: float) -> tuple[list[float], list[FieldState]]:
-    """Snapshot nodes in (t_lo, t_now] plus the interpolated state at t_lo."""
-    slack = 1e-9 * seg.dt
-    nodes = [t_lo]
-    vals = [seg.state_at(t_lo)]
-    for t, s in zip(seg.times, seg.states):
-        if t > t_lo + slack:
-            nodes.append(t)
-            vals.append(s)
-    return nodes, vals
-
-
 def _delay_term_fields(
     seg: HistorySegment,
     eta: float,
@@ -109,20 +97,22 @@ def _delay_term_fields(
     f_hat: float,
     grid: Grid1D,
 ) -> tuple[np.ndarray | None, bool]:
-    """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t]."""
+    """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t], in one pass
+    over the window's rows, summed in row order; the first node sits at
+    t - eta exactly, also where a stored row stands for it."""
     if eta <= 0.0:
         return np.zeros(grid.nx), True
-    nodes, vals = _window_states(seg, seg.t_now - eta)
-    weights = []
-    for s in vals:
-        ratio = incidence_values(f, s.T, s.V) / f_hat
-        if np.any(ratio <= LOG_FLOOR):
-            return None, False
-        weights.append(_v(ratio))
-    acc = np.zeros(grid.nx)
-    for i in range(len(nodes) - 1):
-        acc += 0.5 * (weights[i] + weights[i + 1]) * (nodes[i + 1] - nodes[i])
-    return acc, True
+    t_lo = seg.t_now - eta
+    nodes, i, start = seg.window(t_lo)
+    nodes = np.concatenate(([t_lo], nodes[1:]))
+    T, V = seg.fields[i:, 0], seg.fields[i:, 2]
+    if start is not None:
+        T, V = np.vstack((start.T, T)), np.vstack((start.V, V))
+    ratio = incidence_values(f, T, V) / f_hat
+    if np.any(ratio <= LOG_FLOOR):
+        return None, False
+    w = _v(ratio)
+    return np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0), True
 
 
 def u_sdd_fields(
@@ -305,7 +295,7 @@ def rate_decomposition(
         return _invalid_sample(t_k, eta_k, eta_rate)
     dU = (U_p - U_m) / span
 
-    state = traj.states[k]
+    state = traj.state(k)
     delayed = delayed_state(seg_k, eta_k)
     parts = _ratio_arrays(state, delayed, eq, f)
     if parts is None:
@@ -419,6 +409,7 @@ class StabilityVerdict:
     initial_distance: float
     terminal_distance: float
     verdict: str  # stable_evidence | inconclusive | instability_evidence
+    abort: tuple[str, float] | None = None  # (direction, t) of the first run that aborted
 
 
 def certify_local_stability(
@@ -469,6 +460,7 @@ def certify_local_stability(
         worst_ratio = -math.inf
         dist_pair = (math.nan, math.nan)
         any_aborted = False
+        abort = None
         all_contracted = True
         any_expanded_badly = False
         for name, w, center, width in specs:
@@ -484,11 +476,13 @@ def certify_local_stability(
             traj = run(initial, params, f, df, cfg, grid)
             if traj.aborted or len(traj) < 3:
                 any_aborted = True
+                if traj.aborted and abort is None:
+                    abort = (name, traj.abort_time)
                 frac_min = 0.0
                 all_contracted = False
                 continue
-            d0 = distance_to_equilibrium(traj.states[0], eq, grid)
-            d1 = distance_to_equilibrium(traj.states[-1], eq, grid)
+            d0 = distance_to_equilibrium(traj.state(0), eq, grid)
+            d1 = distance_to_equilibrium(traj.state(-1), eq, grid)
             samples = monitor(traj, eq, params, f, grid, stride=stride, warmup=warmup)
             valid = [s for s in samples if s.valid]
             n_samples += len(samples)
@@ -535,6 +529,7 @@ def certify_local_stability(
                 initial_distance=dist_pair[0],
                 terminal_distance=dist_pair[1],
                 verdict=verdict,
+                abort=abort,
             )
         )
     return verdicts

@@ -1,11 +1,16 @@
 """Method-of-lines time stepping with state-dependent delay.
 
 Space is discretized first (``grid``), then the resulting delay ODE system
-is advanced by explicit Euler or a classical four-stage Runge-Kutta step.
-The delay is frozen per step: eta is evaluated once on the segment at the
-step start and every stage uses that one delayed field.  This is the
-primary accuracy limiter and keeps the method consistent with the linear
-interpolation used for history lookups.
+is advanced by explicit Euler: eta is evaluated once on the segment at the
+step start, and the delayed field is read there by linear interpolation of
+the history.  The method is first order; a higher-order stepper would need
+a continuous extension of the history, not just more stages on a frozen
+delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, 2003).
+
+Each step writes one row of the array-backed history (``history``); the
+run sizes that store once, from t_end, dt and the number of jumps, and the
+returned ``Trajectory`` is a view of the same rows.
 
 Parameter schedules model stepwise drug administration: a jump changes a
 model constant between steps only, shortening at most one step so that the
@@ -57,8 +62,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-STEPPERS = ("euler", "rk4_frozen_lag")
-
 # schedule keys -> ModelParams fields; d1/d2/d3 address the diff tuple
 _JUMPABLE = {
     "lambda": "lam",
@@ -77,7 +80,6 @@ _JUMPABLE = {
 class SolverConfig:
     dt: float
     t_end: float
-    stepper: str = "euler"
     clip_negative: bool = False
     invariance_tol: float = 1e-9
 
@@ -86,8 +88,6 @@ class SolverConfig:
             raise ValueError(f"dt: must be positive, got {self.dt}")
         if self.t_end < 0.0:
             raise ValueError(f"t_end: must be nonnegative, got {self.t_end}")
-        if self.stepper not in STEPPERS:
-            raise ValueError(f"stepper: must be one of {STEPPERS}, got {self.stepper!r}")
         if self.invariance_tol < 0.0:
             raise ValueError(f"invariance_tol: must be nonnegative, got {self.invariance_tol}")
 
@@ -224,16 +224,17 @@ def build_initial_segment(
     """Materialize the preset as a history segment ending at t0."""
     target = _target_state(initial, grid)
     if initial.profile == "constant_in_time":
-        return HistorySegment.from_profile(h_max, dt, t0, lambda t: target.copy())
+        return HistorySegment.from_profile(h_max, dt, t0, lambda t: target)
+    goal = np.array((target.T, target.T_star, target.V))
     if initial.equilibrium is not None:
-        start = equilibrium_state(grid, initial.equilibrium)
+        eq = equilibrium_state(grid, initial.equilibrium)
+        start = np.array((eq.T, eq.T_star, eq.V))
     else:
-        start = (1.0 - initial.ramp_depth) * target
-    span = h_max
+        start = (1.0 - initial.ramp_depth) * goal
 
     def profile(t: float) -> FieldState:
-        a = min(max((t - (t0 - span)) / span, 0.0), 1.0)
-        return start + a * (target - start)
+        a = min(max((t - (t0 - h_max)) / h_max, 0.0), 1.0)
+        return FieldState(*(start + a * (goal - start)))
 
     return HistorySegment.from_profile(h_max, dt, t0, profile)
 
@@ -289,47 +290,46 @@ def step(
     grid: Grid1D,
     dt: float | None = None,
 ) -> tuple[FieldState, StepDiag]:
-    """Advance one step; the lag is frozen at the step start.
+    """Advance one explicit Euler step; the lag is taken at the step start.
 
-    Appends the new snapshot to the segment unless it is nonfinite, in
-    which case the segment is left at the last good state.
+    The new state is written straight into the segment's next row and
+    committed only if finite, so a blow-up leaves the segment at the last
+    good state.
     """
     dt_step = cfg.dt if dt is None else dt
     lag = evaluate_eta(df, seg)
     delayed = delayed_state(seg, lag)
     u = seg.state_now
+    row = seg.next_row()  # (3, nx): T, T_star, V
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.stepper == "euler":
-            new = u + dt_step * rhs(u, delayed, params, f, grid)
-        else:
-            k1 = rhs(u, delayed, params, f, grid)
-            k2 = rhs(u + (0.5 * dt_step) * k1, delayed, params, f, grid)
-            k3 = rhs(u + (0.5 * dt_step) * k2, delayed, params, f, grid)
-            k4 = rhs(u + dt_step * k3, delayed, params, f, grid)
-            new = u + (dt_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k = rhs(u, delayed, params, f, grid)
+        np.add(seg.fields[-1], np.multiply(dt_step, (k.T, k.T_star, k.V), out=row), out=row)
     clipped = 0
     if cfg.clip_negative:
-        for arr in (new.T, new.T_star, new.V):
-            neg = arr < 0.0
-            clipped += int(np.count_nonzero(neg))
-            np.maximum(arr, 0.0, out=arr)
-    finite = new.allfinite()
+        clipped = int(np.count_nonzero(row < 0.0))
+        np.maximum(row, 0.0, out=row)
+    finite = bool(np.isfinite(row).all())
     if finite:
-        seg.push(seg.t_now + dt_step, new)
-    return new, StepDiag(eta=lag, clipped=clipped, finite=finite)
+        seg.push(seg.t_now + dt_step)
+    return FieldState(row[0], row[1], row[2]), StepDiag(eta=lag, clipped=clipped, finite=finite)
 
 
 @dataclass
 class Trajectory:
-    """Sampled run output with per-sample delay and box diagnostics."""
+    """Sampled run output with per-sample delay and box diagnostics.
+
+    ``times`` (n,) and ``fields`` (n, 3, nx) are views of the rows of
+    ``history``, the run's history store from the first sample on.
+    """
 
     grid: Grid1D
     h_max: float
     dt: float
+    history: HistorySegment | None = None
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    states: list[FieldState] = field(default_factory=list)
+    fields: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 0)))
     eta: np.ndarray = field(default_factory=lambda: np.empty(0))
     eta_rate: np.ndarray = field(default_factory=lambda: np.empty(0))
     lower_violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
@@ -341,35 +341,31 @@ class Trajectory:
     compat_residual: float | None = None
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
-    def violation_count(self) -> int:
-        total = int(np.sum(self.lower_violations))
-        if self.upper_violations is not None:
-            total += int(np.sum(self.upper_violations))
-        return total
+    def state(self, k: int) -> FieldState:
+        """Sample k (negative counts from the last) as views of its row."""
+        return FieldState(*self.fields[k])
 
     def segment_at(self, k: int) -> HistorySegment:
-        """History view ending at sample k; needs times[k] - h_max >= times[0]."""
+        """History view ending at sample k, copying nothing; needs
+        times[k] - h_max >= times[0]."""
         t_k = float(self.times[k])
         t_start = t_k - self.h_max
         j0 = int(np.searchsorted(self.times, t_start + 1e-9 * self.dt, side="right")) - 1
         if j0 < 0:
             raise ValueError(f"segment_at: sample {k} (t={t_k}) lacks {self.h_max} of trailing history")
-        return HistorySegment(self.h_max, self.dt, list(self.times[j0 : k + 1]), self.states[j0 : k + 1])
+        return self.history.view(j0, k + 1)
 
 
-def _violations(state: FieldState, bounds, tol: float) -> tuple[int, int]:
-    arrays = (state.T, state.T_star, state.V)
-    lower = sum(int(np.count_nonzero(a < -tol)) for a in arrays)
-    upper = 0
-    if bounds is not None:
-        upper = sum(int(np.count_nonzero(a > b + tol)) for a, b in zip(arrays, bounds))
-    return lower, upper
+def _violations(row: np.ndarray, bounds, tol: float) -> tuple[int, int]:
+    """Box excursions of one (3, nx) row: below 0 and above the bounds."""
+    upper = 0 if bounds is None else int(np.count_nonzero(row > np.array(bounds)[:, None] + tol))
+    return int(np.count_nonzero(row < -tol)), upper
 
 
 def run(
-    initial: InitialData | HistorySegment,
+    initial: InitialData,
     params: ModelParams,
     f: IncidenceFn,
     df: DelayFunctional,
@@ -383,10 +379,10 @@ def run(
     to the last good time and carries the abort diagnostics.
     """
     jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
-    if isinstance(initial, HistorySegment):
-        seg = initial
-    else:
-        seg = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+    seg = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+    # one row per step, one shortened step per jump, one row of float drift
+    seg.reserve(math.ceil(cfg.t_end / cfg.dt) + len(jumps) + 1)
+    origin = seg.view(len(seg) - 1, len(seg))
     t0 = seg.t_now
     t_final = t0 + cfg.t_end
     params_cur = params
@@ -396,14 +392,8 @@ def run(
     traj = Trajectory(grid=grid, h_max=params.h_max, dt=cfg.dt, bounds=bounds)
     traj.compat_residual = compatibility_residual(seg, params_cur, f, df, grid)
 
-    times = [t0]
-    states = [seg.state_now]
     etas: list[float] = []
-    lower_list: list[int] = []
-    upper_list: list[int] = []
-    lo, up = _violations(seg.state_now, bounds, cfg.invariance_tol)
-    lower_list.append(lo)
-    upper_list.append(up)
+    counts = [_violations(seg.fields[-1], bounds, cfg.invariance_tol)]  # (lower, upper) per sample
 
     ji = 0
     t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
@@ -417,7 +407,7 @@ def run(
         dt_step = min(cfg.dt, t_final - t)
         if ji < len(jumps):
             dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-        new, diag = step(seg, params_cur, f, df, cfg, grid, dt=dt_step)
+        _, diag = step(seg, params_cur, f, df, cfg, grid, dt=dt_step)
         etas.append(diag.eta)
         traj.clip_events += diag.clipped
         if not diag.finite:
@@ -425,22 +415,16 @@ def run(
             traj.abort_time = t
             log.error("solver abort: nonfinite state after t=%.6g", t)
             break
-        times.append(seg.t_now)
-        states.append(seg.state_now)
-        lo, up = _violations(seg.state_now, bounds, cfg.invariance_tol)
-        lower_list.append(lo)
-        upper_list.append(up)
+        counts.append(_violations(seg.fields[-1], bounds, cfg.invariance_tol))
 
     etas.append(evaluate_eta(df, seg))
-    traj.times = np.asarray(times)
-    traj.states = states
-    traj.eta = np.asarray(etas[: len(times)])
-    rates = np.zeros(len(times))
-    if len(times) > 1:
-        rates[1:] = np.diff(traj.eta) / np.diff(traj.times)
-    traj.eta_rate = rates
-    traj.lower_violations = np.asarray(lower_list, dtype=int)
-    traj.upper_violations = np.asarray(upper_list, dtype=int) if bounds is not None else None
+    traj.history = origin.view(0, len(counts))
+    traj.times, traj.fields = traj.history.times, traj.history.fields
+    traj.eta = np.asarray(etas[: len(counts)])
+    traj.eta_rate = np.zeros(len(counts))
+    traj.eta_rate[1:] = np.diff(traj.eta) / np.diff(traj.times)
+    traj.lower_violations, upper = np.array(counts, dtype=int).T
+    traj.upper_violations = upper if bounds is not None else None
     traj.bounds = bounds
     return traj
 
@@ -458,15 +442,7 @@ def compatibility_residual(
     Lipschitz-only data (drug-administration ramps) legitimately leave it
     large, so this is reported, never gated on.
     """
-    times = seg.times
-    states = seg.states
-    dt_fd = times[-1] - times[-2]
-    udot = (1.0 / dt_fd) * (states[-1] - states[-2])
-    lag = evaluate_eta(df, seg)
-    vec = rhs(seg.state_now, delayed_state(seg, lag), params, f, grid)
-    diffs = udot - vec
-    return max(
-        float(np.max(np.abs(diffs.T))),
-        float(np.max(np.abs(diffs.T_star))),
-        float(np.max(np.abs(diffs.V))),
-    )
+    fields = seg.fields
+    udot = (1.0 / float(seg.times[-1] - seg.times[-2])) * (fields[-1] - fields[-2])
+    vec = rhs(seg.state_now, delayed_state(seg, evaluate_eta(df, seg)), params, f, grid)
+    return float(np.max(np.abs(udot - (vec.T, vec.T_star, vec.V))))

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to cross-check the package.
 
-Nothing here calls the solver, root finder, or quadrature under test; the
-closed forms are written out inline so the two routes stay independent.
+Nothing here calls the solver, root finder, history store or quadrature
+under test; the closed forms are written out inline so the two routes
+stay independent.
 """
 
 from __future__ import annotations
@@ -68,3 +69,36 @@ def fine_trapezoid(g, a: float, b: float, n: int) -> float:
     xs = np.linspace(a, b, n + 1)
     ys = np.array([g(x) for x in xs])
     return float(np.sum((ys[:-1] + ys[1:]) * 0.5 * np.diff(xs)))
+
+
+def snapshot_interp(times: list[float], snaps: list[tuple], t: float, slack: float) -> tuple:
+    """The snapshot at t from a plain ascending list: a snapshot within slack
+    of t as it is, else the componentwise linear interpolation of the two
+    snapshots around t.  Snapshots are (T, T_star, V) tuples of arrays."""
+    for tk, s in zip(times, snaps):
+        if abs(tk - t) <= slack:
+            return s
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
+        if t0 < t < t1:
+            w = (t - t0) / (t1 - t0)
+            return tuple((1.0 - w) * a + w * b for a, b in zip(snaps[k], snaps[k + 1]))
+    raise ValueError(f"snapshot_interp: {t} outside [{times[0]}, {times[-1]}]")
+
+
+def snapshot_window_trapezoid(times: list[float], snaps: list[tuple], h: float, dt: float, g) -> float:
+    """Trapezoid of g(theta, snapshot) over theta in [-h, 0] on a plain list.
+
+    The nodes are the snapshots at or after t - h, t = times[-1] (one within
+    1e-9*dt of t - h stands at its own time); when none lies there, t - h
+    leads them with the interpolated snapshot.  Summed left to right.
+    """
+    t_now, slack = times[-1], 1e-9 * dt
+    t_start = t_now - h
+    nodes = [(t, s) for t, s in zip(times, snaps) if t >= t_start - slack]
+    if nodes[0][0] > t_start + slack:
+        nodes.insert(0, (t_start, snapshot_interp(times, snaps, t_start, slack)))
+    total = 0.0
+    for (ta, sa), (tb, sb) in zip(nodes, nodes[1:]):
+        total += 0.5 * (g(ta - t_now, sa) + g(tb - t_now, sb)) * (tb - ta)
+    return total

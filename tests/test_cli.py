@@ -188,6 +188,20 @@ class TestCertifyCommand:
         assert rows[0][-1] == "stable_evidence"
         assert float(rows[0][2]) == 1.0
 
+    def test_solver_abort_writes_csv_and_exits_2(self, capsys, tmp_path):
+        # explicit Euler is unstable on the T* decay once delta*dt = 3 > 2
+        text = (
+            "[params]\ndelta = 300\n[grid]\nnx = 11\n[time]\nt_end = 20\n"
+            "[output]\neps_fractions = 0.05\ndirections = constant\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        _, rows = read_csv(out / "certify.csv")
+        assert rows == [["0", "1.1003389811842421", "0", "0", "0", "inconclusive"]]
+        printed = capsys.readouterr().out
+        assert "solver abort: equilibrium 0 eps=1.10034 direction constant at t=10.14" in printed
+
 
 class TestUsageAndErrors:
     def test_missing_config_file(self, tmp_path):

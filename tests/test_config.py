@@ -158,6 +158,9 @@ class TestEulerBound:
         with pytest.raises(ConfigError, match=r"dx\^2/\(2 max d_i\) = 0\.0025 .*max d_i = 0\.02"):
             load_config(write(tmp_path, base + "[schedule]\njump1 = 5 d3 0.02\n"))
 
-    def test_rk4_frozen_lag_not_checked(self, tmp_path):
-        text = "[params]\nd3 = 0.02\n[time]\nstepper = rk4_frozen_lag\n"
-        assert load_config(write(tmp_path, text)).params.diff[2] == 0.02
+    def test_stepper_key_is_gone(self, tmp_path):
+        # explicit Euler is the only stepper, so [time] has no stepper key
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, "[params]\nd3 = 0.001\n[time]\nstepper = euler\n"))
+        (msg,) = info.value.errors
+        assert msg.startswith("line 4: unknown key 'stepper' in [time]")

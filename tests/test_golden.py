@@ -1,8 +1,9 @@
 """Fresh CLI output against golden files of the shipped configs.
 
-``tests/golden/<config>/`` holds ``equilibria.csv`` and ``trajectory.csv``
-for every ``configs/*.ini`` and ``certify.csv`` for the two fast configs.
-The trajectory goldens keep every 100th sample row plus the last one; the
+``tests/golden/<config>/`` holds ``equilibria.csv``, ``trajectory.csv``
+and ``certify.csv`` for every ``configs/*.ini``; the two saturated
+``certify.csv`` cover the Lyapunov tail under a constant and an integral
+delay.  The trajectory goldens keep every 100th sample row plus the last one; the
 fresh output is thinned the same way before comparing.  Numbers must agree
 to rel 1e-9 / abs 1e-12, text columns (``kind``, ``verdict``) exactly.  A
 change that moves an output beyond this tolerance re-records the goldens
@@ -23,13 +24,11 @@ ABS_TOL = 1e-12
 TEXT_COLUMNS = {"kind", "verdict"}
 TRAJECTORY_STRIDE = 100
 
+COMMANDS = (("equilibria", "equilibria.csv"), ("simulate", "trajectory.csv"), ("certify", "certify.csv"))
 CASES = [
     (config, command, csv_name)
     for config in ("bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay")
-    for command, csv_name in (("equilibria", "equilibria.csv"), ("simulate", "trajectory.csv"))
-] + [
-    ("bilinear_reference", "certify", "certify.csv"),
-    ("drug_schedule", "certify", "certify.csv"),
+    for command, csv_name in COMMANDS
 ]
 
 

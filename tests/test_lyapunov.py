@@ -32,6 +32,9 @@ from sddlab.lyapunov import c1_algebraic_fields, c1_seven_v_fields, u_sdd_fields
 from sddlab.model import incidence_values
 from sddlab.solver import InitialData
 
+from .oracles import saturated_closed_form, snapshot_window_trapezoid
+from .test_history import pushed_histories
+
 
 @pytest.fixture(scope="module")
 def grid5():
@@ -106,6 +109,24 @@ class TestUsdd:
         no_lag, ok2 = u_sdd_total(seg, sat_equilibrium, ref_params, saturated, constant_delay(1.0, 0.0), grid5)
         assert ok1 and ok2
         assert with_lag > no_lag  # the eta > 0 tail adds a positive term
+
+    @given(hist=pushed_histories(), frac=st.floats(0.01, 1.0))
+    def test_delay_tail_matches_snapshot_oracle(self, ref_params, saturated, sat_equilibrium, hist, frac):
+        # the last piece, delta T*_hat int_{t-eta}^t v(f(T,V)/f_hat), over a history that moves
+        grid, seg, times, snaps, _ = hist
+        eq, eta, scale = sat_equilibrium, frac * seg.h_max, ref_params.delta * sat_equilibrium.T_star_hat
+        with_tail = u_sdd_fields(seg, eq, ref_params, saturated, None, grid, eta=eta)[0]
+        without = u_sdd_fields(seg, eq, ref_params, saturated, None, grid, eta=0.0)[0]
+        fsat = saturated_closed_form(0.1, 0.1)
+        f_hat = fsat(eq.T_hat, eq.V_hat)
+
+        def v_of_ratio(theta, snap):
+            ratio = fsat(snap[0], snap[2]) / f_hat
+            return ratio - 1.0 - np.log(ratio)
+
+        want = snapshot_window_trapezoid(times, snaps, eta, seg.dt, v_of_ratio)
+        got = (with_tail - without) / scale
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * float(np.max(np.abs(without))) / scale)
 
     @pytest.mark.parametrize(
         "f",

@@ -12,10 +12,13 @@ def run_script(args):
 
 
 def test_convergence_study_runs():
-    proc = run_script(["scripts/convergence_study.py", "--dts", "0.05", "0.025", "--t-end", "2"])
+    proc = run_script(["scripts/convergence_study.py", "--dts", "0.05", "0.025", "0.0125", "--t-end", "2"])
     assert proc.returncode == 0, proc.stderr
-    assert "euler" in proc.stdout
-    assert "rk4_frozen_lag" in proc.stdout
+    title, header, *rows = proc.stdout.strip().splitlines()
+    assert title == "explicit Euler, constant lag 0.4:"
+    assert header.split() == ["dt", "|u(dt)", "-", "u(dt/2)|", "ratio"]
+    assert [row.split()[0] for row in rows] == ["0.05000", "0.02500"]
+    assert 1.6 <= float(rows[-1].split()[-1]) <= 2.6  # first order
 
 
 def test_eta_rate_sweep_runs():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sddlab import (
     FieldState,
@@ -47,12 +49,12 @@ class TestRhs:
     def test_zero_at_interior_equilibrium(self, ref_params, saturated, grid3, sat_equilibrium):
         state = equilibrium_state(grid3, sat_equilibrium)
         out = rhs(state, state, ref_params, saturated, grid3)
-        assert max_state_dev(out, 0.0 * state) <= 1e-10
+        assert max_state_dev(out, uniform_state(grid3, (0.0, 0.0, 0.0))) <= 1e-10
 
     def test_zero_at_trivial_equilibrium(self, ref_params, saturated, grid3):
         state = uniform_state(grid3, (100.0, 0.0, 0.0))
         out = rhs(state, state, ref_params, saturated, grid3)
-        assert max_state_dev(out, 0.0 * state) <= 1e-12
+        assert max_state_dev(out, uniform_state(grid3, (0.0, 0.0, 0.0))) <= 1e-12
 
     def test_matches_hand_ode_without_diffusion(self, ref_params, saturated, grid3):
         state = uniform_state(grid3, (40.0, 12.0, 7.0))
@@ -124,7 +126,7 @@ class TestRun:
         ref = fixed_lag_euler(rhs3, lambda t: u0, lag, dt / 10.0, t_end)
         err = 0.0
         for k in range(len(traj)):
-            s = traj.states[k]
+            s = traj.state(k)
             r = ref[10 * k]
             err = max(err, abs(s.T[0] - r[0]), abs(s.T_star[0] - r[1]), abs(s.V[0] - r[2]))
         assert err <= 20.0 * dt
@@ -135,7 +137,7 @@ class TestRun:
         initial = InitialData(preset="gaussian_bump", values=(50.0, 10.0, 10.0), bump_amp=(20.0, 30.0, 40.0))
         traj = run(initial, params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=0.01, t_end=5.0), grid)
         assert traj.bounds == pytest.approx((100.0, 200.0, 200.0))
-        assert traj.violation_count() == 0
+        assert not np.any(traj.lower_violations) and not np.any(traj.upper_violations)
 
     def test_bilinear_run_has_no_upper_bounds(self, ref_params, bilinear, grid3):
         initial = InitialData(preset="uniform", values=(50.0, 10.0, 10.0))
@@ -166,8 +168,8 @@ class TestRun:
             [ParamJump(10.0, "burst_n", 5.0)],
         )
         k = int(np.argmin(np.abs(traj.times - 10.0)))
-        V = np.array([s.V[0] for s in traj.states])
-        Ts = np.array([s.T_star[0] for s in traj.states])
+        V = traj.fields[:, 2, 0]
+        Ts = traj.fields[:, 1, 0]
         gap = abs(V[k + 1] - V[k])
         d_minus = (V[k] - V[k - 1]) / dt
         d_plus = (V[k + 1] - V[k]) / dt
@@ -204,33 +206,23 @@ class TestRun:
         b = run(initial, ref_params, saturated, constant_delay(1.0, 0.4), cfg, grid3)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.eta, b.eta)
-        for sa, sb in zip(a.states, b.states):
-            assert np.array_equal(sa.V, sb.V)
+        assert np.array_equal(a.fields, b.fields)
 
     def test_self_convergence_richardson(self, ref_params, saturated, grid3, sat_equilibrium):
-        # euler is first order; the frozen delayed state caps rk4_frozen_lag
-        # at first order too, with a no-worse error constant
+        # explicit Euler on the interpolated history is first order
         initial = InitialData(
             preset="equilibrium_perturbation",
             epsilon=0.05 * equilibrium_norm(sat_equilibrium),
             equilibrium=sat_equilibrium,
         )
 
-        def final(stepper, dt):
-            cfg = SolverConfig(dt=dt, t_end=5.0, stepper=stepper)
-            tr = run(initial, ref_params, saturated, constant_delay(1.0, 0.4), cfg, grid3)
-            s = tr.states[-1]
-            return np.array([s.T[0], s.T_star[0], s.V[0]])
+        def final(dt):
+            tr = run(initial, ref_params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=dt, t_end=5.0), grid3)
+            return tr.fields[-1, :, 0]
 
-        errors = {}
-        for stepper in ("euler", "rk4_frozen_lag"):
-            u1, u2, u4 = (final(stepper, dtv) for dtv in (0.05, 0.025, 0.0125))
-            e1 = float(np.max(np.abs(u1 - u2)))
-            e2 = float(np.max(np.abs(u2 - u4)))
-            errors[stepper] = e1
-            ratio = e1 / e2
-            assert 1.6 <= ratio <= 2.6
-        assert errors["rk4_frozen_lag"] <= errors["euler"] * 1.05
+        u1, u2, u4 = (final(dtv) for dtv in (0.05, 0.025, 0.0125))
+        ratio = float(np.max(np.abs(u1 - u2))) / float(np.max(np.abs(u2 - u4)))
+        assert 1.6 <= ratio <= 2.6
 
     def test_abort_on_blowup(self, grid3):
         params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=1e12, c=5, omega=0.0, h_max=0.5)
@@ -240,7 +232,7 @@ class TestRun:
         assert traj.aborted
         assert traj.abort_time is not None
         assert len(traj) >= 1
-        assert all(s.allfinite() for s in traj.states)
+        assert np.all(np.isfinite(traj.fields))
 
     def test_degenerate_zero_duration(self, ref_params, saturated, grid3):
         initial = InitialData(preset="uniform", values=(50.0, 10.0, 10.0))
@@ -261,7 +253,7 @@ class TestInitialData:
         assert seg.t_now == 0.0
         assert seg.covers()
         assert np.all(seg.state_now.V == 3.0)
-        assert np.all(seg.states[0].V == 3.0)
+        assert np.all(seg.state(0).V == 3.0)
 
     def test_gaussian_bump_shape(self):
         grid = Grid1D(0.0, 1.0, 101)
@@ -282,11 +274,11 @@ class TestInitialData:
         )
         seg = build_initial_segment(initial, grid3, 1.0, 0.1)
         quotients = [
-            max_state_dev(seg.states[i + 1], seg.states[i]) / (seg.times[i + 1] - seg.times[i])
+            max_state_dev(seg.state(i + 1), seg.state(i)) / (seg.times[i + 1] - seg.times[i])
             for i in range(len(seg) - 1)
         ]
         assert max(quotients) <= eps / 1.0 * 1.01  # ramp slope = |u0 - eq| / h
-        assert max_state_dev(seg.states[0], equilibrium_state(grid3, sat_equilibrium)) <= 1e-12
+        assert max_state_dev(seg.state(0), equilibrium_state(grid3, sat_equilibrium)) <= 1e-12
 
     def test_perturbation_requires_equilibrium_at_build_time(self, grid3):
         bare = InitialData(preset="equilibrium_perturbation", epsilon=0.1)
@@ -343,3 +335,19 @@ class TestDiagnostics:
         assert seg.covers()
         with pytest.raises(ValueError):
             traj.segment_at(1)
+
+    @pytest.fixture(scope="class")
+    def jump_run(self, ref_params, saturated, grid3, sat_equilibrium):
+        df = integral_delay(1.0, state_mean_reducer(grid3, "V", 0.4 / sat_equilibrium.V_hat))
+        initial = InitialData(preset="equilibrium_perturbation", epsilon=1.0, equilibrium=sat_equilibrium)
+        cfg = SolverConfig(dt=0.01, t_end=2.0)
+        return run(initial, ref_params, saturated, df, cfg, grid3, [ParamJump(1.505, "c", 4.0)])
+
+    @given(frac=st.floats(0.0, 1.0))
+    def test_segment_at_is_a_view_of_the_trajectory(self, jump_run, frac):
+        first = int(np.searchsorted(jump_run.times, jump_run.times[0] + 1.0))
+        k = first + int(frac * (len(jump_run) - 1 - first))
+        seg = jump_run.segment_at(k)
+        assert np.shares_memory(seg.fields, jump_run.fields)
+        assert seg.times[-1] == jump_run.times[k]
+        assert np.array_equal(seg.state_now.V, jump_run.fields[k, 2])
