@@ -70,23 +70,25 @@ def laplacian_neumann(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 
 def gradient_central(grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """Central differences in the interior, one-sided at the boundaries."""
+    """Central differences in the interior, one-sided at the boundaries;
+    along the last axis, so a stack of fields is differenced row by row."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * grid.dx)
-    out[0] = (u[1] - u[0]) / grid.dx
-    out[-1] = (u[-1] - u[-2]) / grid.dx
+    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * grid.dx)
+    out[..., 0] = (u[..., 1] - u[..., 0]) / grid.dx
+    out[..., -1] = (u[..., -1] - u[..., -2]) / grid.dx
     return out
 
 
-def integrate(grid: Grid1D, u: np.ndarray) -> float:
-    """Composite trapezoidal rule; exact for affine fields.
+def integrate(grid: Grid1D, u: np.ndarray):
+    """Composite trapezoidal rule along the last axis; exact for affine fields.
 
-    Summation order is fixed (single np.sum over the interior) so repeated
-    runs are bit-reproducible.
+    Summation order is fixed (one np.sum over the interior of each row), so
+    repeated runs are bit-reproducible and a stack of fields integrates row
+    by row to the same bits as each field alone.
     """
     u = np.asarray(u, dtype=float)
-    return grid.dx * (0.5 * (u[0] + u[-1]) + float(np.sum(u[1:-1])))
+    return grid.dx * (0.5 * (u[..., 0] + u[..., -1]) + np.sum(u[..., 1:-1], axis=-1))
 
 
 def mean_value(grid: Grid1D, u: np.ndarray) -> float:

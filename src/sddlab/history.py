@@ -121,6 +121,13 @@ class HistorySegment:
         seg._lo, seg._hi = self._lo + lo, self._lo + hi
         return seg
 
+    def offset(self, base: "HistorySegment") -> int:
+        """Rows from base's first row to this segment's first row; both must
+        be segments over one store."""
+        if self._rows is not base._rows:
+            raise ValueError("offset: the segments are over different stores")
+        return self._lo - base._lo
+
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` more pushes, so that none reallocates.  A
         holder of the old buffers still reads correct rows: stored rows never change."""

@@ -33,6 +33,14 @@ The monitor computes the rate both ways: by central differences of the
 directly evaluated functional and from the decomposition; their mismatch is
 reported as a discretization health metric.
 
+The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of
+fields (one row per sample) integrated row by row.  In the last piece,
+v(f/f_hat) is computed once per stored history row of the block, and each
+sample's window sums its own rows in row order, so a block gives the same
+bits as one sample at a time.  A difference of one running trapezoid sum
+would be cheaper, but near the equilibrium the small window integral would
+cancel against the large running sum.
+
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
 instead of producing infinities; clamping would silently corrupt the
 decrease verdict near the boundary of the positive cone.
@@ -43,18 +51,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
-from .history import (
-    DelayFunctional,
-    FieldState,
-    HistorySegment,
-    delayed_state,
-    evaluate_eta,
-)
+from .history import DelayFunctional, FieldState, HistorySegment, delayed_state
+from .history import evaluate_eta  # noqa: F401  the benchmark's tracer wraps this binding (perfbench/selftest.py)
 from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
 from .solver import InitialData, SolverConfig, Trajectory, run
 
@@ -76,6 +80,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-30
+MONITOR_BLOCK = 32
 
 
 def volterra_v(s: float) -> float:
@@ -90,103 +95,135 @@ def _v(arr: np.ndarray) -> np.ndarray:
     return arr - 1.0 - np.log(arr)
 
 
-def _delay_term_fields(
-    seg: HistorySegment,
-    eta: float,
+def _delay_tails(
+    segs: Sequence[HistorySegment],
+    etas: Sequence[float],
     f: IncidenceFn,
     f_hat: float,
-    grid: Grid1D,
-) -> tuple[np.ndarray | None, bool]:
-    """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t], in one pass
-    over the window's rows, summed in row order; the first node sits at
-    t - eta exactly, also where a stored row stands for it."""
-    if eta <= 0.0:
-        return np.zeros(grid.nx), True
-    t_lo = seg.t_now - eta
-    nodes, i, start = seg.window(t_lo)
-    nodes = np.concatenate(([t_lo], nodes[1:]))
-    T, V = seg.fields[i:, 0], seg.fields[i:, 2]
-    if start is not None:
-        T, V = np.vstack((start.T, T)), np.vstack((start.V, V))
-    ratio = incidence_values(f, T, V) / f_hat
-    if np.any(ratio <= LOG_FLOOR):
-        return None, False
-    w = _v(ratio)
-    return np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0), True
+    nx: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t] for each
+    segment, (len(segs), nx), and whether no ratio hit the floor.
+
+    v and its floor flag are computed once per stored row that a window
+    touches; each window then sums its rows in row order.  The first node
+    sits at t - eta exactly, also where a stored row stands for it.
+    """
+    tails = np.zeros((len(segs), nx))
+    ok = np.ones(len(segs), dtype=bool)
+    offsets = [seg.offset(segs[0]) for seg in segs]
+    windows = []  # (j, nodes, first row, end row, interpolated start), rows counted from segs[0]
+    for j, (seg, eta) in enumerate(zip(segs, etas)):
+        if eta > 0.0:
+            t_lo = seg.t_now - eta
+            nodes, i, start = seg.window(t_lo)
+            windows.append((j, np.concatenate(([t_lo], nodes[1:])), offsets[j] + i, offsets[j] + len(seg), start))
+    if not windows:
+        return tails, ok
+    j0, _, lo, _, _ = min(windows, key=lambda w: w[2])
+    hi = max(w[3] for w in windows)
+    rows = segs[j0].view(lo - offsets[j0], hi - offsets[j0]).fields
+    ratio = incidence_values(f, rows[:, 0], rows[:, 2]) / f_hat
+    low = np.any(ratio <= LOG_FLOOR, axis=1)
+    w_rows = _v(ratio)
+    for j, nodes, first, end, start in windows:
+        w, floored = w_rows[first - lo : end - lo], low[first - lo : end - lo].any()
+        if start is not None:
+            r0 = incidence_values(f, start.T, start.V) / f_hat
+            w, floored = np.vstack((_v(r0), w)), floored or np.any(r0 <= LOG_FLOOR)
+        tails[j] = np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0)
+        ok[j] = not floored
+    return tails, ok
 
 
 def u_sdd_fields(
-    seg: HistorySegment,
+    segs: Sequence[HistorySegment],
+    etas: Sequence[float],
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional | None,
     grid: Grid1D,
-    state_now: FieldState | None = None,
-    eta: float | None = None,
-) -> tuple[np.ndarray | None, bool]:
-    """Pointwise functional over the grid, or (None, False) when a logarithm
-    argument falls at or below the floor (sample invalidated, not clamped).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise functional at the newest row of each segment, with the
+    delay eta of that segment: (len(segs), nx) fields and a validity mask.
 
-    df is evaluated on seg only when eta is not given."""
-    state = state_now if state_now is not None else seg.state_now
+    The segments must be over one store (``Trajectory.segment_at`` gives
+    them).  A segment whose logarithm argument falls at or below the floor,
+    at its newest row or in its delay window, is invalid and its row is NaN
+    (invalidated, not clamped).
+    """
+    fields = np.full((len(segs), grid.nx), math.nan)
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
-    if min(T_hat, Ts_hat, V_hat) <= 0.0:
-        return None, False
     f_hat = float(incidence_values(f, T_hat, V_hat))
-    if f_hat <= 0.0:
-        return None, False
-    r1 = state.T / T_hat
-    r2 = state.T_star / Ts_hat
-    r3 = state.V / V_hat
-    if np.any(r1 <= LOG_FLOOR) or np.any(r2 <= LOG_FLOOR) or np.any(r3 <= LOG_FLOOR):
-        return None, False
+    if min(T_hat, Ts_hat, V_hat) <= 0.0 or f_hat <= 0.0:
+        return fields, np.zeros(len(segs), dtype=bool)
+    now = np.array([seg.fields[-1] for seg in segs])
+    r1 = now[:, 0] / T_hat
+    r2 = now[:, 1] / Ts_hat
+    r3 = now[:, 2] / V_hat
     a, b = incidence_ab(f, V_hat)
     emwh = math.exp(-params.omega * params.h_max)
-    term1 = emwh * (a * T_hat / (a + b * T_hat)) * _v(r1)
-    term2 = Ts_hat * _v(r2)
-    term3 = (V_hat / params.burst_n) * _v(r3)
-    eta_val = evaluate_eta(df, seg) if eta is None else eta
-    tail, ok = _delay_term_fields(seg, eta_val, f, f_hat, grid)
-    if not ok:
-        return None, False
-    return term1 + term2 + term3 + params.delta * Ts_hat * tail, True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term1 = emwh * (a * T_hat / (a + b * T_hat)) * _v(r1)
+        term2 = Ts_hat * _v(r2)
+        term3 = (V_hat / params.burst_n) * _v(r3)
+        tail, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)
+    ok &= ~np.any((r1 <= LOG_FLOOR) | (r2 <= LOG_FLOOR) | (r3 <= LOG_FLOOR), axis=1)
+    fields[ok] = (term1 + term2 + term3 + params.delta * Ts_hat * tail)[ok]
+    return fields, ok
 
 
 def u_sdd_total(
-    seg: HistorySegment,
+    segs: Sequence[HistorySegment],
+    etas: Sequence[float],
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
-    df: DelayFunctional | None,
     grid: Grid1D,
-    state_now: FieldState | None = None,
-    eta: float | None = None,
-) -> tuple[float, bool]:
-    """Domain integral of the pointwise functional."""
-    fields, ok = u_sdd_fields(seg, eq, params, f, df, grid, state_now=state_now, eta=eta)
-    if not ok:
-        return math.nan, False
-    return integrate(grid, fields), True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Domain integral of the pointwise functional of each segment (NaN
+    where invalid) and the validity mask."""
+    fields, ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+    return integrate(grid, fields), ok
 
 
 def _ratio_arrays(state: FieldState, delayed: FieldState, eq: Equilibrium, f: IncidenceFn):
-    """Shared ingredients of the rate terms; None when any floor is hit."""
+    """Shared ingredients of the rate terms, for one field or a stack of
+    them, and per field whether no floor is hit."""
     f_hat = float(incidence_values(f, eq.T_hat, eq.V_hat))
     fT = incidence_values(f, state.T, eq.V_hat)
     fTV = incidence_values(f, state.T, state.V)
     fdel = incidence_values(f, delayed.T, delayed.V)
-    floors = (
-        f_hat <= LOG_FLOOR
-        or np.any(fT <= LOG_FLOOR)
-        or np.any(fTV <= LOG_FLOOR)
-        or np.any(fdel <= LOG_FLOOR)
-        or np.any(state.T_star <= LOG_FLOOR)
-        or np.any(state.V <= LOG_FLOOR)
-    )
-    if floors:
-        return None
-    return f_hat, fT, fTV, fdel
+    floors = (fT <= LOG_FLOOR) | (fTV <= LOG_FLOOR) | (fdel <= LOG_FLOOR)
+    floors |= (state.T_star <= LOG_FLOOR) | (state.V <= LOG_FLOOR)
+    ok = ~np.any(floors, axis=-1) & (f_hat > LOG_FLOOR)
+    return f_hat, fT, fTV, fdel, ok
+
+
+def _c1_algebraic(state: FieldState, eq: Equilibrium, parts) -> np.ndarray:
+    f_hat, fT, fTV, fdel, _ = parts
+    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
+    p1 = (1.0 - f_hat / fT) * (1.0 - fTV / f_hat)
+    p2 = (1.0 - Ts_hat / state.T_star) * (fdel / f_hat - state.T_star / Ts_hat)
+    p3 = (1.0 - V_hat / state.V) * (state.T_star / Ts_hat - state.V / V_hat)
+    return p1 + p2 + p3
+
+
+def _c1_seven_v(state: FieldState, eq: Equilibrium, parts) -> tuple[np.ndarray, np.ndarray]:
+    """The seven-v form and per field whether every argument is above the floor."""
+    f_hat, fT, fTV, fdel, _ = parts
+    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
+    a1 = fTV / fT
+    a2 = fdel / f_hat
+    a3 = f_hat / fT
+    a4 = fTV / f_hat
+    a5 = fdel * Ts_hat / (f_hat * state.T_star)
+    a6 = state.T_star * V_hat / (Ts_hat * state.V)
+    a7 = state.V / V_hat
+    floors = (a1 <= LOG_FLOOR) | (a2 <= LOG_FLOOR) | (a3 <= LOG_FLOOR) | (a4 <= LOG_FLOOR)
+    floors |= (a5 <= LOG_FLOOR) | (a6 <= LOG_FLOOR) | (a7 <= LOG_FLOOR)
+    ok = ~np.any(floors, axis=-1)
+    return _v(a1) + _v(a2) - _v(a3) - _v(a4) - _v(a5) - _v(a6) - _v(a7), ok
 
 
 def c1_algebraic_fields(
@@ -197,14 +234,9 @@ def c1_algebraic_fields(
 ) -> np.ndarray | None:
     """The collected cross-term in its raw three-product form."""
     parts = _ratio_arrays(state, delayed, eq, f)
-    if parts is None:
+    if not np.all(parts[-1]):
         return None
-    f_hat, fT, fTV, fdel = parts
-    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
-    p1 = (1.0 - f_hat / fT) * (1.0 - fTV / f_hat)
-    p2 = (1.0 - Ts_hat / state.T_star) * (fdel / f_hat - state.T_star / Ts_hat)
-    p3 = (1.0 - V_hat / state.V) * (state.T_star / Ts_hat - state.V / V_hat)
-    return p1 + p2 + p3
+    return _c1_algebraic(state, eq, parts)
 
 
 def c1_seven_v_fields(
@@ -219,21 +251,11 @@ def c1_seven_v_fields(
     forms agree identically, which the monitor asserts sample by sample.
     """
     parts = _ratio_arrays(state, delayed, eq, f)
-    if parts is None:
+    if not np.all(parts[-1]):
         return None
-    f_hat, fT, fTV, fdel = parts
-    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
-    a1 = fTV / fT
-    a2 = fdel / f_hat
-    a3 = f_hat / fT
-    a4 = fTV / f_hat
-    a5 = fdel * Ts_hat / (f_hat * state.T_star)
-    a6 = state.T_star * V_hat / (Ts_hat * state.V)
-    a7 = state.V / V_hat
-    for a in (a1, a2, a3, a4, a5, a6, a7):
-        if np.any(a <= LOG_FLOOR):
-            return None
-    return _v(a1) + _v(a2) - _v(a3) - _v(a4) - _v(a5) - _v(a6) - _v(a7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fields, ok = _c1_seven_v(state, eq, parts)
+    return fields if np.all(ok) else None
 
 
 @dataclass(frozen=True)
@@ -263,98 +285,92 @@ def _invalid_sample(t: float, eta: float = math.nan, eta_rate: float = math.nan)
 
 def rate_decomposition(
     traj: Trajectory,
-    k: int,
+    ks: Sequence[int],
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
-) -> LyapunovSample:
-    """Central-difference rate of the functional at sample k plus its split.
+) -> list[LyapunovSample]:
+    """Central-difference rate of the functional at each sample k of ks plus
+    its split, one ``LyapunovSample`` per k, computed for all of ks at once.
 
-    Needs the two neighboring samples for the central differences of U and
-    of eta; the delay values are the ones the run recorded in ``traj.eta``.
-    The decomposition residual |dU/dt - (A + B + Ddiff + dTs*S)| is
-    the discretization health metric; each diffusion integral is computed
-    in its gradient form and is nonpositive by construction.
+    Needs the two neighboring samples of each k for the central differences
+    of U and of eta; the delay values are the ones the run recorded in
+    ``traj.eta``.  The decomposition residual |dU/dt - (A + B + Ddiff +
+    dTs*S)| is the discretization health metric; each diffusion integral is
+    computed in its gradient form and is nonpositive by construction.
     """
-    if k < 1 or k + 1 >= len(traj):
-        raise ValueError(f"rate_decomposition: need samples {k - 1}..{k + 1} in the trajectory")
-    t_k = float(traj.times[k])
-    seg_m = traj.segment_at(k - 1)
-    seg_k = traj.segment_at(k)
-    seg_p = traj.segment_at(k + 1)
-    span = float(traj.times[k + 1] - traj.times[k - 1])
+    ks = np.asarray(ks, dtype=int)
+    if ks.min() < 1 or ks.max() + 1 >= len(traj):
+        raise ValueError(f"rate_decomposition: need samples {ks.min() - 1}..{ks.max() + 1} in the trajectory")
+    # U at every sample next to or at a k, each once
+    ms = np.unique(np.concatenate((ks - 1, ks, ks + 1)))
+    at = np.searchsorted(ms, ks)
+    segs = [traj.segment_at(m) for m in ms]
+    U, ok = u_sdd_total(segs, traj.eta[ms], eq, params, f, grid)
+    U_m, U_k, U_p = U[at - 1], U[at], U[at + 1]
+    ok = ok[at - 1] & ok[at] & ok[at + 1]
 
-    eta_m, eta_k, eta_p = (float(e) for e in traj.eta[k - 1 : k + 2])
-    eta_rate = (eta_p - eta_m) / span
-
-    U_m, ok_m = u_sdd_total(seg_m, eq, params, f, None, grid, eta=eta_m)
-    U_k, ok_k = u_sdd_total(seg_k, eq, params, f, None, grid, eta=eta_k)
-    U_p, ok_p = u_sdd_total(seg_p, eq, params, f, None, grid, eta=eta_p)
-    if not (ok_m and ok_k and ok_p):
-        return _invalid_sample(t_k, eta_k, eta_rate)
+    t_k = traj.times[ks]
+    span = traj.times[ks + 1] - traj.times[ks - 1]
+    eta_k = traj.eta[ks]
+    eta_rate = (traj.eta[ks + 1] - traj.eta[ks - 1]) / span
     dU = (U_p - U_m) / span
 
-    state = traj.state(k)
-    delayed = delayed_state(seg_k, eta_k)
-    parts = _ratio_arrays(state, delayed, eq, f)
-    if parts is None:
-        return _invalid_sample(t_k, eta_k, eta_rate)
-    f_hat, fT, fTV, fdel = parts
+    now = traj.fields[ks]
+    state = FieldState(now[:, 0], now[:, 1], now[:, 2])
+    lagged = [delayed_state(segs[i], eta) for i, eta in zip(at, eta_k)]
+    lagged = np.array([(d.T, d.T_star, d.V) for d in lagged])
+    delayed = FieldState(lagged[:, 0], lagged[:, 1], lagged[:, 2])
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     emwh = math.exp(-params.omega * params.h_max)
     d1, d2, d3 = params.diff
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts = _ratio_arrays(state, delayed, eq, f)
+        f_hat, fT, fTV, fdel, ok_parts = parts
+        A = params.d * T_hat * emwh * integrate(grid, (1.0 - state.T / T_hat) * (1.0 - f_hat / fT))
+        braces = (
+            -_v(f_hat / fT)
+            - _v(fdel * Ts_hat / (f_hat * state.T_star))
+            - _v(state.T_star * V_hat / (Ts_hat * state.V))
+            - (_v(state.V / V_hat) - _v(fTV / fT))
+        )
+        B = f_hat * emwh * integrate(grid, braces)
 
-    A = params.d * T_hat * emwh * integrate(grid, (1.0 - state.T / T_hat) * (1.0 - f_hat / fT))
-    braces = (
-        -_v(f_hat / fT)
-        - _v(fdel * Ts_hat / (f_hat * state.T_star))
-        - _v(state.T_star * V_hat / (Ts_hat * state.V))
-        - (_v(state.V / V_hat) - _v(fTV / fT))
-    )
-    B = f_hat * emwh * integrate(grid, braces)
+        g1 = g2 = g3 = np.zeros(len(ks))
+        if d1 != 0.0:
+            gradT = gradient_central(grid, state.T)
+            fp1 = incidence_dT(f, state.T, V_hat)
+            g1 = -d1 * emwh * f_hat * integrate(grid, fp1 / (fT * fT) * gradT * gradT)
+        if d2 != 0.0:
+            gradTs = gradient_central(grid, state.T_star)
+            g2 = -d2 * Ts_hat * integrate(grid, gradTs * gradTs / (state.T_star * state.T_star))
+        if d3 != 0.0:
+            gradV = gradient_central(grid, state.V)
+            g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, gradV * gradV / (state.V * state.V))
+        Ddiff = g1 + g2 + g3
 
-    g1 = g2 = g3 = 0.0
-    if d1 != 0.0:
-        gradT = gradient_central(grid, state.T)
-        fp1 = incidence_dT(f, state.T, V_hat)
-        g1 = -d1 * emwh * f_hat * integrate(grid, fp1 / (fT * fT) * gradT * gradT)
-    if d2 != 0.0:
-        gradTs = gradient_central(grid, state.T_star)
-        g2 = -d2 * Ts_hat * integrate(grid, gradTs * gradTs / (state.T_star * state.T_star))
-    if d3 != 0.0:
-        gradV = gradient_central(grid, state.V)
-        g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, gradV * gradV / (state.V * state.V))
-    Ddiff = g1 + g2 + g3
+        dTs = params.delta * Ts_hat
+        S_int = eta_rate * integrate(grid, _v(fdel / f_hat))
+        D_int = -(A + B + Ddiff) / dTs
+        residual = np.abs(dU - (A + B + Ddiff + dTs * S_int))
 
-    dTs = params.delta * Ts_hat
-    S_int = eta_rate * integrate(grid, _v(fdel / f_hat))
-    D_int = -(A + B + Ddiff) / dTs
-    residual = abs(dU - (A + B + Ddiff + dTs * S_int))
+        c1_alg = _c1_algebraic(state, eq, parts)
+        c1_seven, ok_seven = _c1_seven_v(state, eq, parts)
+        c1_abs_dev = np.max(np.abs(c1_alg - c1_seven), axis=-1)
+        c1_scale = np.maximum(np.max(np.abs(c1_alg), axis=-1), np.max(np.abs(c1_seven), axis=-1))
+        C1_int = integrate(grid, c1_seven)
+    ok &= ok_parts & ok_seven
 
-    c1_alg = c1_algebraic_fields(state, delayed, eq, f)
-    c1_seven = c1_seven_v_fields(state, delayed, eq, f)
-    if c1_alg is None or c1_seven is None:
-        return _invalid_sample(t_k, eta_k, eta_rate)
-    c1_abs_dev = float(np.max(np.abs(c1_alg - c1_seven)))
-    c1_scale = float(max(np.max(np.abs(c1_alg)), np.max(np.abs(c1_seven))))
-
-    return LyapunovSample(
-        t=t_k,
-        U=U_k,
-        dU_dt_fd=dU,
-        S_int=S_int,
-        D_int=D_int,
-        Ddiff=Ddiff,
-        Ddiff_terms=(g1, g2, g3),
-        C1_int=integrate(grid, c1_seven),
-        c1_abs_dev=c1_abs_dev,
-        c1_scale=c1_scale,
-        residual=residual,
-        eta=eta_k,
-        eta_rate=eta_rate,
-        valid=True,
-    )
+    columns = (t_k, U_k, dU, S_int, D_int, Ddiff, g1, g2, g3, C1_int, c1_abs_dev, c1_scale, residual, eta_k, eta_rate)
+    return [
+        LyapunovSample(t, U, dU, S, D, Dd, (g1, g2, g3), C1, dev, scale, res, eta, rate, True)
+        if good
+        else _invalid_sample(t, eta, rate)
+        for good, (t, U, dU, S, D, Dd, g1, g2, g3, C1, dev, scale, res, eta, rate) in zip(
+            ok.tolist(), np.column_stack(columns).tolist()
+        )
+    ]
 
 
 def monitor(
@@ -369,7 +385,9 @@ def monitor(
     """Rate decompositions on a strided sample set after a warmup window.
 
     The warmup (default 2*h_max) skips the initial transient where the
-    history is still the prescribed initial segment.
+    history is still the prescribed initial segment.  The samples are
+    decomposed in blocks of ``MONITOR_BLOCK``, which bounds the memory of a
+    block's per-row arrays.
     """
     if len(traj) < 3:
         return []
@@ -379,9 +397,11 @@ def monitor(
     # neighbors k-1 need a full trailing window of their own
     earliest = int(np.searchsorted(traj.times, t0 + params.h_max + traj.dt * (1.0 - 1e-9))) + 1
     start = max(int(np.searchsorted(traj.times, t0 + warmup)), earliest)
+    ks = range(start, len(traj) - 1, max(stride, 1))
     return [
-        rate_decomposition(traj, k, eq, params, f, grid)
-        for k in range(start, len(traj) - 1, max(stride, 1))
+        sample
+        for b in range(0, len(ks), MONITOR_BLOCK)
+        for sample in rate_decomposition(traj, ks[b : b + MONITOR_BLOCK], eq, params, f, grid)
     ]
 
 

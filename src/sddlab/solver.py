@@ -348,8 +348,11 @@ class Trajectory:
         return FieldState(*self.fields[k])
 
     def segment_at(self, k: int) -> HistorySegment:
-        """History view ending at sample k, copying nothing; needs
-        times[k] - h_max >= times[0]."""
+        """History view ending at sample k (negative counts from the last),
+        copying nothing; needs times[k] - h_max >= times[0]."""
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"segment_at: sample {k} outside the {len(self)} samples")
+        k %= len(self)
         t_k = float(self.times[k])
         t_start = t_k - self.h_max
         j0 = int(np.searchsorted(self.times, t_start + 1e-9 * self.dt, side="right")) - 1

@@ -13,6 +13,7 @@ from sddlab import (
     HistorySegment,
     IncidenceFn,
     ModelParams,
+    ParamJump,
     SolverConfig,
     certify_local_stability,
     constant_delay,
@@ -41,8 +42,10 @@ def grid5():
     return Grid1D(0.0, 1.0, 5)
 
 
-def eq_segment(grid, eq, h_max=1.0, dt=0.1):
-    return HistorySegment.from_profile(h_max, dt, 0.0, lambda t: equilibrium_state(grid, eq))
+def eq_segment(grid, eq, h_max=1.0, dt=0.1, now=None):
+    """Equilibrium history over [-h_max, 0]; its newest row is ``now`` when given."""
+    base = equilibrium_state(grid, eq)
+    return HistorySegment.from_profile(h_max, dt, 0.0, lambda t: now if now is not None and t == 0.0 else base)
 
 
 class TestVolterra:
@@ -83,19 +86,17 @@ class TestVolterra:
 
 class TestUsdd:
     def test_zero_at_equilibrium(self, ref_params, saturated, grid5, sat_equilibrium):
-        df = constant_delay(1.0, 0.4)
         seg = eq_segment(grid5, sat_equilibrium)
-        total, ok = u_sdd_total(seg, sat_equilibrium, ref_params, saturated, df, grid5)
-        assert ok
-        assert abs(total) <= 1e-10
-        assert u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5)[0][2] == 0.0
+        total, ok = u_sdd_total([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)
+        assert ok[0]
+        assert abs(total[0]) <= 1e-10
+        assert u_sdd_fields([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)[0][0, 2] == 0.0
 
     def test_doubled_v_gives_third_term_only(self, ref_params, saturated, grid5, sat_equilibrium):
-        df = constant_delay(1.0, 0.4)
-        seg = eq_segment(grid5, sat_equilibrium)
+        # eta = 0: the tail would also see the doubled V of the newest row
         base = equilibrium_state(grid5, sat_equilibrium)
-        state2 = FieldState(base.T, base.T_star, 2.0 * base.V)
-        got = u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5, state_now=state2)[0][1]
+        seg = eq_segment(grid5, sat_equilibrium, now=FieldState(base.T, base.T_star, 2.0 * base.V))
+        got = u_sdd_fields([seg], [0.0], sat_equilibrium, ref_params, saturated, grid5)[0][0, 1]
         expected = (sat_equilibrium.V_hat / ref_params.burst_n) * volterra_v(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -105,9 +106,8 @@ class TestUsdd:
         seg = HistorySegment.from_profile(
             1.0, 0.1, 0.0, lambda t: FieldState(dev.T, dev.T_star, dev.V * (1.0 + 0.2 * (t + 1.0)))
         )
-        with_lag, ok1 = u_sdd_total(seg, sat_equilibrium, ref_params, saturated, constant_delay(1.0, 0.4), grid5)
-        no_lag, ok2 = u_sdd_total(seg, sat_equilibrium, ref_params, saturated, constant_delay(1.0, 0.0), grid5)
-        assert ok1 and ok2
+        (with_lag, no_lag), ok = u_sdd_total([seg, seg], [0.4, 0.0], sat_equilibrium, ref_params, saturated, grid5)
+        assert ok.all()
         assert with_lag > no_lag  # the eta > 0 tail adds a positive term
 
     @given(hist=pushed_histories(), frac=st.floats(0.01, 1.0))
@@ -115,8 +115,7 @@ class TestUsdd:
         # the last piece, delta T*_hat int_{t-eta}^t v(f(T,V)/f_hat), over a history that moves
         grid, seg, times, snaps, _ = hist
         eq, eta, scale = sat_equilibrium, frac * seg.h_max, ref_params.delta * sat_equilibrium.T_star_hat
-        with_tail = u_sdd_fields(seg, eq, ref_params, saturated, None, grid, eta=eta)[0]
-        without = u_sdd_fields(seg, eq, ref_params, saturated, None, grid, eta=0.0)[0]
+        with_tail, without = u_sdd_fields([seg, seg], [eta, 0.0], eq, ref_params, saturated, grid)[0]
         fsat = saturated_closed_form(0.1, 0.1)
         f_hat = fsat(eq.T_hat, eq.V_hat)
 
@@ -145,12 +144,12 @@ class TestUsdd:
         params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0)
         T = np.array([0.05, 1.0, 3.9, t_hat, 4.1, 9.0, 60.0])
         grid = Grid1D(0.0, 1.0, T.size)
-        seg = eq_segment(grid, eq)
         f_hat = float(incidence_values(f, t_hat, v_hat))
 
         def first_piece(T_values):
-            state = FieldState(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat))
-            return u_sdd_fields(seg, eq, params, f, None, grid, state_now=state, eta=0.0)
+            seg = eq_segment(grid, eq, now=FieldState(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat)))
+            fields, ok = u_sdd_fields([seg], [0.0], eq, params, f, grid)
+            return fields[0], ok[0]
 
         got, ok = first_piece(T)
         assert ok
@@ -160,15 +159,13 @@ class TestUsdd:
         assert got[3] == 0.0
         for bad in (0.0, -2.0):
             fields, ok = first_piece(np.where(T == 9.0, bad, T))
-            assert not ok and fields is None
+            assert not ok and np.isnan(fields).all()
 
     def test_invalid_on_nonpositive_state(self, ref_params, saturated, grid5, sat_equilibrium):
-        df = constant_delay(1.0, 0.4)
-        seg = eq_segment(grid5, sat_equilibrium)
         base = equilibrium_state(grid5, sat_equilibrium)
-        bad = FieldState(base.T, 0.0 * base.T_star, base.V)
-        fields, ok = u_sdd_fields(seg, sat_equilibrium, ref_params, saturated, df, grid5, state_now=bad)
-        assert not ok and fields is None
+        seg = eq_segment(grid5, sat_equilibrium, now=FieldState(base.T, 0.0 * base.T_star, base.V))
+        fields, ok = u_sdd_fields([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)
+        assert not ok[0] and np.isnan(fields).all()
 
     def test_nonnegative_along_perturbed_run(self, ref_params, saturated, grid5, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
@@ -178,12 +175,11 @@ class TestUsdd:
             equilibrium=sat_equilibrium,
         )
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        for k in range(25, len(traj), 10):
-            total, ok = u_sdd_total(traj.segment_at(k), sat_equilibrium, ref_params, saturated, df, grid5)
-            assert ok
-            assert total >= 0.0
-        total0, _ = u_sdd_total(traj.segment_at(25), sat_equilibrium, ref_params, saturated, df, grid5)
-        assert total0 > 0.0
+        segs = [traj.segment_at(k) for k in range(25, len(traj), 10)]
+        totals, ok = u_sdd_total(segs, [0.4] * len(segs), sat_equilibrium, ref_params, saturated, grid5)
+        assert ok.all()
+        assert np.all(totals >= 0.0)
+        assert totals[0] > 0.0
 
 
 class TestSevenLogIdentity:
@@ -227,7 +223,7 @@ class TestRateDecomposition:
         df = constant_delay(1.0, 0.4)
         initial = InitialData(preset="equilibrium_perturbation", epsilon=0.0, equilibrium=sat_equilibrium)
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        sample = rate_decomposition(traj, len(traj) // 2, sat_equilibrium, ref_params, saturated, grid5)
+        (sample,) = rate_decomposition(traj, [len(traj) // 2], sat_equilibrium, ref_params, saturated, grid5)
         assert sample.valid
         assert abs(sample.U) <= 1e-10
         assert abs(sample.dU_dt_fd) <= 1e-10
@@ -268,7 +264,7 @@ class TestRateDecomposition:
             direction="gaussian_bump",
         )
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        sample = rate_decomposition(traj, len(traj) - 10, sat_equilibrium, ref_params, saturated, grid5)
+        (sample,) = rate_decomposition(traj, [len(traj) - 10], sat_equilibrium, ref_params, saturated, grid5)
         assert sample.valid
         assert sample.Ddiff == 0.0
         assert sample.Ddiff_terms == (0.0, 0.0, 0.0)
@@ -276,7 +272,99 @@ class TestRateDecomposition:
     def test_needs_neighbors(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
         with pytest.raises(ValueError):
-            rate_decomposition(traj, 0, sat_equilibrium, params, saturated, grid)
+            rate_decomposition(traj, [0], sat_equilibrium, params, saturated, grid)
+        with pytest.raises(ValueError):
+            rate_decomposition(traj, [5, len(traj) - 1], sat_equilibrium, params, saturated, grid)
+
+
+def monitored_ks(traj, samples):
+    return [int(np.searchsorted(traj.times, s.t)) for s in samples]
+
+
+def in_blocks(traj, ks, size, *args):
+    return [s for b in range(0, len(ks), size) for s in rate_decomposition(traj, ks[b : b + size], *args)]
+
+
+BUMP = dict(direction="gaussian_bump", weights=(0.6, -0.2, 0.77), bump_center=0.4, bump_width=0.15)
+DIFFUSION = (1e-3, 1e-3, 2e-3)
+
+
+class TestBlocks:
+    """A block of samples decomposes to the same bits as each sample alone."""
+
+    @pytest.fixture(
+        scope="class", params=["constant_diffusion", "integral", "jump_in_windows", "stride_1"]
+    )
+    def block_case(self, request, sat_equilibrium, saturated):
+        grid = Grid1D(0.0, 1.0, 11)
+        params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=DIFFUSION)
+        initial = InitialData(
+            preset="equilibrium_perturbation", epsilon=0.05 * equilibrium_norm(sat_equilibrium),
+            equilibrium=sat_equilibrium, **BUMP,
+        )
+        integral = integral_delay(1.0, state_mean_reducer(grid, "V", 0.4 / sat_equilibrium.V_hat))
+        df, schedule, stride = constant_delay(1.0, 0.4), (), 3
+        if request.param == "integral":
+            df = integral
+        elif request.param == "jump_in_windows":
+            # the jump at t = 2.505 shortens one step, which lies inside the windows after it
+            df, schedule, stride = integral, [ParamJump(2.505, "c", 4.0)], 2
+        elif request.param == "stride_1":
+            df, stride = integral, 1
+        traj = run(initial, params, saturated, df, SolverConfig(dt=0.01, t_end=4.0), grid, schedule)
+        return request.param, traj, params, grid, stride
+
+    def test_blocks_are_bitwise_equal(self, block_case, sat_equilibrium, saturated):
+        name, traj, params, grid, stride = block_case
+        args = (sat_equilibrium, params, saturated, grid)
+        samples = monitor(traj, *args, stride=stride)
+        ks = monitored_ks(traj, samples)
+        if name == "jump_in_windows":
+            # the step that ends on the jump; the last step is shortened too, to end on t_end
+            t_short = traj.times[np.flatnonzero(np.diff(traj.times) < 0.99 * traj.dt)[0] + 1]
+            assert t_short == pytest.approx(2.505)
+            assert sum(traj.times[k] - traj.eta[k] < t_short < traj.times[k] for k in ks) > 5
+        whole = rate_decomposition(traj, ks, *args)
+        assert len(whole) == len(ks) > 20 and all(s.valid for s in whole)
+        assert [s.t for s in whole] == traj.times[ks].tolist()
+        want = [repr(s) for s in whole]  # repr round-trips every float, -0.0 included
+        assert [repr(s) for s in samples] == want
+        for size in (1, 7):
+            assert [repr(s) for s in in_blocks(traj, ks, size, *args)] == want
+
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_floor_at_one_row_invalidates_exactly_the_samples_that_touch_it(
+        self, component, sat_equilibrium, saturated
+    ):
+        # constant lag 0.4 on rows dt = 0.01 apart: the windows of sample m are rows m-40..m
+        grid = Grid1D(0.0, 1.0, 5)
+        params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=DIFFUSION)
+        initial = InitialData(
+            preset="equilibrium_perturbation", epsilon=0.05 * equilibrium_norm(sat_equilibrium),
+            equilibrium=sat_equilibrium, **BUMP,
+        )
+        traj = run(initial, params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=0.01, t_end=3.0), grid)
+        args = (sat_equilibrium, params, saturated, grid)
+        ks = monitored_ks(traj, monitor(traj, *args, stride=1))
+        clean = [repr(s) for s in rate_decomposition(traj, ks, *args)]
+        r = int(np.searchsorted(traj.times, 2.5))
+        traj.fields[r, component, 2] = 0.0
+        hit = rate_decomposition(traj, ks, *args)
+
+        def touches(k):
+            if component == 1:  # T* enters only through the newest rows
+                return r in (k - 1, k, k + 1)
+            # V also enters the delayed state (row k - 40) and every U window
+            return any(t_m - 0.4 - 1e-9 <= traj.times[r] <= t_m for t_m in traj.times[k - 1 : k + 2])
+
+        expected = [touches(k) for k in ks]
+        assert sum(expected) == (3 if component == 1 else 43)
+        assert [not s.valid for s in hit] == expected
+        for s, c, bad in zip(hit, clean, expected):
+            if bad:
+                assert math.isnan(s.U) and math.isnan(s.residual)
+            else:
+                assert repr(s) == c
 
 
 class TestCertify:

@@ -336,6 +336,18 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             traj.segment_at(1)
 
+    def test_segment_at_counts_negative_k_from_the_last(self, ref_params, saturated, grid3):
+        initial = InitialData(preset="uniform", values=(50.0, 10.0, 10.0))
+        traj = run(initial, ref_params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=0.1, t_end=3.0), grid3)
+        assert len(traj) == 31
+        last, seg = traj.segment_at(len(traj) - 1), traj.segment_at(-1)
+        assert np.array_equal(seg.times, last.times)
+        assert np.array_equal(seg.fields, last.fields)
+        assert traj.segment_at(-11).t_now == traj.times[20]
+        for k in (len(traj), -len(traj) - 1):
+            with pytest.raises(IndexError, match=f"sample {k} "):
+                traj.segment_at(k)
+
     @pytest.fixture(scope="class")
     def jump_run(self, ref_params, saturated, grid3, sat_equilibrium):
         df = integral_delay(1.0, state_mean_reducer(grid3, "V", 0.4 / sat_equilibrium.V_hat))
