@@ -52,6 +52,7 @@ from .model import (
 from .solver import (
     InitialData,
     ParamJump,
+    RunStream,
     SolverConfig,
     Trajectory,
     build_initial_segment,

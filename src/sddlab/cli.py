@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import replace
@@ -24,7 +25,7 @@ from .config import DEFAULTS_DOC, ConfigError, RunConfig, load_config
 from .equilibria import Equilibrium, equilibrium_norm, find_equilibria
 from .lyapunov import certify_local_stability
 from .model import HypothesisReport, check_all, default_sample_box
-from .solver import InitialData, run
+from .solver import InitialData, RunStream
 
 __all__ = ["main"]
 
@@ -111,46 +112,57 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         return EXIT_OK
 
     initial = _resolve_initial(cfg)
-    traj = run(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
+    stream = RunStream(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
+    samples = lower = upper = 0
+    t_prev = eta_prev = None
+    eta_min, eta_max, max_rate = math.inf, -math.inf, 0.0
+    comp_min = np.full(3, math.inf)
+    with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in stream:
+            rate = 0.0 if t_prev is None else (s.eta - eta_prev) / (s.t - t_prev)
+            line = [_fmt(s.t)]
+            for i in probes:
+                line += [_fmt(x) for x in s.row[:, i]]
+            line += [_fmt(s.eta), _fmt(rate), "1" if s.lower + s.upper > 0 else "0"]
+            fh.write(",".join(line) + "\n")
+            samples, lower, upper = samples + 1, lower + s.lower, upper + s.upper
+            t_prev, eta_prev = s.t, s.eta
+            eta_min, eta_max, max_rate = min(eta_min, s.eta), max(eta_max, s.eta), max(max_rate, abs(rate))
+            np.minimum(comp_min, s.row.min(axis=1), out=comp_min)
+            last = s.row
 
-    upper = traj.upper_violations if traj.upper_violations is not None else 0
-    violated = traj.lower_violations + upper > 0
-    rows = []
-    for k in range(len(traj)):
-        row = [_fmt(traj.times[k])]
-        for i in probes:
-            row += [_fmt(x) for x in traj.fields[k, :, i]]
-        rows.append(row + [_fmt(traj.eta[k]), _fmt(traj.eta_rate[k]), "1" if violated[k] else "0"])
-    _write_csv(out / "trajectory.csv", header, rows)
-
-    last = traj.state(-1)
     wall = time.perf_counter() - t_start
     summary = {
         "event": "run_summary",
-        "samples": len(traj),
+        "samples": samples,
         "final_sup_norm": {
-            "T": float(np.max(np.abs(last.T))),
-            "T_star": float(np.max(np.abs(last.T_star))),
-            "V": float(np.max(np.abs(last.V))),
+            "T": float(np.max(np.abs(last[0]))),
+            "T_star": float(np.max(np.abs(last[1]))),
+            "V": float(np.max(np.abs(last[2]))),
         },
-        "lower_violations": int(np.sum(traj.lower_violations)),
-        "upper_violations": int(np.sum(traj.upper_violations)) if traj.upper_violations is not None else None,
-        "box_bounds": list(traj.bounds) if traj.bounds is not None else None,
-        "clip_events": traj.clip_events,
-        "compat_residual": traj.compat_residual,
+        "lower_violations": lower,
+        "upper_violations": upper if stream.bounds is not None else None,
+        "box_bounds": list(stream.bounds) if stream.bounds is not None else None,
+        "clip_events": stream.clip_events,
+        "compat_residual": stream.compat_residual,
         "probe_nodes": probes,
-        "aborted": traj.aborted,
+        "aborted": stream.aborted,
+        "eta_min": float(eta_min),
+        "eta_max": float(eta_max),
+        "max_abs_eta_rate": float(max_rate),
+        "min_component": {"T": float(comp_min[0]), "T_star": float(comp_min[1]), "V": float(comp_min[2])},
         "wall_time_s": wall,
     }
     lines = [json.dumps(summary, sort_keys=True)]
-    if traj.aborted:
-        lines.append(json.dumps({"event": "abort", "t": traj.abort_time}, sort_keys=True))
+    if stream.aborted:
+        lines.append(json.dumps({"event": "abort", "t": stream.abort_time}, sort_keys=True))
     (out / "summary.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    if traj.aborted:
-        print(f"solver abort at t={traj.abort_time:.6g}; partial trajectory flushed")
+    if stream.aborted:
+        print(f"solver abort at t={stream.abort_time:.6g}; partial trajectory flushed")
         return EXIT_RUNTIME
-    print(f"wrote {out / 'trajectory.csv'}: {len(traj)} samples in {wall:.2f}s")
+    print(f"wrote {out / 'trajectory.csv'}: {samples} samples in {wall:.2f}s")
     return EXIT_OK
 
 

@@ -16,10 +16,20 @@ quadrature; the integral kind is the special case kappa = 1, rho =
 identity-then-clamp.  A stored row never changes, so each row's xi value is
 computed once and cached beside it, keyed by the xi callable: xi must be a
 pure function of the snapshot it is given.
+
+When ``push`` finds the buffers full, a store that has never handed out a
+``view`` slides the segment's live rows, and their cached xi values, to the
+front of the buffers (doubling them only while the live rows fill more
+than two thirds); a store that has (a run keeps its whole trajectory this
+way) is pinned and doubles its buffers instead, so every view keeps
+reading its own rows.  An unpinned store therefore holds about twice the
+delay window, however long the run, and a numpy view of its rows is valid
+only until the next row is added.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,16 +66,22 @@ class FieldState:
         if not (self.T.shape == self.T_star.shape == self.V.shape):
             raise ValueError("FieldState: components must share one grid")
 
+    def __iter__(self):
+        """T, T_star, V: a FieldState unpacks like a (3, nx) row."""
+        return iter((self.T, self.T_star, self.V))
+
 
 class _Rows:
     """The stored history: the first n rows of the buffers times (cap,) and
-    fields (cap, 3, nx), and per xi callable the xi values of rows 0, 1, ..."""
+    fields (cap, 3, nx), per xi callable the xi values of rows 0, 1, ...,
+    and whether a view pins the rows where they are."""
 
-    __slots__ = ("times", "fields", "n", "xi")
+    __slots__ = ("times", "fields", "n", "xi", "pinned")
 
     def __init__(self, times: np.ndarray, fields: np.ndarray):
         self.times, self.fields, self.n = times, fields, len(times)
         self.xi: dict[Callable[[FieldState], float], list[float]] = {}
+        self.pinned = False
 
 
 class HistorySegment:
@@ -75,9 +91,10 @@ class HistorySegment:
     The single writer (the solver) appends via :meth:`push`; eviction moves
     lo past an oldest row only once its successor still covers the window
     start, so an interpolation bracket for t - h_max is always retained.
-    Evicted rows stay stored, and :meth:`view` gives the segment over any
-    stored rows without a copy.  Spacing is the solver step dt except for
-    at most one shortened step per scheduled parameter jump.
+    Evicted rows stay stored until a full buffer slides them out (see the
+    module docstring), and :meth:`view` gives the segment over any stored
+    rows without a copy, which pins the store.  Spacing is the solver step
+    dt except for at most one shortened step per scheduled parameter jump.
     """
 
     __slots__ = ("h_max", "dt", "_rows", "_lo", "_hi")
@@ -116,6 +133,7 @@ class HistorySegment:
         row and reaching up to the newest stored row; copies nothing."""
         if not 0 <= lo < hi <= self._rows.n - self._lo:
             raise ValueError(f"view: rows [{lo}, {hi}) outside the stored history")
+        self._rows.pinned = True
         seg = object.__new__(HistorySegment)
         seg.h_max, seg.dt, seg._rows = self.h_max, self.dt, self._rows
         seg._lo, seg._hi = self._lo + lo, self._lo + hi
@@ -139,7 +157,7 @@ class HistorySegment:
 
     @property
     def t_now(self) -> float:
-        return float(self._rows.times[self._hi - 1])
+        return self._rows.times.item(self._hi - 1)
 
     @property
     def state_now(self) -> FieldState:
@@ -172,8 +190,22 @@ class HistorySegment:
         if self._hi != rows.n:
             raise ValueError("push: only a segment ending at the newest stored row can grow")
         if rows.n == len(rows.times):
-            self.reserve(rows.n)
+            # sliding moves at most two rows per row it frees
+            if not rows.pinned and 2 * self._lo >= self._hi - self._lo:
+                self._slide()
+            else:
+                self.reserve(rows.n)
         return rows.fields[rows.n]
+
+    def _slide(self) -> None:
+        """Move rows lo..n-1 and their cached xi values to the front."""
+        rows, lo = self._rows, self._lo
+        live = rows.n - lo
+        rows.times[:live] = rows.times[lo : rows.n]
+        rows.fields[:live] = rows.fields[lo : rows.n]
+        for vals in rows.xi.values():
+            del vals[:lo]
+        rows.n, self._lo, self._hi = live, 0, live
 
     def push(self, t: float, state: FieldState | None = None) -> None:
         """Append the row at time t: ``state``, or the filled ``next_row()``."""
@@ -190,22 +222,27 @@ class HistorySegment:
         while self._hi - self._lo > 2 and rows.times[self._lo + 1] <= cutoff:
             self._lo += 1
 
-    def window(self, t_lo: float) -> tuple[np.ndarray, int, FieldState | None]:
+    def window(self, t_lo: float) -> tuple[np.ndarray, int, np.ndarray | None]:
         """Trapezoid nodes over [t_lo, t_now] as (nodes, i, start): the times
         of window rows i, i+1, ...  A row within 1e-9*dt of t_lo is row i and
         keeps its own time (start is None; nodes is then a view of the row
-        times); otherwise t_lo leads the nodes, with the interpolated ``start``.
+        times); otherwise t_lo leads the nodes, with the interpolated (3, nx)
+        ``start``.
         """
-        times = self.times
+        times, lo, hi = self._rows.times, self._lo, self._hi
         slack = 1e-9 * self.dt
-        if not times[0] - slack <= t_lo <= times[-1] + slack:
-            raise ValueError(f"history: time {t_lo} outside the covered window [{times[0]}, {times[-1]}]")
-        i = int(times.searchsorted(t_lo - slack))
-        if times[i] <= t_lo + slack:
-            return times[i:], i, None
-        w = (t_lo - times[i - 1]) / (times[i] - times[i - 1])
-        start = (1.0 - w) * self.fields[i - 1] + w * self.fields[i]
-        return np.concatenate(([t_lo], times[i:])), i, FieldState(start[0], start[1], start[2])
+        first, last = times.item(lo), times.item(hi - 1)
+        if not first - slack <= t_lo <= last + slack:
+            raise ValueError(f"history: time {t_lo} outside the covered window [{first}, {last}]")
+        j = bisect_left(times, t_lo - slack, lo, hi)  # the first stored row at or after it
+        t_j = times.item(j)
+        if t_j <= t_lo + slack:
+            return times[j:hi], j - lo, None
+        t_prev = times.item(j - 1)
+        w = (t_lo - t_prev) / (t_j - t_prev)
+        fields = self._rows.fields
+        start = (1.0 - w) * fields[j - 1] + w * fields[j]
+        return np.concatenate(([t_lo], times[j:hi])), j - lo, start
 
     def xi_values(self, xi: Callable[[FieldState], float]) -> np.ndarray:
         """xi of every row of the window; each stored row is reduced once."""
@@ -308,7 +345,7 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment) -> float:
     nodes, i, start = seg.window(t_start)
     g = seg.xi_values(df.xi)[i:]
     if start is not None:
-        g = np.concatenate(([df.xi(start)], g))
+        g = np.concatenate(([df.xi(FieldState(*start))], g))
     if df.kappa is not None:
         g = np.array([df.kappa(t - t_now) for t in nodes.tolist()]) * g
     # summed left to right; 0.0 + turns an all -0.0 sum into +0.0, as summing from 0.0 does
@@ -318,9 +355,10 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment) -> float:
     return min(max(raw, 0.0), df.h_max)
 
 
-def delayed_state(seg: HistorySegment, lag: float) -> FieldState:
-    """The fields at time t - lag; on a stored row, views of that row."""
+def delayed_state(seg: HistorySegment, lag: float) -> np.ndarray:
+    """The (3, nx) fields T, T_star, V at time t - lag; on a stored row, a
+    view of that row."""
     if not 0.0 <= lag <= seg.h_max * (1.0 + 1e-12):
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
     _, i, start = seg.window(seg.t_now - lag)
-    return seg.state(i) if start is None else start
+    return seg._rows.fields[seg._lo + i] if start is None else start

@@ -129,7 +129,7 @@ def _delay_tails(
     for j, nodes, first, end, start in windows:
         w, floored = w_rows[first - lo : end - lo], low[first - lo : end - lo].any()
         if start is not None:
-            r0 = incidence_values(f, start.T, start.V) / f_hat
+            r0 = incidence_values(f, start[0], start[2]) / f_hat
             w, floored = np.vstack((_v(r0), w)), floored or np.any(r0 <= LOG_FLOOR)
         tails[j] = np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0)
         ok[j] = not floored
@@ -319,8 +319,7 @@ def rate_decomposition(
 
     now = traj.fields[ks]
     state = FieldState(now[:, 0], now[:, 1], now[:, 2])
-    lagged = [delayed_state(segs[i], eta) for i, eta in zip(at, eta_k)]
-    lagged = np.array([(d.T, d.T_star, d.V) for d in lagged])
+    lagged = np.array([delayed_state(segs[i], eta) for i, eta in zip(at, eta_k)])
     delayed = FieldState(lagged[:, 0], lagged[:, 1], lagged[:, 2])
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     emwh = math.exp(-params.omega * params.h_max)

@@ -8,9 +8,12 @@ a continuous extension of the history, not just more stages on a frozen
 delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003).
 
-Each step writes one row of the array-backed history (``history``); the
-run sizes that store once, from t_end, dt and the number of jumps, and the
-returned ``Trajectory`` is a view of the same rows.
+The time loop is one iterator, ``RunStream``, that yields each sample once
+its row is complete.  Each step writes one row of the array-backed history
+(``history``).  ``run`` sizes that store once, from t_end, dt and the number
+of jumps, and returns a ``Trajectory`` that is a view of the same rows; a
+caller that drains the stream itself and takes no view keeps only the
+trailing delay window in memory.
 
 Parameter schedules model stepwise drug administration: a jump changes a
 model constant between steps only, shortening at most one step so that the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,8 @@ __all__ = [
     "rhs",
     "step",
     "StepDiag",
+    "Sample",
+    "RunStream",
     "Trajectory",
     "run",
     "compatibility_residual",
@@ -259,18 +265,21 @@ def rhs(
     grid: Grid1D,
 ) -> FieldState:
     """Reaction plus diffusion right-hand side; the delayed field feeds
-    only the infected-cell production term."""
+    only the infected-cell production term.  ``state`` and ``delayed`` are
+    FieldStates or (3, nx) rows."""
+    T, T_star, V = state
+    T_del, _, V_del = delayed
     d1, d2, d3 = params.diff
     emwh = math.exp(-params.omega * params.h_max)
-    dT = params.lam - params.d * state.T - incidence_values(f, state.T, state.V)
+    dT = params.lam - params.d * T - incidence_values(f, T, V)
     if d1 != 0.0:
-        dT = dT + d1 * laplacian_neumann(grid, state.T)
-    dTs = emwh * incidence_values(f, delayed.T, delayed.V) - params.delta * state.T_star
+        dT = dT + d1 * laplacian_neumann(grid, T)
+    dTs = emwh * incidence_values(f, T_del, V_del) - params.delta * T_star
     if d2 != 0.0:
-        dTs = dTs + d2 * laplacian_neumann(grid, state.T_star)
-    dV = params.burst_n * params.delta * state.T_star - params.c * state.V
+        dTs = dTs + d2 * laplacian_neumann(grid, T_star)
+    dV = params.burst_n * params.delta * T_star - params.c * V
     if d3 != 0.0:
-        dV = dV + d3 * laplacian_neumann(grid, state.V)
+        dV = dV + d3 * laplacian_neumann(grid, V)
     return FieldState(dT, dTs, dV)
 
 
@@ -297,15 +306,17 @@ def step(
     good state.
     """
     dt_step = cfg.dt if dt is None else dt
+    # (3, nx): T, T_star, V; taken first, because it may slide the store
+    # under any row view taken before it
+    row = seg.next_row()
     lag = evaluate_eta(df, seg)
     delayed = delayed_state(seg, lag)
-    u = seg.state_now
-    row = seg.next_row()  # (3, nx): T, T_star, V
+    u = seg.fields[-1]
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
         k = rhs(u, delayed, params, f, grid)
-        np.add(seg.fields[-1], np.multiply(dt_step, (k.T, k.T_star, k.V), out=row), out=row)
+        np.add(u, np.multiply(dt_step, (k.T, k.T_star, k.V), out=row), out=row)
     clipped = 0
     if cfg.clip_negative:
         clipped = int(np.count_nonzero(row < 0.0))
@@ -361,10 +372,93 @@ class Trajectory:
         return self.history.view(j0, k + 1)
 
 
-def _violations(row: np.ndarray, bounds, tol: float) -> tuple[int, int]:
-    """Box excursions of one (3, nx) row: below 0 and above the bounds."""
-    upper = 0 if bounds is None else int(np.count_nonzero(row > np.array(bounds)[:, None] + tol))
+def _upper_limits(bounds, tol: float) -> np.ndarray | None:
+    """The (3, 1) column a row must not exceed, or None without bounds."""
+    return None if bounds is None else np.array(bounds)[:, None] + tol
+
+
+def _violations(row: np.ndarray, limits: np.ndarray | None, tol: float) -> tuple[int, int]:
+    """Box excursions of one (3, nx) row: below 0 and above the limits."""
+    upper = 0 if limits is None else int(np.count_nonzero(row > limits))
     return int(np.count_nonzero(row < -tol)), upper
+
+
+class Sample(NamedTuple):
+    """One committed sample: its time, its (3, nx) row, the lag eta the
+    step leaving it used, and its lower/upper box excursion counts."""
+
+    t: float
+    row: np.ndarray
+    eta: float
+    lower: int
+    upper: int
+
+
+class RunStream:
+    """One run's time loop: iterating it integrates to t_end, applying
+    parameter jumps exactly at their times, and yields each ``Sample`` in
+    order.
+
+    Row k is complete only once the step leaving it has run (its eta is
+    that step's lag), so it is yielded after that step, read from the store
+    then; the last row's eta is evaluated on the final segment.  A sample's
+    ``row`` is a view into ``history``: unless the store is pinned (see
+    ``history``), it is valid only until the next sample.  A nonfinite
+    state aborts the run after the sample of the last good row.  Run
+    diagnostics accumulate on the stream: ``bounds`` (after the jumps so
+    far), ``clip_events``, ``aborted`` and ``abort_time``.
+    """
+
+    def __init__(
+        self,
+        initial: InitialData,
+        params: ModelParams,
+        f: IncidenceFn,
+        df: DelayFunctional,
+        cfg: SolverConfig,
+        grid: Grid1D,
+        schedule=(),
+    ):
+        self.jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
+        self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+        self.compat_residual = compatibility_residual(self.history, params, f, df, grid)
+        self._args = (params, f, df, cfg, grid)
+        self._mu = incidence_mu(f)
+        self.bounds = omega_lip_bounds(params, self._mu)
+        self.clip_events = 0
+        self.aborted = False
+        self.abort_time: float | None = None
+
+    def __iter__(self) -> Iterator[Sample]:
+        params, f, df, cfg, grid = self._args
+        seg, jumps, tol = self.history, self.jumps, cfg.invariance_tol
+        t0 = seg.t_now
+        t_final = t0 + cfg.t_end
+        limits = _upper_limits(self.bounds, tol)
+        counts = _violations(seg.fields[-1], limits, tol)
+        ji = 0
+        t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
+        while seg.t_now < t_final - t_slack:
+            t = seg.t_now
+            while ji < len(jumps) and t >= (t0 + jumps[ji].t) - t_slack:
+                params = apply_jump(params, jumps[ji])
+                self.bounds = omega_lip_bounds(params, self._mu)
+                limits = _upper_limits(self.bounds, tol)
+                log.info("applied jump at t=%.6g: %s -> %.6g", t, jumps[ji].name, jumps[ji].value)
+                ji += 1
+            dt_step = min(cfg.dt, t_final - t)
+            if ji < len(jumps):
+                dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
+            _, diag = step(seg, params, f, df, cfg, grid, dt=dt_step)
+            self.clip_events += diag.clipped
+            if not diag.finite:
+                self.aborted, self.abort_time = True, t
+                log.error("solver abort: nonfinite state after t=%.6g", t)
+                yield Sample(t, seg.fields[-1], diag.eta, *counts)
+                return
+            yield Sample(t, seg.fields[-2], diag.eta, *counts)
+            counts = _violations(seg.fields[-1], limits, tol)
+        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), *counts)
 
 
 def run(
@@ -376,59 +470,40 @@ def run(
     grid: Grid1D,
     schedule=(),
 ) -> Trajectory:
-    """Integrate to t_end, applying parameter jumps exactly at their times.
+    """Integrate to t_end, applying parameter jumps exactly at their times,
+    and keep every sample.
 
     A nonfinite state aborts the run; the trajectory keeps every sample up
     to the last good time and carries the abort diagnostics.
     """
-    jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
-    seg = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+    stream = RunStream(initial, params, f, df, cfg, grid, schedule)
+    seg = stream.history
     # one row per step, one shortened step per jump, one row of float drift
-    seg.reserve(math.ceil(cfg.t_end / cfg.dt) + len(jumps) + 1)
+    seg.reserve(math.ceil(cfg.t_end / cfg.dt) + len(stream.jumps) + 1)
     origin = seg.view(len(seg) - 1, len(seg))
-    t0 = seg.t_now
-    t_final = t0 + cfg.t_end
-    params_cur = params
-    mu = incidence_mu(f)
-    bounds = omega_lip_bounds(params_cur, mu)
-
-    traj = Trajectory(grid=grid, h_max=params.h_max, dt=cfg.dt, bounds=bounds)
-    traj.compat_residual = compatibility_residual(seg, params_cur, f, df, grid)
-
     etas: list[float] = []
-    counts = [_violations(seg.fields[-1], bounds, cfg.invariance_tol)]  # (lower, upper) per sample
+    counts: list[tuple[int, int]] = []  # (lower, upper) per sample
+    for sample in stream:
+        etas.append(sample.eta)
+        counts.append((sample.lower, sample.upper))
 
-    ji = 0
-    t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
-    while seg.t_now < t_final - t_slack:
-        t = seg.t_now
-        while ji < len(jumps) and t >= (t0 + jumps[ji].t) - t_slack:
-            params_cur = apply_jump(params_cur, jumps[ji])
-            bounds = omega_lip_bounds(params_cur, mu)
-            log.info("applied jump at t=%.6g: %s -> %.6g", t, jumps[ji].name, jumps[ji].value)
-            ji += 1
-        dt_step = min(cfg.dt, t_final - t)
-        if ji < len(jumps):
-            dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-        _, diag = step(seg, params_cur, f, df, cfg, grid, dt=dt_step)
-        etas.append(diag.eta)
-        traj.clip_events += diag.clipped
-        if not diag.finite:
-            traj.aborted = True
-            traj.abort_time = t
-            log.error("solver abort: nonfinite state after t=%.6g", t)
-            break
-        counts.append(_violations(seg.fields[-1], bounds, cfg.invariance_tol))
-
-    etas.append(evaluate_eta(df, seg))
-    traj.history = origin.view(0, len(counts))
+    traj = Trajectory(
+        grid=grid,
+        h_max=params.h_max,
+        dt=cfg.dt,
+        history=origin.view(0, len(counts)),
+        bounds=stream.bounds,
+        clip_events=stream.clip_events,
+        aborted=stream.aborted,
+        abort_time=stream.abort_time,
+        compat_residual=stream.compat_residual,
+    )
     traj.times, traj.fields = traj.history.times, traj.history.fields
-    traj.eta = np.asarray(etas[: len(counts)])
+    traj.eta = np.asarray(etas)
     traj.eta_rate = np.zeros(len(counts))
     traj.eta_rate[1:] = np.diff(traj.eta) / np.diff(traj.times)
     traj.lower_violations, upper = np.array(counts, dtype=int).T
-    traj.upper_violations = upper if bounds is not None else None
-    traj.bounds = bounds
+    traj.upper_violations = upper if stream.bounds is not None else None
     return traj
 
 

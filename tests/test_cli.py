@@ -4,10 +4,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sddlab.cli import main
+from sddlab import run
+from sddlab.cli import _resolve_initial, main
+from sddlab.config import load_config
 
 BILINEAR = Path("configs/bilinear_reference.ini").resolve()
 SCHEDULE = Path("configs/drug_schedule.ini").resolve()
+CONFIGS = Path("configs").resolve()
+
+
+# blows up at t = 3.5, after 8 samples
+ABORT_CONFIG = (
+    "[params]\nburst_n = 1e12\nh_max = 0.5\n"
+    "[incidence]\nkind = bilinear\nk = 10\n"
+    "[delay]\neta_const = 0.1\n[grid]\nnx = 3\n"
+    "[time]\ndt = 0.5\nt_end = 40\n"
+    "[initial]\npreset = uniform\nt0 = 50\ntstar0 = 10\nv0 = 10\n"
+)
+# integral delay, diffusion and a burst_n jump off the step grid (one shortened step)
+JUMP_CONFIG = (
+    "[params]\nd1 = 0.001\nd2 = 0.001\nd3 = 0.002\n"
+    "[incidence]\nkind = saturated\nk = 0.1\nk2 = 0.1\n"
+    "[delay]\nkind = integral\nxi_component = V\nxi_scale = 0.0232\n"
+    "[grid]\nnx = 7\n[time]\ndt = 0.01\nt_end = 3\n"
+    "[initial]\npreset = gaussian_bump\n"
+    "[schedule]\njump1 = 1.005 burst_n 5\n"
+)
 
 
 def read_csv(path: Path):
@@ -118,14 +140,7 @@ class TestSimulateCommand:
         assert "final_sup_norm" in records[0]
 
     def test_abort_flushes_partial_and_exits_2(self, tmp_path):
-        text = (
-            "[params]\nburst_n = 1e12\nh_max = 0.5\n"
-            "[incidence]\nkind = bilinear\nk = 10\n"
-            "[delay]\neta_const = 0.1\n[grid]\nnx = 3\n"
-            "[time]\ndt = 0.5\nt_end = 40\n"
-            "[initial]\npreset = uniform\nt0 = 50\ntstar0 = 10\nv0 = 10\n"
-        )
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, ABORT_CONFIG)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         _, rows = read_csv(out / "trajectory.csv")
@@ -133,6 +148,59 @@ class TestSimulateCommand:
         records = [json.loads(line) for line in (out / "summary.jsonl").read_text().splitlines()]
         assert records[0]["aborted"] is True
         assert records[-1]["event"] == "abort"
+
+
+def _fmt_all(values) -> list[str]:
+    return [f"{float(x):.17g}" for x in values]
+
+
+class TestSimulateStream:
+    """``simulate`` drains the solver's stream straight into the CSV; every
+    column must equal what ``run`` keeps, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay", "jump", "abort"],
+    )
+    def test_csv_and_summary_equal_run(self, tmp_path, name):
+        texts = {"jump": JUMP_CONFIG, "abort": ABORT_CONFIG}
+        path = write_cfg(tmp_path, texts[name]) if name in texts else CONFIGS / f"{name}.ini"
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        cfg = load_config(path)
+        traj = run(_resolve_initial(cfg), cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
+        assert code == (2 if name == "abort" else 0)
+        assert traj.aborted == (name == "abort")
+
+        _, rows = read_csv(out / "trajectory.csv")
+        cols = [list(c) for c in zip(*rows)]
+        summary = json.loads((out / "summary.jsonl").read_text().splitlines()[0])
+        probes = summary["probe_nodes"]
+        assert cols[0] == _fmt_all(traj.times)
+        for j, node in enumerate(probes):
+            for c in range(3):
+                assert cols[1 + 3 * j + c] == _fmt_all(traj.fields[:, c, node])
+        assert cols[-3] == _fmt_all(traj.eta)
+        assert cols[-2] == _fmt_all(traj.eta_rate)
+        upper = traj.upper_violations if traj.upper_violations is not None else 0
+        assert cols[-1] == ["1" if v else "0" for v in traj.lower_violations + upper > 0]
+
+        assert summary["samples"] == len(traj)
+        assert summary["lower_violations"] == int(np.sum(traj.lower_violations))
+        assert summary["aborted"] == traj.aborted
+        assert summary["eta_min"] == float(np.min(traj.eta))
+        assert summary["eta_max"] == float(np.max(traj.eta))
+        assert summary["max_abs_eta_rate"] == float(np.max(np.abs(traj.eta_rate)))
+        lows = np.min(traj.fields, axis=(0, 2))
+        assert summary["min_component"] == {"T": lows[0], "T_star": lows[1], "V": lows[2]}
+        last = traj.state(-1)
+        assert summary["final_sup_norm"] == {
+            "T": float(np.max(np.abs(last.T))),
+            "T_star": float(np.max(np.abs(last.T_star))),
+            "V": float(np.max(np.abs(last.V))),
+        }
+        if name == "saturated_integral_delay":
+            assert summary["max_abs_eta_rate"] > 0.0
 
 
 class TestCheckHypothesesCommand:

@@ -122,13 +122,13 @@ class TestDelayedState:
     def test_lag_zero_is_newest_bitwise(self, small_grid):
         seg = segment_with_v(small_grid, lambda t: 3.0 + t)
         out = delayed_state(seg, 0.0)
-        assert np.array_equal(out.V, seg.state_now.V)
+        assert np.array_equal(out[2], seg.state_now.V)
 
     def test_on_node_lag_bitwise(self, small_grid):
         seg = segment_with_v(small_grid, lambda t: 3.0 + np.cos(t), dt=0.25)
         lag = seg.t_now - seg.times[-2]
         out = delayed_state(seg, lag)
-        assert np.array_equal(out.V, seg.state(-2).V)
+        assert np.array_equal(out[2], seg.state(-2).V)
 
     @given(frac=st.floats(0.0, 1.0))
     def test_affine_history_reproduced_exactly(self, frac):
@@ -138,7 +138,7 @@ class TestDelayedState:
         out = delayed_state(seg, lag)
         expected = 2.0 + 3.0 * (seg.t_now - lag)
         # abs tolerance covers the on-node snap window (1e-9 * dt) times slope
-        assert out.V[0] == pytest.approx(expected, abs=1e-9)
+        assert out[2, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_lag_out_of_range_rejected(self, small_grid):
         seg = segment_with_v(small_grid, lambda t: 1.0)
@@ -260,11 +260,11 @@ class TestArrayStoreProperties:
         in_window = [j for j, t in enumerate(times) if t >= t_now - h]
         j = in_window[int(pick * (len(in_window) - 1))]
         on_node = delayed_state(seg, t_now - times[j])
-        for got, want in zip((on_node.T, on_node.T_star, on_node.V), snaps[j]):
+        for got, want in zip(on_node, snaps[j]):
             assert np.array_equal(got, want)  # bitwise: the stored row itself
         off_node = delayed_state(seg, frac * h)
         want = snapshot_interp(times, snaps, t_now - frac * h, 1e-9 * seg.dt)
-        for got, ref in zip((off_node.T, off_node.T_star, off_node.V), want):
+        for got, ref in zip(off_node, want):
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     @given(hist=pushed_histories())
@@ -279,3 +279,87 @@ class TestArrayStoreProperties:
         )
         assert evaluate_eta(integral_delay(h, xi_v), seg) == first_v
         assert first_v == pytest.approx(oracle_eta(seg, times, snaps, xi_v), rel=1e-13, abs=0.0)
+
+
+@st.composite
+def sliding_pushes(draw):
+    """Many pushes through a short window (2 to 6 steps), one of them
+    shortened, so that a store that is never viewed slides several times."""
+    dt = draw(st.floats(0.01, 0.5))
+    h = dt * draw(st.floats(1.5, 6.0))
+    n_steps = draw(st.integers(30, 60))
+    short = draw(st.integers(0, n_steps - 1))
+    frac = draw(st.floats(0.01, 0.99))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return h, dt, n_steps, short, frac, seed
+
+
+class TestSlidingStore:
+    @given(spec=sliding_pushes(), pick=st.floats(0.0, 1.0), frac_lag=st.floats(0.0, 1.0))
+    def test_matches_snapshot_oracle_across_slides(self, spec, pick, frac_lag):
+        h, dt, n_steps, short, frac, seed = spec
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(0, 1, 4)
+        times, snaps = [], []
+
+        def random_state(t):
+            snap = tuple(rng.uniform(0.5, 20.0, grid.nx) for _ in range(3))
+            times.append(t)
+            snaps.append(snap)
+            return FieldState(*snap)
+
+        seg = HistorySegment.from_profile(h, dt, 0.0, random_state)
+        xi_v = state_mean_reducer(grid, "V", 0.3 / h)
+        xi_t = state_mean_reducer(grid, "T", 0.1 / h)
+        kappa = lambda th: 2.0 * (1.0 + th / h)  # noqa: E731
+        slides, t = 0, 0.0
+        for i in range(n_steps):
+            lo = seg._lo
+            t += dt * frac if i == short else dt
+            seg.push(t, random_state(t))
+            slides += seg._lo < lo
+            assert seg.covers()
+            got = evaluate_eta(integral_delay(h, xi_v), seg)
+            assert got == pytest.approx(oracle_eta(seg, times, snaps, xi_v), rel=1e-13, abs=0.0)
+            got = evaluate_eta(wrapped_delay(h, xi_v, kappa=kappa, rho=lambda s: s), seg)
+            assert got == pytest.approx(oracle_eta(seg, times, snaps, xi_v, kappa), rel=1e-13, abs=0.0)
+            # the second xi is reduced once early and again only late, so a
+            # slide meets its cache both longer and shorter than the rows it drops
+            if i == 0 or i >= n_steps - 5:
+                got = evaluate_eta(integral_delay(h, xi_t), seg)
+                assert got == pytest.approx(oracle_eta(seg, times, snaps, xi_t), rel=1e-13, abs=0.0)
+            in_window = [j for j, tj in enumerate(times) if tj >= t - h]
+            j = in_window[int(pick * (len(in_window) - 1))]
+            for got, want in zip(delayed_state(seg, t - times[j]), snaps[j]):
+                assert np.array_equal(got, want)
+            want = snapshot_interp(times, snaps, t - frac_lag * h, 1e-9 * dt)
+            for got, ref in zip(delayed_state(seg, frac_lag * h), want):
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert slides >= 2
+        assert len(seg._rows.times) <= 2 * (h / dt + 2)
+
+    def test_a_view_pins_the_store(self, small_grid):
+        def state(t):
+            return const_state(small_grid, 10.0 + t, 2.0 * t, 5.0 - t)
+
+        pinned = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
+        free = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
+        for seg in (pinned, free):
+            for i in range(1, 6):
+                seg.push(0.1 * i, state(0.1 * i))
+        old = pinned.view(0, len(pinned))
+        old_times, old_fields = old.times.copy(), old.fields.copy()
+        for i in range(6, 66):
+            for seg in (pinned, free):
+                seg.push(0.1 * i, state(0.1 * i))
+        assert np.array_equal(old.times, old_times)
+        assert np.array_equal(old.fields, old_fields)
+        # every row since the view is still stored, in order
+        since = old.view(0, pinned.offset(old) + len(pinned)).times
+        assert np.array_equal(since[: len(old_times)], old_times)
+        assert np.array_equal(since[len(old_times) :], 0.1 * np.arange(6, 66))
+        # both windows read the same rows; only the unpinned store slid
+        assert np.array_equal(pinned.times, free.times)
+        assert np.array_equal(pinned.fields, free.fields)
+        assert len(free._rows.times) <= 2 * len(old_times)
+        assert len(pinned._rows.times) >= 66

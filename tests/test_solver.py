@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sddlab import (
     FieldState,
     Grid1D,
+    HistorySegment,
     IncidenceFn,
     ModelParams,
     ParamJump,
@@ -27,7 +28,7 @@ from sddlab import (
     step,
     uniform_state,
 )
-from sddlab.solver import InitialData, apply_jump, validate_schedule
+from sddlab.solver import InitialData, RunStream, apply_jump, validate_schedule
 
 from .oracles import fixed_lag_euler, saturated_closed_form
 
@@ -94,6 +95,23 @@ class TestStep:
         new, diag = step(seg, params, f, df, cfg_clip, grid3)
         assert diag.clipped > 0
         assert np.all(new.T >= 0.0)
+
+    def test_delayed_row_is_read_after_the_store_slides(self, ref_params, saturated, grid3):
+        # the store is full with rows -0.3..0.35 (one step shortened), so the
+        # next step's row slides the five live rows over the old slots; the
+        # lag 0.25 lands on the stored row at t = 0.1
+        def state(t):
+            return uniform_state(grid3, (10.0 + 10.0 * t, 2.0 + 10.0 * t, 5.0 + 10.0 * t))
+
+        seg = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
+        for t in (0.1, 0.15, 0.25, 0.35):
+            seg.push(t, state(t))
+        assert (seg._rows.n, len(seg._rows.times), seg._lo) == (8, 8, 3)
+        now, lagged = seg.fields[-1].copy(), np.array(tuple(state(0.1)))
+        k = rhs(now, lagged, ref_params, saturated, grid3)
+        new, diag = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
+        assert seg._rows.n == 6 and diag.eta == 0.25  # slid: 5 live rows + the new one
+        assert np.array_equal(np.array(tuple(new)), now + 0.1 * np.array(tuple(k)))
 
     def test_without_clipping_violations_surface(self, grid3):
         params = ModelParams(lam=1.0, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=0.5)
@@ -363,3 +381,30 @@ class TestDiagnostics:
         assert np.shares_memory(seg.fields, jump_run.fields)
         assert seg.times[-1] == jump_run.times[k]
         assert np.array_equal(seg.state_now.V, jump_run.fields[k, 2])
+
+
+class TestRunStream:
+    def test_store_stays_within_two_windows_and_matches_run(self, ref_params, saturated):
+        # h/dt = 20 steps, t_end/dt = 1200 steps: more than 50 windows, with
+        # an integral delay (cached xi values) and one shortened step
+        h, dt = 0.2, 0.01
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=h)
+        grid = Grid1D(0.0, 1.0, 5)
+        df = integral_delay(h, state_mean_reducer(grid, "V", 0.03))
+        cfg = SolverConfig(dt=dt, t_end=12.0)
+        initial = InitialData(preset="gaussian_bump", values=(50.0, 10.0, 10.0))
+        schedule = [ParamJump(3.005, "burst_n", 5.0)]
+        stream = RunStream(initial, params, saturated, df, cfg, grid, schedule)
+        window = len(stream.history)  # rows of the initial segment: h/dt + 1
+        assert window == 21
+        capacity, rows, etas = [], [], []
+        for sample in stream:
+            capacity.append(len(stream.history._rows.times))
+            rows.append(sample.row.copy())
+            etas.append(sample.eta)
+        assert len(rows) >= 50 * window
+        assert max(capacity) <= 2 * window + 2
+        traj = run(initial, params, saturated, df, cfg, grid, schedule)
+        assert np.array_equal(np.array(rows), traj.fields)
+        assert np.array_equal(np.array(etas), traj.eta)
+        assert len(np.unique(traj.eta)) > 1
