@@ -104,13 +104,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         header += [f"T_n{i}", f"Tstar_n{i}", f"V_n{i}"]
     header += ["eta", "eta_rate", "box_violation"]
 
-    if cfg.solver.t_end == 0.0:
-        _write_csv(out / "trajectory.csv", header, [])
-        summary = {"event": "run_summary", "samples": 0, "aborted": False, "wall_time_s": 0.0}
-        (out / "summary.jsonl").write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
-        print("degenerate run (t_end = 0): header-only trajectory written")
-        return EXIT_OK
-
     initial = _resolve_initial(cfg)
     stream = RunStream(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
     samples = lower = upper = 0

@@ -5,17 +5,21 @@ trailing window [t - h, t].  The history is stored once, as two append-only
 arrays: row times (n,) and fields (n, 3, nx).  A ``HistorySegment`` is an
 index range of rows over that store; the run's ``Trajectory`` reads the
 same rows, so a step is written once and a segment ending at any sample is
-a view, not a copy.  A segment serves two queries: the delayed field at an
-arbitrary lag (linear interpolation in time, nodewise in space), and the
-delay functional
+a view, not a copy.  The rows may carry a leading member axis, fields (n,
+B, 3, nx): B runs that share their row times (``certify``'s perturbations)
+are stored, and queried, as one.  A segment serves two queries: the delayed
+field at an arbitrary lag (linear interpolation in time, nodewise in space),
+and the delay functional
 
     eta(u_t) = rho( integral_{-h}^{0} xi(u(t + theta)) kappa(theta) dtheta ),
 
 whose output always lies in [0, h].  The constant kind short-circuits the
 quadrature; the integral kind is the special case kappa = 1, rho =
 identity-then-clamp.  A stored row never changes, so each row's xi value is
-computed once and cached beside it, keyed by the xi callable: xi must be a
-pure function of the snapshot it is given.
+computed once and cached beside it, in a float buffer keyed by the xi
+callable: xi must be a pure function of the snapshot it is given, and it
+always receives one member's ``FieldState``.  With a member axis, eta and
+the delayed field are per member, each with the bits of that member alone.
 
 When ``push`` finds the buffers full, a store that has never handed out a
 ``view`` slides the segment's live rows, and their cached xi values, to the
@@ -70,18 +74,33 @@ class FieldState:
         """T, T_star, V: a FieldState unpacks like a (3, nx) row."""
         return iter((self.T, self.T_star, self.V))
 
+    @classmethod
+    def of_row(cls, row: np.ndarray) -> "FieldState":
+        """Views of a stored (3, nx) float row, without the checks."""
+        state = object.__new__(cls)
+        for name, field in zip(("T", "T_star", "V"), row):
+            object.__setattr__(state, name, field)
+        return state
+
 
 class _Rows:
     """The stored history: the first n rows of the buffers times (cap,) and
-    fields (cap, 3, nx), per xi callable the xi values of rows 0, 1, ...,
-    and whether a view pins the rows where they are."""
+    fields (cap, *members, 3, nx), per xi callable a buffer (cap, *members)
+    and the count of its leading rows that hold xi values, and whether a
+    view pins the rows where they are."""
 
     __slots__ = ("times", "fields", "n", "xi", "pinned")
 
     def __init__(self, times: np.ndarray, fields: np.ndarray):
         self.times, self.fields, self.n = times, fields, len(times)
-        self.xi: dict[Callable[[FieldState], float], list[float]] = {}
+        self.xi: dict[Callable[[FieldState], float], list] = {}  # xi -> [values, count]
         self.pinned = False
+
+
+def _xi_map(xi: Callable[[FieldState], float], fields: np.ndarray) -> np.ndarray:
+    """xi of each (3, nx) row of a (..., 3, nx) stack, shaped (...)."""
+    flat = fields.reshape((-1,) + fields.shape[-2:])
+    return np.array([xi(FieldState.of_row(row)) for row in flat], dtype=float).reshape(fields.shape[:-2])
 
 
 class HistorySegment:
@@ -99,7 +118,7 @@ class HistorySegment:
 
     __slots__ = ("h_max", "dt", "_rows", "_lo", "_hi")
 
-    def __init__(self, h_max: float, dt: float, times: Sequence[float], states: Sequence[FieldState]):
+    def __init__(self, h_max: float, dt: float, times: Sequence[float], states: Sequence[FieldState | np.ndarray]):
         if not h_max > 0.0:
             raise ValueError(f"h_max: must be positive, got {h_max}")
         if not dt > 0.0:
@@ -110,7 +129,8 @@ class HistorySegment:
             raise ValueError("HistorySegment: times must be strictly increasing")
         self.h_max = float(h_max)
         self.dt = float(dt)
-        fields = np.array([(s.T, s.T_star, s.V) for s in states], dtype=float)
+        # a state is a FieldState or a (*members, 3, nx) row
+        fields = np.array([tuple(s) for s in states], dtype=float)
         self._rows = _Rows(np.array(times, dtype=float), fields)
         self._lo, self._hi = 0, len(times)
         if not self.covers():
@@ -139,6 +159,21 @@ class HistorySegment:
         seg._lo, seg._hi = self._lo + lo, self._lo + hi
         return seg
 
+    def member(self, m: int) -> "HistorySegment":
+        """This segment over member m's rows of a store with a member axis,
+        reading the stored fields without a copy; for reading only."""
+        rows = self._rows
+        one = _Rows(rows.times[: rows.n].copy(), rows.fields[: rows.n, m])
+        one.pinned = True
+        seg = object.__new__(HistorySegment)
+        seg.h_max, seg.dt, seg._rows, seg._lo, seg._hi = self.h_max, self.dt, one, self._lo, self._hi
+        return seg
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The member shape: () for one run, (B,) for B runs stored as one."""
+        return self._rows.fields.shape[1:-2]
+
     def offset(self, base: "HistorySegment") -> int:
         """Rows from base's first row to this segment's first row; both must
         be segments over one store."""
@@ -154,6 +189,10 @@ class HistorySegment:
             times, fields = np.empty(r.n + rows), np.empty((r.n + rows,) + r.fields.shape[1:])
             times[: r.n], fields[: r.n] = r.times[: r.n], r.fields[: r.n]
             r.times, r.fields = times, fields
+            for cache in r.xi.values():
+                vals, done = cache
+                cache[0] = np.empty((r.n + rows,) + vals.shape[1:])
+                cache[0][:done] = vals[:done]
 
     @property
     def t_now(self) -> float:
@@ -203,8 +242,10 @@ class HistorySegment:
         live = rows.n - lo
         rows.times[:live] = rows.times[lo : rows.n]
         rows.fields[:live] = rows.fields[lo : rows.n]
-        for vals in rows.xi.values():
-            del vals[:lo]
+        for cache in rows.xi.values():
+            vals, done = cache
+            cache[1] = max(done - lo, 0)
+            vals[: cache[1]] = vals[lo:done]
         rows.n, self._lo, self._hi = live, 0, live
 
     def push(self, t: float, state: FieldState | None = None) -> None:
@@ -227,7 +268,7 @@ class HistorySegment:
         of window rows i, i+1, ...  A row within 1e-9*dt of t_lo is row i and
         keeps its own time (start is None; nodes is then a view of the row
         times); otherwise t_lo leads the nodes, with the interpolated (3, nx)
-        ``start``.
+        ``start`` (*members, 3, nx).
         """
         times, lo, hi = self._rows.times, self._lo, self._hi
         slack = 1e-9 * self.dt
@@ -245,11 +286,17 @@ class HistorySegment:
         return np.concatenate(([t_lo], times[j:hi])), j - lo, start
 
     def xi_values(self, xi: Callable[[FieldState], float]) -> np.ndarray:
-        """xi of every row of the window; each stored row is reduced once."""
+        """xi of every row of the window, (len, *members), as a view of the
+        cache; each stored row is reduced once."""
         rows = self._rows
-        vals = rows.xi.setdefault(xi, [])
-        vals.extend(xi(FieldState(*rows.fields[i])) for i in range(len(vals), self._hi))
-        return np.array(vals[self._lo : self._hi])
+        cache = rows.xi.get(xi)
+        if cache is None:
+            cache = rows.xi[xi] = [np.empty(rows.times.shape + self.members), 0]
+        vals, done = cache
+        if done < self._hi:
+            vals[done : self._hi] = _xi_map(xi, rows.fields[done : self._hi])
+            cache[1] = self._hi
+        return vals[self._lo : self._hi]
 
 
 @dataclass(frozen=True)
@@ -332,33 +379,74 @@ def smooth_clamp(h_max: float, band: float = 0.01) -> Callable[[float], float]:
     return rho
 
 
-def evaluate_eta(df: DelayFunctional, seg: HistorySegment) -> float:
-    """Trapezoidal quadrature of xi*kappa over the window, then rho.
+def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
+    """Trapezoidal quadrature of xi*kappa over the window, then rho: a float,
+    or a (B,) array of one lag per member.
 
     The result is clamped into [0, h_max] regardless of the rho supplied.
     Raises if the segment does not cover the full window (solver misuse).
     """
+    members = seg.members
     if df.kind == "constant":
-        return df.eta_const
+        return np.full(members, df.eta_const) if members else df.eta_const
     t_now = seg.t_now
     t_start = t_now - seg.h_max
     nodes, i, start = seg.window(t_start)
     g = seg.xi_values(df.xi)[i:]
     if start is not None:
-        g = np.concatenate(([df.xi(FieldState(*start))], g))
+        g = np.concatenate((_xi_map(df.xi, start[None]), g))
+    col = (slice(None),) + (None,) * len(members)  # a node column against (n, *members)
     if df.kappa is not None:
-        g = np.array([df.kappa(t - t_now) for t in nodes.tolist()]) * g
+        g = np.array([df.kappa(t - t_now) for t in nodes.tolist()])[col] * g
     # summed left to right; 0.0 + turns an all -0.0 sum into +0.0, as summing from 0.0 does
-    raw = 0.0 + float(np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes))[-1])
-    if df.kind == "wrapped" and df.rho is not None:
-        raw = df.rho(raw)
-    return min(max(raw, 0.0), df.h_max)
+    raw = (0.0 + np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes)[col])[-1]).tolist()
+
+    def finish(r: float) -> float:
+        if df.kind == "wrapped" and df.rho is not None:
+            r = df.rho(r)
+        return min(max(r, 0.0), df.h_max)
+
+    return np.array([finish(r) for r in raw]) if members else finish(raw)
 
 
-def delayed_state(seg: HistorySegment, lag: float) -> np.ndarray:
+def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     """The (3, nx) fields T, T_star, V at time t - lag; on a stored row, a
-    view of that row."""
+    view of that row.  With a member axis, ``lag`` holds one lag per member
+    (or one for all) and the result is (B, 3, nx), each member read as it
+    would be alone."""
+    if seg.members:
+        lags = np.asarray(lag, dtype=float)
+        if lags.shape:
+            least, most = lags.min().item(), lags.max().item()
+            if least != most:
+                return _delayed_rows(seg, lags, least, most)
+            lag = least  # one lag: the members share its row and weights
     if not 0.0 <= lag <= seg.h_max * (1.0 + 1e-12):
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
     _, i, start = seg.window(seg.t_now - lag)
     return seg._rows.fields[seg._lo + i] if start is None else start
+
+
+def _delayed_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: float) -> np.ndarray:
+    """``delayed_state`` for members with lags from least to most: one search
+    over the shared row times, and the window's arithmetic for the members
+    that fall between rows."""
+    if not 0.0 <= least <= most <= seg.h_max * (1.0 + 1e-12):
+        raise ValueError(f"delayed_state: lags {lags} outside [0, {seg.h_max}]")
+    times, fields, lo, hi = seg._rows.times, seg._rows.fields, seg._lo, seg._hi
+    slack = 1e-9 * seg.dt
+    t_now, first, last = times.item(hi - 1), times.item(lo), times.item(hi - 1)
+    if not (first - slack <= t_now - most and t_now - least <= last + slack):
+        raise ValueError(f"history: times {t_now - lags} outside the covered window [{first}, {last}]")
+    t_lo = t_now - lags
+    j = lo + np.searchsorted(times[lo:hi], t_lo - slack)  # the first stored row at or after each
+    t_j = times[j]
+    members = np.arange(len(j))
+    out = fields[j, members]
+    off = t_j > t_lo + slack
+    if off.any():
+        off = slice(None) if off.all() else np.flatnonzero(off)
+        j, t_prev = j[off], times[j[off] - 1]
+        w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[:, None, None]
+        out[off] = (1.0 - w) * fields[j - 1, members[off]] + w * out[off]
+    return out

@@ -448,15 +448,18 @@ def certify_local_stability(
     """Perturb, run, monitor; one verdict per perturbation size.
 
     Per epsilon the equilibrium is displaced along every configured
-    direction shape; the verdict aggregates the worst direction.  The
-    stable_evidence verdict requires a decrease fraction of at least 0.99
-    on valid samples and a terminal distance below the initial one (the
-    0.99 gate is an engineering choice; the raw series are what to trust).
-    Inconclusive is a legitimate outcome, as is instability_evidence for
-    perturbations outside any stability region.
+    direction shape; all these runs advance as one ``run`` over a member
+    axis, and each member's trajectory is monitored on its own.  The
+    verdict aggregates the worst direction.  The stable_evidence verdict
+    requires a decrease fraction of at least 0.99 on valid samples and a
+    terminal distance below the initial one (the 0.99 gate is an
+    engineering choice; the raw series are what to trust).  Inconclusive is
+    a legitimate outcome, as is instability_evidence for perturbations
+    outside any stability region.
     """
     if eq.kind != "interior" or min(eq.T_hat, eq.T_star_hat, eq.V_hat) <= 0.0:
         raise ValueError("certify_local_stability: need a strictly interior equilibrium")
+    epsilons = list(epsilons)
     rng = np.random.default_rng(seed)
     specs = []
     for name in directions:
@@ -470,6 +473,20 @@ def certify_local_stability(
         else:
             raise ValueError(f"directions: unknown direction {name!r}")
 
+    members = [
+        InitialData(
+            preset="equilibrium_perturbation",
+            epsilon=float(eps),
+            direction=name,
+            weights=w,
+            bump_center=center,
+            bump_width=width,
+            equilibrium=eq,
+        )
+        for eps in epsilons
+        for name, w, center, width in specs
+    ]
+    trajs = iter(run(members, params, f, df, cfg, grid) if members else ())
     verdicts: list[StabilityVerdict] = []
     for eps in epsilons:
         frac_min = math.inf
@@ -482,17 +499,8 @@ def certify_local_stability(
         abort = None
         all_contracted = True
         any_expanded_badly = False
-        for name, w, center, width in specs:
-            initial = InitialData(
-                preset="equilibrium_perturbation",
-                epsilon=float(eps),
-                direction=name,
-                weights=w,
-                bump_center=center,
-                bump_width=width,
-                equilibrium=eq,
-            )
-            traj = run(initial, params, f, df, cfg, grid)
+        for name, *_ in specs:
+            traj = next(trajs)
             if traj.aborted or len(traj) < 3:
                 any_aborted = True
                 if traj.aborted and abort is None:

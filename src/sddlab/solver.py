@@ -15,6 +15,13 @@ of jumps, and returns a ``Trajectory`` that is a view of the same rows; a
 caller that drains the stream itself and takes no view keeps only the
 trailing delay window in memory.
 
+Several runs that share the parameters, dt and step times (``certify``'s
+perturbations) advance as one stream: their rows carry a leading member
+axis, (B, 3, nx), and ``rhs`` and ``step`` work on (..., 3, nx) rows with
+the same elementwise arithmetic, so each member gets the bits of its solo
+run.  A member whose state turns nonfinite is frozen at its last good row
+and masked; the stream ends once every member has.
+
 Parameter schedules model stepwise drug administration: a jump changes a
 model constant between steps only, shortening at most one step so that the
 jump lands exactly on a step boundary.  Solutions stay continuous there
@@ -58,7 +65,6 @@ __all__ = [
     "omega_lip_bounds",
     "rhs",
     "step",
-    "StepDiag",
     "Sample",
     "RunStream",
     "Trajectory",
@@ -258,36 +264,29 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
 
 
 def rhs(
-    state: FieldState,
-    delayed: FieldState,
+    state: np.ndarray,
+    delayed: np.ndarray,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
-) -> FieldState:
-    """Reaction plus diffusion right-hand side; the delayed field feeds
-    only the infected-cell production term.  ``state`` and ``delayed`` are
-    FieldStates or (3, nx) rows."""
-    T, T_star, V = state
-    T_del, _, V_del = delayed
-    d1, d2, d3 = params.diff
+) -> np.ndarray:
+    """Reaction plus diffusion right-hand side of (..., 3, nx) rows T, T_star,
+    V; the delayed row feeds only the infected-cell production term."""
+    T, T_star, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
     emwh = math.exp(-params.omega * params.h_max)
-    dT = params.lam - params.d * T - incidence_values(f, T, V)
-    if d1 != 0.0:
-        dT = dT + d1 * laplacian_neumann(grid, T)
-    dTs = emwh * incidence_values(f, T_del, V_del) - params.delta * T_star
-    if d2 != 0.0:
-        dTs = dTs + d2 * laplacian_neumann(grid, T_star)
-    dV = params.burst_n * params.delta * T_star - params.c * V
-    if d3 != 0.0:
-        dV = dV + d3 * laplacian_neumann(grid, V)
-    return FieldState(dT, dTs, dV)
-
-
-@dataclass(frozen=True)
-class StepDiag:
-    eta: float
-    clipped: int
-    finite: bool
+    out = np.empty(state.shape)
+    np.subtract(params.lam - params.d * T, incidence_values(f, T, V), out=out[..., 0, :])
+    np.subtract(
+        emwh * incidence_values(f, delayed[..., 0, :], delayed[..., 2, :]), params.delta * T_star, out=out[..., 1, :]
+    )
+    np.subtract(params.burst_n * params.delta * T_star, params.c * V, out=out[..., 2, :])
+    if any(params.diff):
+        diff = np.array(params.diff)[:, None]
+        lap = laplacian_neumann(grid, state)
+        lap *= diff
+        # a component with d_i == 0 is left alone: + 0 * lap would turn -0.0 into +0.0
+        np.add(out, lap, out=out, where=diff != 0.0)
+    return out
 
 
 def step(
@@ -298,16 +297,19 @@ def step(
     cfg: SolverConfig,
     grid: Grid1D,
     dt: float | None = None,
-) -> tuple[FieldState, StepDiag]:
+    frozen: np.ndarray | None = None,
+):
     """Advance one explicit Euler step; the lag is taken at the step start.
+    Returns (eta, clipped, finite), one value per member with a member axis.
 
-    The new state is written straight into the segment's next row and
-    committed only if finite, so a blow-up leaves the segment at the last
-    good state.
+    The new row is written straight into the segment's next row.  A member
+    whose new row is nonfinite, or that is ``frozen``, keeps its last good
+    row; the row is committed unless every member kept its old one, so a
+    blow-up leaves a one-run segment at the last good state.
     """
     dt_step = cfg.dt if dt is None else dt
-    # (3, nx): T, T_star, V; taken first, because it may slide the store
-    # under any row view taken before it
+    # (*members, 3, nx); taken first, because it may slide the store under
+    # any row view taken before it
     row = seg.next_row()
     lag = evaluate_eta(df, seg)
     delayed = delayed_state(seg, lag)
@@ -315,16 +317,18 @@ def step(
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        k = rhs(u, delayed, params, f, grid)
-        np.add(u, np.multiply(dt_step, (k.T, k.T_star, k.V), out=row), out=row)
+        np.add(u, np.multiply(dt_step, rhs(u, delayed, params, f, grid), out=row), out=row)
     clipped = 0
     if cfg.clip_negative:
-        clipped = int(np.count_nonzero(row < 0.0))
+        clipped = _count(row < 0.0)
         np.maximum(row, 0.0, out=row)
-    finite = bool(np.isfinite(row).all())
-    if finite:
+    finite = np.isfinite(row).all(axis=(-2, -1))
+    keep = ~finite if frozen is None else ~finite | frozen
+    if not keep.all():
+        if keep.any():
+            row[keep] = u[keep]
         seg.push(seg.t_now + dt_step)
-    return FieldState(row[0], row[1], row[2]), StepDiag(eta=lag, clipped=clipped, finite=finite)
+    return lag, clipped, finite
 
 
 @dataclass
@@ -342,7 +346,6 @@ class Trajectory:
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     fields: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 0)))
     eta: np.ndarray = field(default_factory=lambda: np.empty(0))
-    eta_rate: np.ndarray = field(default_factory=lambda: np.empty(0))
     lower_violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     upper_violations: np.ndarray | None = None
     bounds: tuple[float, float, float] | None = None
@@ -377,21 +380,29 @@ def _upper_limits(bounds, tol: float) -> np.ndarray | None:
     return None if bounds is None else np.array(bounds)[:, None] + tol
 
 
-def _violations(row: np.ndarray, limits: np.ndarray | None, tol: float) -> tuple[int, int]:
-    """Box excursions of one (3, nx) row: below 0 and above the limits."""
-    upper = 0 if limits is None else int(np.count_nonzero(row > limits))
-    return int(np.count_nonzero(row < -tol)), upper
+def _violations(row: np.ndarray, limits: np.ndarray | None, tol: float):
+    """Box excursions of a (*members, 3, nx) row, below 0 and above the
+    limits: two ints, or two lists of one int per member."""
+    lower = _count(row < -tol)
+    upper = 0 * lower if limits is None else _count(row > limits)
+    return lower.tolist(), upper.tolist()
+
+
+def _count(mask: np.ndarray):
+    """True entries of a (*members, 3, nx) mask, per member."""
+    return np.count_nonzero(mask) if mask.ndim == 2 else mask.sum(axis=(-2, -1))
 
 
 class Sample(NamedTuple):
-    """One committed sample: its time, its (3, nx) row, the lag eta the
-    step leaving it used, and its lower/upper box excursion counts."""
+    """One committed sample: its time, its (*members, 3, nx) row, the lag
+    eta the step leaving it used, and its lower/upper box excursion counts,
+    each per member with a member axis."""
 
     t: float
     row: np.ndarray
-    eta: float
-    lower: int
-    upper: int
+    eta: float | np.ndarray
+    lower: int | list[int]
+    upper: int | list[int]
 
 
 class RunStream:
@@ -407,11 +418,17 @@ class RunStream:
     state aborts the run after the sample of the last good row.  Run
     diagnostics accumulate on the stream: ``bounds`` (after the jumps so
     far), ``clip_events``, ``aborted`` and ``abort_time``.
+
+    Given a sequence of ``InitialData``, the stream advances one member per
+    entry, with (B, 3, nx) rows at shared times; the diagnostics and
+    ``compat_residual`` are then per member.  An aborted member is frozen
+    at its last good row, its abort sample carries that row, and its later
+    samples are to be ignored; the stream ends when every member aborted.
     """
 
     def __init__(
         self,
-        initial: InitialData,
+        initial,
         params: ModelParams,
         f: IncidenceFn,
         df: DelayFunctional,
@@ -420,14 +437,33 @@ class RunStream:
         schedule=(),
     ):
         self.jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
-        self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+        if isinstance(initial, InitialData):
+            self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+        else:
+            segs = [build_initial_segment(i, grid, params.h_max, cfg.dt) for i in initial]
+            fields = np.stack([seg.fields for seg in segs], axis=1)
+            self.history = HistorySegment(params.h_max, cfg.dt, segs[0].times, fields)
         self.compat_residual = compatibility_residual(self.history, params, f, df, grid)
         self._args = (params, f, df, cfg, grid)
         self._mu = incidence_mu(f)
         self.bounds = omega_lip_bounds(params, self._mu)
-        self.clip_events = 0
-        self.aborted = False
-        self.abort_time: float | None = None
+        members = self.history.members
+        self._clips = np.zeros(members, dtype=int)
+        self._aborted = np.zeros(members, dtype=bool)
+        self._abort_time = np.full(members, math.nan)
+
+    @property
+    def clip_events(self):
+        return self._clips.tolist()
+
+    @property
+    def aborted(self):
+        return self._aborted.tolist()
+
+    @property
+    def abort_time(self):
+        """The start of the step that blew up, or None."""
+        return np.where(self._aborted, self._abort_time, None).tolist()
 
     def __iter__(self) -> Iterator[Sample]:
         params, f, df, cfg, grid = self._args
@@ -449,62 +485,80 @@ class RunStream:
             dt_step = min(cfg.dt, t_final - t)
             if ji < len(jumps):
                 dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-            _, diag = step(seg, params, f, df, cfg, grid, dt=dt_step)
-            self.clip_events += diag.clipped
-            if not diag.finite:
-                self.aborted, self.abort_time = True, t
-                log.error("solver abort: nonfinite state after t=%.6g", t)
-                yield Sample(t, seg.fields[-1], diag.eta, *counts)
-                return
-            yield Sample(t, seg.fields[-2], diag.eta, *counts)
+            eta, clipped, finite = step(seg, params, f, df, cfg, grid, dt=dt_step, frozen=self._aborted)
+            if cfg.clip_negative:
+                self._clips += clipped * ~self._aborted
+            if not finite.all():
+                new = ~(finite | self._aborted)
+                self._abort_time[new] = t
+                self._aborted |= new
+                for m in np.flatnonzero(new).tolist():
+                    log.error("solver abort: nonfinite state after t=%.6g%s", t, f" (member {m})" if seg.members else "")
+                if self._aborted.all():
+                    yield Sample(t, seg.fields[-1], eta, *counts)
+                    return
+            yield Sample(t, seg.fields[-2], eta, *counts)
             counts = _violations(seg.fields[-1], limits, tol)
         yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), *counts)
 
 
 def run(
-    initial: InitialData,
+    initial,
     params: ModelParams,
     f: IncidenceFn,
     df: DelayFunctional,
     cfg: SolverConfig,
     grid: Grid1D,
     schedule=(),
-) -> Trajectory:
+):
     """Integrate to t_end, applying parameter jumps exactly at their times,
     and keep every sample.
 
     A nonfinite state aborts the run; the trajectory keeps every sample up
-    to the last good time and carries the abort diagnostics.
+    to the last good time and carries the abort diagnostics.  Given a
+    sequence of ``InitialData``, the members run as one ``RunStream`` and
+    the result is one ``Trajectory`` per member, each a view of that
+    member's rows and equal to its solo run.
     """
     stream = RunStream(initial, params, f, df, cfg, grid, schedule)
     seg = stream.history
     # one row per step, one shortened step per jump, one row of float drift
     seg.reserve(math.ceil(cfg.t_end / cfg.dt) + len(stream.jumps) + 1)
     origin = seg.view(len(seg) - 1, len(seg))
-    etas: list[float] = []
-    counts: list[tuple[int, int]] = []  # (lower, upper) per sample
-    for sample in stream:
-        etas.append(sample.eta)
-        counts.append((sample.lower, sample.upper))
+    samples = [(s.eta, s.lower, s.upper) for s in stream]
+    etas, lower, upper = (np.array(c) for c in zip(*samples))
+    diag = (stream.aborted, stream.abort_time, stream.clip_events, stream.compat_residual)
+    if not seg.members:
+        return _trajectory(grid, stream.bounds, origin, etas, lower, upper, *diag)
+    return [
+        _trajectory(grid, stream.bounds, origin.member(m), etas[:, m], lower[:, m], upper[:, m], *(d[m] for d in diag))
+        for m in range(seg.members[0])
+    ]
 
-    traj = Trajectory(
+
+def _trajectory(grid, bounds, origin, eta, lower, upper, aborted, abort_time, clip_events, compat_residual):
+    """One run's Trajectory over the stored rows from ``origin`` on; a
+    member that aborted keeps its samples up to its abort."""
+    history = origin.view(0, len(eta))
+    if aborted:
+        history = history.view(0, int(np.searchsorted(history.times, abort_time)) + 1)
+    n = len(history)
+    return Trajectory(
         grid=grid,
-        h_max=params.h_max,
-        dt=cfg.dt,
-        history=origin.view(0, len(counts)),
-        bounds=stream.bounds,
-        clip_events=stream.clip_events,
-        aborted=stream.aborted,
-        abort_time=stream.abort_time,
-        compat_residual=stream.compat_residual,
+        h_max=history.h_max,
+        dt=history.dt,
+        history=history,
+        times=history.times,
+        fields=history.fields,
+        eta=eta[:n],
+        lower_violations=lower[:n],
+        upper_violations=upper[:n] if bounds is not None else None,
+        bounds=bounds,
+        clip_events=clip_events,
+        aborted=aborted,
+        abort_time=abort_time,
+        compat_residual=compat_residual,
     )
-    traj.times, traj.fields = traj.history.times, traj.history.fields
-    traj.eta = np.asarray(etas)
-    traj.eta_rate = np.zeros(len(counts))
-    traj.eta_rate[1:] = np.diff(traj.eta) / np.diff(traj.times)
-    traj.lower_violations, upper = np.array(counts, dtype=int).T
-    traj.upper_violations = upper if stream.bounds is not None else None
-    return traj
 
 
 def compatibility_residual(
@@ -513,8 +567,9 @@ def compatibility_residual(
     f: IncidenceFn,
     df: DelayFunctional,
     grid: Grid1D,
-) -> float:
-    """Sup-norm mismatch between the segment's end slope and the vector field.
+):
+    """Sup-norm mismatch between the segment's end slope and the vector field,
+    one per member with a member axis.
 
     Finite-difference proxy for the smooth-data compatibility condition;
     Lipschitz-only data (drug-administration ramps) legitimately leave it
@@ -522,5 +577,5 @@ def compatibility_residual(
     """
     fields = seg.fields
     udot = (1.0 / float(seg.times[-1] - seg.times[-2])) * (fields[-1] - fields[-2])
-    vec = rhs(seg.state_now, delayed_state(seg, evaluate_eta(df, seg)), params, f, grid)
-    return float(np.max(np.abs(udot - (vec.T, vec.T_star, vec.V))))
+    vec = rhs(fields[-1], delayed_state(seg, evaluate_eta(df, seg)), params, f, grid)
+    return np.max(np.abs(udot - vec), axis=(-2, -1)).tolist()

@@ -93,12 +93,20 @@ class TestSimulateCommand:
         assert np.all(cols[:, -1] == 0.0)
 
     def test_zero_duration_header_only(self, tmp_path):
+        # t_end = 0 is an ordinary run of one sample: the initial row at t = 0
         cfg = write_cfg(tmp_path, "[time]\nt_end = 0\n")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         header, rows = read_csv(out / "trajectory.csv")
         assert header[0] == "t"
-        assert rows == []
+        assert len(rows) == 1 and rows[0][0] == "0"
+        assert rows[0][-2:] == ["0", "0"]  # eta_rate, box_violation
+        summary = json.loads((out / "summary.jsonl").read_text())
+        assert summary["samples"] == 1
+        # the same keys as any other run
+        longer = write_cfg(tmp_path, "[time]\nt_end = 0.02\n", name="longer.ini")
+        assert main(["simulate", "--config", str(longer), "--out", str(tmp_path / "longer")]) == 0
+        assert set(summary) == set(json.loads((tmp_path / "longer" / "summary.jsonl").read_text()))
 
     def test_schedule_kink_visible(self, tmp_path):
         out = tmp_path / "out"
@@ -181,7 +189,8 @@ class TestSimulateStream:
             for c in range(3):
                 assert cols[1 + 3 * j + c] == _fmt_all(traj.fields[:, c, node])
         assert cols[-3] == _fmt_all(traj.eta)
-        assert cols[-2] == _fmt_all(traj.eta_rate)
+        eta_rate = np.diff(traj.eta) / np.diff(traj.times)
+        assert cols[-2] == ["0"] + _fmt_all(eta_rate)
         upper = traj.upper_violations if traj.upper_violations is not None else 0
         assert cols[-1] == ["1" if v else "0" for v in traj.lower_violations + upper > 0]
 
@@ -190,7 +199,7 @@ class TestSimulateStream:
         assert summary["aborted"] == traj.aborted
         assert summary["eta_min"] == float(np.min(traj.eta))
         assert summary["eta_max"] == float(np.max(traj.eta))
-        assert summary["max_abs_eta_rate"] == float(np.max(np.abs(traj.eta_rate)))
+        assert summary["max_abs_eta_rate"] == float(np.max(np.abs(eta_rate), initial=0.0))
         lows = np.min(traj.fields, axis=(0, 2))
         assert summary["min_component"] == {"T": lows[0], "T_star": lows[1], "V": lows[2]}
         last = traj.state(-1)

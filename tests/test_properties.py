@@ -5,8 +5,10 @@ initial data positive, diffusion coefficients at most half the explicit-Euler
 bound dx^2/(2 dt) and reaction rates with dt times the largest rate at most
 about 0.5, so the exact dynamics and the Euler step both stay positive.
 On such a run the delay stays in [0, h] at every row, no field goes below
-zero, and every valid monitor sample has U >= 0 and the seven-logarithm
-rewrite of the cross-term within rounding of its algebraic form.
+zero, a run that starts inside the invariant box (when f has a linear bound)
+never leaves it, and every valid monitor sample has U >= 0 and the
+seven-logarithm rewrite of the cross-term within rounding of its algebraic
+form.
 """
 
 import numpy as np
@@ -88,6 +90,9 @@ def test_short_run_invariants(case):
     assert np.all((traj.eta >= 0.0) & (traj.eta <= params.h_max))
     assert not np.any(traj.lower_violations)
     assert np.all(traj.fields >= 0.0)
+    if traj.bounds is not None:
+        assert np.all(traj.fields[0] <= np.array(traj.bounds)[:, None])
+        assert not np.any(traj.upper_violations)
     samples = monitor(traj, eq, params, f, grid, stride=5)
     assert samples
     for s in samples:

@@ -46,26 +46,45 @@ def max_state_dev(a: FieldState, b: FieldState) -> float:
     )
 
 
+def as_row(state: FieldState) -> np.ndarray:
+    return np.array(tuple(state))
+
+
 class TestRhs:
     def test_zero_at_interior_equilibrium(self, ref_params, saturated, grid3, sat_equilibrium):
-        state = equilibrium_state(grid3, sat_equilibrium)
+        state = as_row(equilibrium_state(grid3, sat_equilibrium))
         out = rhs(state, state, ref_params, saturated, grid3)
-        assert max_state_dev(out, uniform_state(grid3, (0.0, 0.0, 0.0))) <= 1e-10
+        assert float(np.max(np.abs(out))) <= 1e-10
 
     def test_zero_at_trivial_equilibrium(self, ref_params, saturated, grid3):
-        state = uniform_state(grid3, (100.0, 0.0, 0.0))
+        state = as_row(uniform_state(grid3, (100.0, 0.0, 0.0)))
         out = rhs(state, state, ref_params, saturated, grid3)
-        assert max_state_dev(out, uniform_state(grid3, (0.0, 0.0, 0.0))) <= 1e-12
+        assert float(np.max(np.abs(out))) <= 1e-12
 
     def test_matches_hand_ode_without_diffusion(self, ref_params, saturated, grid3):
-        state = uniform_state(grid3, (40.0, 12.0, 7.0))
-        delayed = uniform_state(grid3, (35.0, 11.0, 6.0))
-        out = rhs(state, delayed, ref_params, saturated, grid3)
+        state = as_row(uniform_state(grid3, (40.0, 12.0, 7.0)))
+        delayed = as_row(uniform_state(grid3, (35.0, 11.0, 6.0)))
+        dT, dTs, dV = rhs(state, delayed, ref_params, saturated, grid3)
         f_now = eval_incidence(saturated, 40.0, 7.0)
         f_del = eval_incidence(saturated, 35.0, 6.0)
-        assert out.T[1] == pytest.approx(10.0 - 0.1 * 40.0 - f_now, rel=1e-14)
-        assert out.T_star[1] == pytest.approx(f_del - 0.5 * 12.0, rel=1e-14)
-        assert out.V[1] == pytest.approx(10.0 * 0.5 * 12.0 - 5.0 * 7.0, rel=1e-14)
+        assert dT[1] == pytest.approx(10.0 - 0.1 * 40.0 - f_now, rel=1e-14)
+        assert dTs[1] == pytest.approx(f_del - 0.5 * 12.0, rel=1e-14)
+        assert dV[1] == pytest.approx(10.0 * 0.5 * 12.0 - 5.0 * 7.0, rel=1e-14)
+
+    def test_members_match_each_row_alone(self, grid3):
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.2, h_max=1.0, diff=(0.01, 0.02, 0.0))
+        f = IncidenceFn("beddington_deangelis", k=0.1, k1=0.05, k2=0.1)
+        rng = np.random.default_rng(3)
+        state, delayed = rng.uniform(0.0, 50.0, (2, 4, 3, grid3.nx))
+        state[1, 1:] = ((-0.0,), (0.0,))  # dV = 10 * 0.5 * (-0.0) - 5 * 0.0 = -0.0
+        state[2, 2] = np.inf  # dV = -inf
+        with np.errstate(invalid="ignore"):
+            out = rhs(state, delayed, params, f, grid3)
+            for m in range(4):
+                assert out[m].tobytes() == rhs(state[m], delayed[m], params, f, grid3).tobytes()
+        # d3 == 0: the V row gets no diffusion term at all, not + 0 * lap
+        assert np.all(np.signbit(out[1, 2])) and np.all(out[1, 2] == 0.0)
+        assert np.all(out[2, 2] == -np.inf)
 
 
 class TestStep:
@@ -80,9 +99,9 @@ class TestStep:
             0.01,
         )
         for _ in range(20):
-            new, diag = step(seg, ref_params, saturated, df, cfg, grid3)
-            assert diag.finite
-            assert max_state_dev(new, eq_state) <= 1e-10
+            eta, clipped, finite = step(seg, ref_params, saturated, df, cfg, grid3)
+            assert finite and clipped == 0 and eta == 0.4
+            assert max_state_dev(seg.state_now, eq_state) <= 1e-10
 
     def test_negative_clipping_counts(self, grid3):
         # strong bilinear incidence drives T negative within one Euler step
@@ -92,9 +111,9 @@ class TestStep:
         initial = InitialData(preset="uniform", values=(0.01, 0.1, 500.0))
         seg = build_initial_segment(initial, grid3, 0.5, 0.1)
         cfg_clip = SolverConfig(dt=0.1, t_end=1.0, clip_negative=True)
-        new, diag = step(seg, params, f, df, cfg_clip, grid3)
-        assert diag.clipped > 0
-        assert np.all(new.T >= 0.0)
+        _, clipped, _ = step(seg, params, f, df, cfg_clip, grid3)
+        assert clipped > 0
+        assert np.all(seg.state_now.T >= 0.0)
 
     def test_delayed_row_is_read_after_the_store_slides(self, ref_params, saturated, grid3):
         # the store is full with rows -0.3..0.35 (one step shortened), so the
@@ -107,11 +126,11 @@ class TestStep:
         for t in (0.1, 0.15, 0.25, 0.35):
             seg.push(t, state(t))
         assert (seg._rows.n, len(seg._rows.times), seg._lo) == (8, 8, 3)
-        now, lagged = seg.fields[-1].copy(), np.array(tuple(state(0.1)))
+        now, lagged = seg.fields[-1].copy(), as_row(state(0.1))
         k = rhs(now, lagged, ref_params, saturated, grid3)
-        new, diag = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
-        assert seg._rows.n == 6 and diag.eta == 0.25  # slid: 5 live rows + the new one
-        assert np.array_equal(np.array(tuple(new)), now + 0.1 * np.array(tuple(k)))
+        eta, _, _ = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
+        assert seg._rows.n == 6 and eta == 0.25  # slid: 5 live rows + the new one
+        assert np.array_equal(seg.fields[-1], now + 0.1 * k)
 
     def test_without_clipping_violations_surface(self, grid3):
         params = ModelParams(lam=1.0, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=0.5)
@@ -262,7 +281,7 @@ class TestRun:
         initial = InitialData(preset="uniform", values=(50.0, 10.0, 10.0))
         traj = run(initial, ref_params, saturated, constant_delay(1.0, 0.37), SolverConfig(dt=0.01, t_end=1.0), grid3)
         assert np.all(traj.eta == 0.37)
-        assert np.all(traj.eta_rate == 0.0)
+        assert np.all(np.diff(traj.eta) / np.diff(traj.times) == 0.0)
 
 
 class TestInitialData:
