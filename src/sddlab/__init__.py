@@ -13,7 +13,7 @@ from .equilibria import (
     s_max,
     trivial_equilibrium,
 )
-from .grid import Grid1D, green_identity_residual, integrate, laplacian_neumann, mean_value
+from .grid import Grid1D, integrate, laplacian_neumann, mean_value
 from .history import (
     DelayFunctional,
     FieldState,
@@ -33,7 +33,6 @@ from .lyapunov import (
     monitor,
     rate_decomposition,
     u_sdd_total,
-    volterra_v,
 )
 from .model import (
     HypothesisReport,
@@ -46,7 +45,6 @@ from .model import (
     check_hf3,
     check_hf4,
     default_sample_box,
-    eval_incidence,
     incidence_mu,
 )
 from .solver import (

@@ -159,7 +159,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _hypothesis_report(cfg: RunConfig) -> tuple[HypothesisReport, float | None]:
+def _hypothesis_report(cfg: RunConfig) -> tuple[HypothesisReport, list[Equilibrium]]:
+    """The hypothesis checks at the first interior equilibrium's V_hat, and
+    the interior equilibria found for it."""
     interior = _interior_equilibria(cfg)
     v_hat = interior[0].V_hat if interior else None
     (t_lo, t_hi), (v_lo, v_hi) = default_sample_box(cfg.params, cfg.incidence)
@@ -168,7 +170,7 @@ def _hypothesis_report(cfg: RunConfig) -> tuple[HypothesisReport, float | None]:
     if cfg.output.hyp_box_v is not None:
         v_hi = cfg.output.hyp_box_v
     box = ((t_lo, t_hi), (v_lo, v_hi))
-    return check_all(cfg.incidence, box, n=cfg.output.hyp_density, v_hat=v_hat), v_hat
+    return check_all(cfg.incidence, box, n=cfg.output.hyp_density, v_hat=v_hat), interior
 
 
 def _print_report(report: HypothesisReport) -> None:
@@ -189,15 +191,15 @@ def _print_report(report: HypothesisReport) -> None:
 
 
 def cmd_check_hypotheses(cfg: RunConfig) -> int:
-    report, v_hat = _hypothesis_report(cfg)
-    if v_hat is None:
+    report, interior = _hypothesis_report(cfg)
+    if not interior:
         print("no interior equilibrium detected; hf3/hf4 not applicable")
     _print_report(report)
     return EXIT_OK
 
 
 def cmd_certify(cfg: RunConfig, out: Path) -> int:
-    report, _ = _hypothesis_report(cfg)
+    report, interior = _hypothesis_report(cfg)
     if not report.all_hold:
         failing = [
             name
@@ -208,7 +210,6 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
         _print_report(report)
 
     header = ["equilibrium", "eps", "decrease_fraction", "max_eta_rate", "S_over_D", "verdict"]
-    interior = _interior_equilibria(cfg)
     rows: list[list[str]] = []
     aborts: list[str] = []
     for idx, eq in enumerate(interior):

@@ -5,15 +5,12 @@ nodes. Diffusion uses the standard three-point stencil closed at both ends
 by ghost-point mirroring, which keeps the operator second-order accurate
 and exactly negative semidefinite against the trapezoidal inner product.
 Quadrature is the composite trapezoidal rule so that the discrete
-integration-by-parts identity (``green_identity_residual``) holds to
-O(dx^2) for smooth no-flux fields.
+integration-by-parts identity holds to O(dx^2) for smooth no-flux fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +20,6 @@ __all__ = [
     "gradient_central",
     "integrate",
     "mean_value",
-    "green_identity_residual",
 ]
 
 
@@ -102,34 +98,3 @@ def mean_value(grid: Grid1D, u: np.ndarray) -> float:
     """Quadrature mean, integrate(u) / |domain|."""
     return integrate(grid, u) / grid.length
 
-
-def green_identity_residual(
-    grid: Grid1D,
-    u: np.ndarray,
-    p: Callable[[np.ndarray], np.ndarray],
-    p_prime: Callable[[np.ndarray], np.ndarray],
-    *,
-    neumann_rel_tol: float = 0.05,
-) -> float:
-    """Residual of the discrete integration-by-parts identity.
-
-    Returns |integrate(p(u) * lap(u)) + integrate(p'(u) * grad(u)^2)|.
-    For smooth fields with vanishing boundary slope both integrals cancel
-    up to O(dx^2).  When the one-sided boundary gradient is not small
-    relative to the interior gradient scale the identity is not expected
-    to hold and a RuntimeWarning is issued.
-    """
-    u = np.asarray(u, dtype=float)
-    g = gradient_central(grid, u)
-    interior_scale = float(np.max(np.abs(g[1:-1]))) if grid.nx > 2 else 0.0
-    boundary_slope = max(abs(g[0]), abs(g[-1]))
-    if boundary_slope > neumann_rel_tol * max(1e-300, interior_scale):
-        warnings.warn(
-            "field does not satisfy the discrete no-flux condition; "
-            f"boundary slope {boundary_slope:.3g} vs interior scale {interior_scale:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    lhs = integrate(grid, np.asarray(p(u), dtype=float) * laplacian_neumann(grid, u))
-    rhs = integrate(grid, np.asarray(p_prime(u), dtype=float) * g * g)
-    return abs(lhs + rhs)

@@ -52,6 +52,7 @@ __all__ = [
     "smooth_clamp",
     "evaluate_eta",
     "delayed_state",
+    "window_starts",
 ]
 
 
@@ -450,3 +451,29 @@ def _delayed_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: flo
         w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[:, None, None]
         out[off] = (1.0 - w) * fields[j - 1, members[off]] + w * out[off]
     return out
+
+
+def window_starts(segs: Sequence[HistorySegment], t_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``HistorySegment.window`` of each segment at its t_lo, for segments
+    over one store, with one search over the stored row times: (i, off,
+    start).  i[k] is segment k's window row i, off[k] whether t_lo[k] falls
+    between rows, and start the interpolated (*members, 3, nx) rows of the
+    windows that do, stacked in order; the range check and the arithmetic
+    are the window's."""
+    rows, t_lo = segs[0]._rows, np.asarray(t_lo, dtype=float)
+    if any(seg._rows is not rows for seg in segs):
+        raise ValueError("window_starts: the segments are over different stores")
+    lo, hi = np.array([seg._lo for seg in segs]), np.array([seg._hi for seg in segs])
+    times, fields = rows.times, rows.fields
+    slack = 1e-9 * segs[0].dt
+    first, last = times[lo], times[hi - 1]
+    outside = ~((first - slack <= t_lo) & (t_lo <= last + slack))
+    if outside.any():
+        k = np.flatnonzero(outside)[0]
+        raise ValueError(f"history: time {t_lo[k]} outside the covered window [{first[k]}, {last[k]}]")
+    j = np.clip(np.searchsorted(times[: rows.n], t_lo - slack), lo, hi)  # the first stored row at or after each
+    t_j = times[j]
+    off = t_j > t_lo + slack
+    jo, t_prev = j[off], times[j[off] - 1]
+    w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[(slice(None),) + (None,) * (fields.ndim - 1)]
+    return j - lo, off, (1.0 - w) * fields[jo - 1] + w * fields[jo]

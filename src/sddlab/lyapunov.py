@@ -35,11 +35,15 @@ reported as a discretization health metric.
 
 The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of
 fields (one row per sample) integrated row by row.  In the last piece,
-v(f/f_hat) is computed once per stored history row of the block, and each
-sample's window sums its own rows in row order, so a block gives the same
-bits as one sample at a time.  A difference of one running trapezoid sum
-would be cheaper, but near the equilibrium the small window integral would
-cancel against the large running sum.
+v(f/f_hat) is computed once per stored history row of the block, and the
+trapezoid term between two consecutive rows once per pair.  Every window of
+the block then sums into one (windows, nx) accumulator, stepped over row
+offsets: first the window's own term from t - eta, then its pair terms in
+row order, a window that has ended masked out.  Each window so adds its
+terms left to right from 0, as one window alone would, and a block gives
+the same bits as one sample at a time.  A difference of one running
+trapezoid sum would be cheaper, but near the equilibrium the small window
+integral would cancel against the large running sum.
 
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
 instead of producing infinities; clamping would silently corrupt the
@@ -57,18 +61,15 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
-from .history import DelayFunctional, FieldState, HistorySegment, delayed_state
+from .history import DelayFunctional, FieldState, HistorySegment, delayed_state, window_starts
 from .history import evaluate_eta  # noqa: F401  the benchmark's tracer wraps this binding (perfbench/selftest.py)
 from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
 from .solver import InitialData, SolverConfig, Trajectory, run
 
 __all__ = [
     "LOG_FLOOR",
-    "volterra_v",
     "u_sdd_fields",
     "u_sdd_total",
-    "c1_algebraic_fields",
-    "c1_seven_v_fields",
     "LyapunovSample",
     "rate_decomposition",
     "monitor",
@@ -81,13 +82,6 @@ log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-30
 MONITOR_BLOCK = 32
-
-
-def volterra_v(s: float) -> float:
-    """v(s) = s - 1 - ln(s) on (0, inf); nonnegative, zero only at s = 1."""
-    if not s > 0.0:
-        raise ValueError(f"volterra_v: argument must be positive, got {s}")
-    return s - 1.0 - math.log(s)
 
 
 def _v(arr: np.ndarray) -> np.ndarray:
@@ -106,33 +100,48 @@ def _delay_tails(
     segment, (len(segs), nx), and whether no ratio hit the floor.
 
     v and its floor flag are computed once per stored row that a window
-    touches; each window then sums its rows in row order.  The first node
-    sits at t - eta exactly, also where a stored row stands for it.
+    touches, and the trapezoid term between two consecutive rows once per
+    pair.  A window's first node sits at t - eta exactly, also where a
+    stored row stands for it, so its first term is its own; the rest are
+    pair terms, summed left to right in one accumulator for all windows.
     """
     tails = np.zeros((len(segs), nx))
     ok = np.ones(len(segs), dtype=bool)
-    offsets = [seg.offset(segs[0]) for seg in segs]
-    windows = []  # (j, nodes, first row, end row, interpolated start), rows counted from segs[0]
-    for j, (seg, eta) in enumerate(zip(segs, etas)):
-        if eta > 0.0:
-            t_lo = seg.t_now - eta
-            nodes, i, start = seg.window(t_lo)
-            windows.append((j, np.concatenate(([t_lo], nodes[1:])), offsets[j] + i, offsets[j] + len(seg), start))
-    if not windows:
+    etas = np.asarray(etas, dtype=float)
+    live = np.flatnonzero(etas > 0.0)
+    if not live.size:
         return tails, ok
-    j0, _, lo, _, _ = min(windows, key=lambda w: w[2])
-    hi = max(w[3] for w in windows)
-    rows = segs[j0].view(lo - offsets[j0], hi - offsets[j0]).fields
+    segs = [segs[j] for j in live]
+    t_lo = np.array([seg.t_now for seg in segs]) - etas[live]
+    i, off, start = window_starts(segs, t_lo)
+    offsets = np.array([seg.offset(segs[0]) for seg in segs])
+    first, end = offsets + i, offsets + np.array([len(seg) for seg in segs])  # counted from segs[0]
+    j0 = int(np.argmin(first))
+    lo = first[j0]
+    block = segs[j0].view(lo - offsets[j0], end.max() - offsets[j0])
+    times, rows = block.times, block.fields
     ratio = incidence_values(f, rows[:, 0], rows[:, 2]) / f_hat
-    low = np.any(ratio <= LOG_FLOOR, axis=1)
+    low = np.concatenate(([0], np.cumsum(np.any(ratio <= LOG_FLOOR, axis=1))))
     w_rows = _v(ratio)
-    for j, nodes, first, end, start in windows:
-        w, floored = w_rows[first - lo : end - lo], low[first - lo : end - lo].any()
-        if start is not None:
-            r0 = incidence_values(f, start[0], start[2]) / f_hat
-            w, floored = np.vstack((_v(r0), w)), floored or np.any(r0 <= LOG_FLOOR)
-        tails[j] = np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0)
-        ok[j] = not floored
+    pairs = 0.5 * (w_rows[:-1] + w_rows[1:]) * np.diff(times)[:, None]
+
+    # window rows [a, e) of the block; the first term runs from t - eta to
+    # row b: from the interpolated start to row a, or from row a to row a + 1
+    a, e = first - lo, end - lo
+    b = a + ~off
+    terms = e - b  # the first term, then pairs b, b+1, ..., e-2
+    r0 = incidence_values(f, start[:, 0], start[:, 2]) / f_hat
+    left = w_rows[a]
+    left[off] = _v(r0)
+    right = np.minimum(b, len(times) - 1)  # a one-row window has no term
+    acc = np.zeros((len(segs), nx))
+    np.add(acc, 0.5 * (left + w_rows[right]) * (times[right] - t_lo)[:, None], out=acc, where=(terms > 0)[:, None])
+    for k in range(1, terms.max()):
+        np.add(acc, pairs[np.minimum(b + k - 1, len(pairs) - 1)], out=acc, where=(k < terms)[:, None])
+    tails[live] = acc
+    floored = low[e] > low[a]
+    floored[off] |= np.any(r0 <= LOG_FLOOR, axis=1)
+    ok[live] = ~floored
     return tails, ok
 
 
@@ -224,38 +233,6 @@ def _c1_seven_v(state: FieldState, eq: Equilibrium, parts) -> tuple[np.ndarray, 
     floors |= (a5 <= LOG_FLOOR) | (a6 <= LOG_FLOOR) | (a7 <= LOG_FLOOR)
     ok = ~np.any(floors, axis=-1)
     return _v(a1) + _v(a2) - _v(a3) - _v(a4) - _v(a5) - _v(a6) - _v(a7), ok
-
-
-def c1_algebraic_fields(
-    state: FieldState,
-    delayed: FieldState,
-    eq: Equilibrium,
-    f: IncidenceFn,
-) -> np.ndarray | None:
-    """The collected cross-term in its raw three-product form."""
-    parts = _ratio_arrays(state, delayed, eq, f)
-    if not np.all(parts[-1]):
-        return None
-    return _c1_algebraic(state, eq, parts)
-
-
-def c1_seven_v_fields(
-    state: FieldState,
-    delayed: FieldState,
-    eq: Equilibrium,
-    f: IncidenceFn,
-) -> np.ndarray | None:
-    """The same cross-term rewritten as a signed sum of seven v-compositions.
-
-    The rewrite inserts ln(1) = 0 split across seven logarithms; the two
-    forms agree identically, which the monitor asserts sample by sample.
-    """
-    parts = _ratio_arrays(state, delayed, eq, f)
-    if not np.all(parts[-1]):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fields, ok = _c1_seven_v(state, eq, parts)
-    return fields if np.all(ok) else None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ sampling a rectangle in the (T, V) plane:
           C1 + C2/T with nonnegative constants.
 
 The checkers falsify numerically on the sampled box; they do not prove.
-A ``fails`` verdict always carries the witness point.
+Each evaluates f once per sample grid, as whole arrays.  A ``fails``
+verdict always carries the witness point: the first failing sample in
+row-major (T, then V) order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "IncidenceFn",
     "Verdict",
     "HypothesisReport",
-    "eval_incidence",
     "incidence_values",
     "incidence_ab",
     "incidence_mu",
@@ -154,16 +155,6 @@ def incidence_dT(f: IncidenceFn, T, v_hat: float):
     return f.k * v_hat * a / (a + b * T) ** 2
 
 
-def eval_incidence(f: IncidenceFn, T, V):
-    """Validated incidence evaluation; rejects negative T or V."""
-    T = np.asarray(T, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if np.any(T < 0.0) or np.any(V < 0.0):
-        raise ValueError("eval_incidence: T and V must be nonnegative")
-    out = incidence_values(f, T, V)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def incidence_mu(f: IncidenceFn) -> float | None:
     """The hf1 constant: explicit mu if set, else the analytic k/k2 bound.
 
@@ -178,7 +169,11 @@ def incidence_mu(f: IncidenceFn) -> float | None:
 
 
 def _as_callable(f) -> Callable:
-    """Accept either an IncidenceFn or a raw (T, V) -> value callable."""
+    """Accept either an IncidenceFn or a raw (T, V) -> value callable.
+
+    A raw callable must accept numpy arrays of T and V and return their
+    values elementwise: every check evaluates it on whole sample grids.
+    """
     if isinstance(f, IncidenceFn):
         return lambda T, V: incidence_values(f, T, V)
     if callable(f):
@@ -357,24 +352,21 @@ def check_hf3(f, v_hat: float, box: Box, n: int = 50, eps_strict: float = 1e-12)
     Vs = Vs[(Vs > 0.0) & (np.abs(Vs - v_hat) > 1e-9 * max(1.0, v_hat))]
     if Ts.size == 0 or Vs.size == 0:
         return Verdict(NOT_APPLICABLE, note="no admissible samples in the box")
-    checked = False
-    for T in Ts:
-        f_ref = float(fn(T, v_hat))
-        if f_ref <= 0.0:
-            continue  # division guard (f(T, v_hat) = 0 row is skipped)
-        r = np.asarray(fn(np.full_like(Vs, T), Vs), dtype=float) / f_ref
-        product = (Vs / v_hat - r) * (r - 1.0)
-        checked = True
-        bad = np.nonzero(product <= eps_strict)[0]
-        if bad.size:
-            j = bad[0]
-            return Verdict(
-                FAILS,
-                witness=(float(T), float(Vs[j])),
-                note=f"strictness product {product[j]:.3g} <= {eps_strict:.0e} at the witness",
-            )
-    if not checked:
+    f_ref = np.asarray(fn(Ts, np.full_like(Ts, v_hat)), dtype=float)
+    rows = ~(f_ref <= 0.0)  # division guard: a row with f(T, v_hat) <= 0 is skipped, a NaN row is not
+    if not rows.any():
         return Verdict(NOT_APPLICABLE, note="f(T, v_hat) vanished on every sampled row")
+    TT, VV = np.meshgrid(Ts[rows], Vs, indexing="ij")
+    r = np.asarray(fn(TT, VV), dtype=float) / f_ref[rows, None]
+    product = (Vs / v_hat - r) * (r - 1.0)
+    bad = np.argwhere(product <= eps_strict)
+    if bad.size:
+        i, j = bad[0]
+        return Verdict(
+            FAILS,
+            witness=(float(TT[i, j]), float(VV[i, j])),
+            note=f"strictness product {product[i, j]:.3g} <= {eps_strict:.0e} at the witness",
+        )
     return Verdict(HOLDS)
 
 
@@ -400,23 +392,25 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
 
     info: dict = {"branch_a": None, "branch_b": None}
 
-    # branch A: second-difference stability probe at steps e and e/2
+    # branch A: second-difference stability probe at steps e and e/2, on
+    # every (T, V) at once; the witness is the first failing point in
+    # row-major order
     e = max(1e-4 * (t1 - t0), 1e-9)
-    branch_a_ok = True
+    half = 0.5 * e
+    TT, VV = np.meshgrid(Tpos, np.concatenate(([v_hat], Vs[Vs > 0.0])), indexing="ij")
+    f_e, f_0, f_me, f_h, f_mh = (np.asarray(fn(TT + step, VV), dtype=float) for step in (e, 0.0, -e, half, -half))
+    with np.errstate(invalid="ignore", over="ignore"):
+        r1 = (f_e - 2.0 * f_0 + f_me) / (e * e)
+        r2 = (f_h - 2.0 * f_0 + f_mh) / (half * half)
+        unstable = ~(np.isfinite(r1) & np.isfinite(r2)) | (
+            np.abs(r2 - r1) > 0.25 * (1.0 + np.minimum(np.abs(r1), np.abs(r2)))
+        )
+    bad = np.argwhere(unstable)
     witness_a = None
-    probe_V = np.concatenate(([v_hat], Vs[Vs > 0.0]))
-    for T in Tpos:
-        for V in probe_V:
-            r1 = (float(fn(T + e, V)) - 2.0 * float(fn(T, V)) + float(fn(T - e, V))) / (e * e)
-            half = 0.5 * e
-            r2 = (float(fn(T + half, V)) - 2.0 * float(fn(T, V)) + float(fn(T - half, V))) / (half * half)
-            if not (np.isfinite(r1) and np.isfinite(r2)) or abs(r2 - r1) > 0.25 * (1.0 + min(abs(r1), abs(r2))):
-                branch_a_ok = False
-                witness_a = (float(T), float(V))
-                break
-        if not branch_a_ok:
-            break
-    info["branch_a"] = branch_a_ok
+    if bad.size:
+        i, j = bad[0]
+        witness_a = (float(TT[i, j]), float(VV[i, j]))
+    info["branch_a"] = witness_a is None
 
     # branch B: nonnegative least squares for 1/f(T, v_hat) >= C1 + C2/T
     # (evaluated regardless so the fitted constants are always reported)

@@ -1,13 +1,30 @@
 """Independent reference implementations used only to cross-check the package.
 
-Nothing here calls the solver, root finder, history store or quadrature
-under test; the closed forms are written out inline so the two routes
-stay independent.
+Most of what is here calls nothing of the solver, root finder, history
+store or quadrature under test; the closed forms are written out inline so
+the two routes stay independent.  Three kinds of helper do call the
+package:
+
+- ``green_identity_residual`` combines the grid operators under test into
+  the integration-by-parts identity they must satisfy;
+- ``check_hf3_loop`` and ``check_hf4_loop`` are the hypothesis checks one
+  sample at a time, against which the array checks must return equal
+  verdicts;
+- ``delay_tails_per_window`` is the Lyapunov window sum one window at a
+  time, against which the one-pass sum must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import warnings
+from typing import Callable
+
 import numpy as np
+from scipy.optimize import nnls
+
+from sddlab.grid import Grid1D, gradient_central, integrate, laplacian_neumann
+from sddlab.lyapunov import LOG_FLOOR, _v
+from sddlab.model import FAILS, HOLDS, NOT_APPLICABLE, IncidenceFn, Verdict, _as_callable, _validate_box, incidence_values
 
 
 def saturated_closed_form(k: float, k2: float):
@@ -102,3 +119,162 @@ def snapshot_window_trapezoid(times: list[float], snaps: list[tuple], h: float, 
     for (ta, sa), (tb, sb) in zip(nodes, nodes[1:]):
         total += 0.5 * (g(ta - t_now, sa) + g(tb - t_now, sb)) * (tb - ta)
     return total
+
+
+def green_identity_residual(
+    grid: Grid1D,
+    u: np.ndarray,
+    p: Callable[[np.ndarray], np.ndarray],
+    p_prime: Callable[[np.ndarray], np.ndarray],
+    *,
+    neumann_rel_tol: float = 0.05,
+) -> float:
+    """Residual of the discrete integration-by-parts identity.
+
+    Returns |integrate(p(u) * lap(u)) + integrate(p'(u) * grad(u)^2)|.
+    For smooth fields with vanishing boundary slope both integrals cancel
+    up to O(dx^2).  When the one-sided boundary gradient is not small
+    relative to the interior gradient scale the identity is not expected
+    to hold and a RuntimeWarning is issued.
+    """
+    u = np.asarray(u, dtype=float)
+    g = gradient_central(grid, u)
+    interior_scale = float(np.max(np.abs(g[1:-1]))) if grid.nx > 2 else 0.0
+    boundary_slope = max(abs(g[0]), abs(g[-1]))
+    if boundary_slope > neumann_rel_tol * max(1e-300, interior_scale):
+        warnings.warn(
+            "field does not satisfy the discrete no-flux condition; "
+            f"boundary slope {boundary_slope:.3g} vs interior scale {interior_scale:.3g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    lhs = integrate(grid, np.asarray(p(u), dtype=float) * laplacian_neumann(grid, u))
+    rhs = integrate(grid, np.asarray(p_prime(u), dtype=float) * g * g)
+    return abs(lhs + rhs)
+
+
+def check_hf3_loop(f, v_hat: float, box, n: int = 50, eps_strict: float = 1e-12) -> Verdict:
+    """``model.check_hf3`` one T row at a time, f(T, v_hat) as a scalar."""
+    t0, t1, v0, v1 = _validate_box(box)
+    if not v_hat > 0.0:
+        raise ValueError(f"v_hat: must be positive, got {v_hat}")
+    if n < 2:
+        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
+    fn = _as_callable(f)
+    Ts = np.linspace(t0, t1, n)
+    Vs = np.linspace(v0, v1, n)
+    Ts = Ts[Ts > 0.0]
+    Vs = Vs[(Vs > 0.0) & (np.abs(Vs - v_hat) > 1e-9 * max(1.0, v_hat))]
+    if Ts.size == 0 or Vs.size == 0:
+        return Verdict(NOT_APPLICABLE, note="no admissible samples in the box")
+    checked = False
+    for T in Ts:
+        f_ref = float(fn(T, v_hat))
+        if f_ref <= 0.0:
+            continue
+        r = np.asarray(fn(np.full_like(Vs, T), Vs), dtype=float) / f_ref
+        product = (Vs / v_hat - r) * (r - 1.0)
+        checked = True
+        bad = np.nonzero(product <= eps_strict)[0]
+        if bad.size:
+            j = bad[0]
+            return Verdict(
+                FAILS,
+                witness=(float(T), float(Vs[j])),
+                note=f"strictness product {product[j]:.3g} <= {eps_strict:.0e} at the witness",
+            )
+    if not checked:
+        return Verdict(NOT_APPLICABLE, note="f(T, v_hat) vanished on every sampled row")
+    return Verdict(HOLDS)
+
+
+def check_hf4_loop(f, v_hat: float, box, n: int = 50) -> Verdict:
+    """``model.check_hf4`` with branch A probing one (T, V) point at a time."""
+    t0, t1, v0, v1 = _validate_box(box)
+    if not v_hat > 0.0:
+        raise ValueError(f"v_hat: must be positive, got {v_hat}")
+    if n < 2:
+        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
+    fn = _as_callable(f)
+    Ts = np.linspace(t0, t1, n)
+    Vs = np.linspace(v0, v1, n)
+    Tpos = Ts[Ts > 0.0]
+    if Tpos.size == 0:
+        return Verdict(NOT_APPLICABLE, note="no positive T samples in the box")
+
+    info: dict = {"branch_a": None, "branch_b": None}
+    e = max(1e-4 * (t1 - t0), 1e-9)
+    branch_a_ok = True
+    witness_a = None
+    probe_V = np.concatenate(([v_hat], Vs[Vs > 0.0]))
+    for T in Tpos:
+        for V in probe_V:
+            r1 = (float(fn(T + e, V)) - 2.0 * float(fn(T, V)) + float(fn(T - e, V))) / (e * e)
+            half = 0.5 * e
+            r2 = (float(fn(T + half, V)) - 2.0 * float(fn(T, V)) + float(fn(T - half, V))) / (half * half)
+            if not (np.isfinite(r1) and np.isfinite(r2)) or abs(r2 - r1) > 0.25 * (1.0 + min(abs(r1), abs(r2))):
+                branch_a_ok = False
+                witness_a = (float(T), float(V))
+                break
+        if not branch_a_ok:
+            break
+    info["branch_a"] = branch_a_ok
+
+    y_raw = np.asarray(fn(Tpos, np.full_like(Tpos, v_hat)), dtype=float)
+    usable = np.isfinite(y_raw) & (y_raw > 0.0)
+    Tb = Tpos[usable]
+    info["branch_b"] = False
+    if Tb.size >= 2:
+        y = 1.0 / y_raw[usable]
+        A = np.column_stack([np.ones_like(Tb), 1.0 / Tb])
+        coef, _ = nnls(A, y)
+        c1f, c2f = float(coef[0]), float(coef[1])
+        slack = y - (c1f + c2f / Tb)
+        tol = 1e-9 * float(np.max(np.abs(y)))
+        info.update({"branch_b": bool(np.all(slack >= -tol)), "C1": c1f, "C2": c2f})
+
+    if info["branch_a"]:
+        return Verdict(HOLDS, note="smooth in T (branch A)", info=info)
+    if info["branch_b"]:
+        return Verdict(
+            HOLDS,
+            note=f"reciprocal bound C1={info['C1']:.6g}, C2={info['C2']:.6g} (branch B)",
+            info=info,
+        )
+    return Verdict(
+        FAILS,
+        witness=witness_a,
+        note="branch A detected a non-smooth point and branch B found no valid reciprocal bound",
+        info=info,
+    )
+
+
+def delay_tails_per_window(segs, etas, f: IncidenceFn, f_hat: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lyapunov._delay_tails`` one window at a time: v of each row the
+    block's windows touch, then per window its own nodes and one
+    ``np.add.reduce`` of its trapezoid terms."""
+    tails = np.zeros((len(segs), nx))
+    ok = np.ones(len(segs), dtype=bool)
+    offsets = [seg.offset(segs[0]) for seg in segs]
+    windows = []  # (j, nodes, first row, end row, interpolated start), rows counted from segs[0]
+    for j, (seg, eta) in enumerate(zip(segs, etas)):
+        if eta > 0.0:
+            t_lo = seg.t_now - eta
+            nodes, i, start = seg.window(t_lo)
+            windows.append((j, np.concatenate(([t_lo], nodes[1:])), offsets[j] + i, offsets[j] + len(seg), start))
+    if not windows:
+        return tails, ok
+    j0, _, lo, _, _ = min(windows, key=lambda w: w[2])
+    hi = max(w[3] for w in windows)
+    rows = segs[j0].view(lo - offsets[j0], hi - offsets[j0]).fields
+    ratio = incidence_values(f, rows[:, 0], rows[:, 2]) / f_hat
+    low = np.any(ratio <= LOG_FLOOR, axis=1)
+    w_rows = _v(ratio)
+    for j, nodes, first, end, start in windows:
+        w, floored = w_rows[first - lo : end - lo], low[first - lo : end - lo].any()
+        if start is not None:
+            r0 = incidence_values(f, start[0], start[2]) / f_hat
+            w, floored = np.vstack((_v(r0), w)), floored or np.any(r0 <= LOG_FLOOR)
+        tails[j] = np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0)
+        ok[j] = not floored
+    return tails, ok

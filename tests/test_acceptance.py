@@ -21,18 +21,17 @@ from sddlab import (
     constant_delay,
     equilibrium_norm,
     find_equilibria,
-    green_identity_residual,
     integral_delay,
     monitor,
     rhs,
     run,
     state_mean_reducer,
-    volterra_v,
 )
+from sddlab.lyapunov import _v
 from sddlab.model import check_all, default_sample_box
 from sddlab.solver import InitialData
 
-from .oracles import fixed_lag_euler, saturated_closed_form
+from .oracles import fixed_lag_euler, green_identity_residual, saturated_closed_form
 
 REF = dict(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=1.0)
 SATURATED = IncidenceFn("saturated", k=0.1, k2=0.1)
@@ -46,10 +45,10 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def test_c1_volterra_suite():
     t0 = time.perf_counter()
-    ok = volterra_v(1.0) == 0.0
+    ok = _v(1.0) == 0.0
     worst = 0.0
     for s in np.concatenate([np.linspace(1e-6, 0.999, 300), np.linspace(1.001, 50.0, 300)]):
-        ok = ok and volterra_v(float(s)) > 0.0
+        ok = ok and _v(float(s)) > 0.0
     for mu in np.linspace(0.01, 0.99, 100):
         s_vals = 1.0 + np.linspace(-1.0, 1.0, 102)[1:-1] * mu
         v = s_vals - 1.0 - np.log(s_vals)

@@ -15,6 +15,12 @@ directions.  ``certify.csv`` only reports verdicts, which a wrong ``U``
 can leave unchanged; this series pins the functional itself.  Numbers are
 compared with the same tolerance, ``direction`` and ``valid`` exactly.
 Re-record with ``PYTHONPATH=src python -m tests.test_golden``.
+
+``check_hypotheses.txt`` is the stdout of ``check-hypotheses`` for every
+shipped config, compared exactly: the verdicts, notes and witnesses of the
+sampled hypothesis checks (the bilinear config's hf3 witness among them).
+Re-record one with ``PYTHONPATH=src python -m sddlab.cli check-hypotheses
+--config configs/<config>.ini > tests/golden/<config>/check_hypotheses.txt``.
 """
 
 import math
@@ -34,12 +40,9 @@ ABS_TOL = 1e-12
 TEXT_COLUMNS = {"kind", "verdict", "direction", "valid"}
 TRAJECTORY_STRIDE = 100
 
+CONFIG_NAMES = ("bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay")
 COMMANDS = (("equilibria", "equilibria.csv"), ("simulate", "trajectory.csv"), ("certify", "certify.csv"))
-CASES = [
-    (config, command, csv_name)
-    for config in ("bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay")
-    for command, csv_name in COMMANDS
-]
+CASES = [(config, command, csv_name) for config in CONFIG_NAMES for command, csv_name in COMMANDS]
 
 
 def thin(rows: list[str]) -> list[str]:
@@ -67,6 +70,12 @@ def test_cli_output_matches_golden(tmp_path, config, command, csv_name):
                 assert got == want, where
             else:
                 assert got == want or math.isclose(float(got), float(want), rel_tol=REL_TOL, abs_tol=ABS_TOL), where
+
+
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_check_hypotheses_output_matches_golden(capsys, config):
+    assert main(["check-hypotheses", "--config", str(CONFIGS / f"{config}.ini")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / config / "check_hypotheses.txt").read_text()
 
 
 # the bump that certify draws from seed 0, written out so the series does not

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from sddlab import (
     state_mean_reducer,
     trivial_equilibrium,
     u_sdd_total,
-    volterra_v,
 )
-from sddlab.lyapunov import c1_algebraic_fields, c1_seven_v_fields, u_sdd_fields
+from sddlab import lyapunov
+from sddlab.lyapunov import _delay_tails, _v, u_sdd_fields
 from sddlab.model import incidence_values
 from sddlab.solver import InitialData
 
-from .oracles import saturated_closed_form, snapshot_window_trapezoid
+from .oracles import delay_tails_per_window, saturated_closed_form, snapshot_window_trapezoid
 from .test_history import pushed_histories
 
 
@@ -50,26 +51,20 @@ def eq_segment(grid, eq, h_max=1.0, dt=0.1, now=None):
 
 class TestVolterra:
     def test_zero_at_one(self):
-        assert volterra_v(1.0) == 0.0
+        assert _v(1.0) == 0.0
 
     def test_hand_value_at_e(self):
-        assert volterra_v(math.e) == pytest.approx(math.e - 2.0, rel=1e-15)
+        assert _v(math.e) == pytest.approx(math.e - 2.0, rel=1e-15)
 
     def test_quadratic_bounds_hand_point(self):
         # mu = 0.5, s = 1.3
-        v = volterra_v(1.3)
+        v = _v(1.3)
         assert (1.3 - 1.0) ** 2 / (2.0 * 1.5) <= v <= (1.3 - 1.0) ** 2 / (2.0 * 0.5)
         assert v == pytest.approx(0.0376357, abs=1e-6)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            volterra_v(0.0)
-        with pytest.raises(ValueError):
-            volterra_v(-1.0)
-
     @given(s=st.floats(1e-6, 1e6))
     def test_nonnegative_zero_only_at_one(self, s):
-        v = volterra_v(s)
+        v = _v(s)
         assert v >= 0.0
         if abs(s - 1.0) > 1e-6:
             assert v > 0.0
@@ -77,7 +72,7 @@ class TestVolterra:
     @given(mu=st.floats(0.01, 0.99), frac=st.floats(-0.999, 0.999))
     def test_quadratic_bounds_property(self, mu, frac):
         s = 1.0 + frac * mu
-        v = volterra_v(s)
+        v = _v(s)
         lo = (s - 1.0) ** 2 / (2.0 * (1.0 + mu))
         hi = (s - 1.0) ** 2 / (2.0 * (1.0 - mu))
         assert lo <= v + 1e-12
@@ -97,7 +92,7 @@ class TestUsdd:
         base = equilibrium_state(grid5, sat_equilibrium)
         seg = eq_segment(grid5, sat_equilibrium, now=FieldState(base.T, base.T_star, 2.0 * base.V))
         got = u_sdd_fields([seg], [0.0], sat_equilibrium, ref_params, saturated, grid5)[0][0, 1]
-        expected = (sat_equilibrium.V_hat / ref_params.burst_n) * volterra_v(2.0)
+        expected = (sat_equilibrium.V_hat / ref_params.burst_n) * _v(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_zero_lag_drops_history_term(self, ref_params, saturated, grid5, sat_equilibrium):
@@ -184,17 +179,18 @@ class TestUsdd:
 
 class TestSevenLogIdentity:
     def test_identity_on_random_positive_states(self, ref_params, saturated, grid5, sat_equilibrium):
-        rng = np.random.default_rng(7)
+        # the monitor's algebraic and seven-v forms of the cross term agree on
+        # random positive rows, each sample's row against its delayed row
         eq = sat_equilibrium
-        for _ in range(50):
-            jitter = lambda base: base * rng.uniform(0.5, 1.6, grid5.nx)
-            state = FieldState(jitter(eq.T_hat), jitter(eq.T_star_hat), jitter(eq.V_hat))
-            delayed = FieldState(jitter(eq.T_hat), jitter(eq.T_star_hat), jitter(eq.V_hat))
-            alg = c1_algebraic_fields(state, delayed, eq, saturated)
-            seven = c1_seven_v_fields(state, delayed, eq, saturated)
-            dev = float(np.max(np.abs(alg - seven)))
-            scale = float(max(np.max(np.abs(alg)), np.max(np.abs(seven))))
-            assert dev <= 1e-9 * scale + 1e-14
+        initial = InitialData(preset="equilibrium_perturbation", epsilon=0.0, equilibrium=eq)
+        traj = run(initial, ref_params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=0.05, t_end=4.0), grid5)
+        rng = np.random.default_rng(7)
+        hat = np.array([eq.T_hat, eq.T_star_hat, eq.V_hat])[:, None]
+        traj.fields[:] = hat * rng.uniform(0.5, 1.6, traj.fields.shape)
+        samples = rate_decomposition(traj, range(25, 75), eq, ref_params, saturated, grid5)
+        assert len(samples) == 50 and all(s.valid for s in samples)
+        for s in samples:
+            assert s.c1_abs_dev <= 1e-9 * s.c1_scale + 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +361,101 @@ class TestBlocks:
                 assert math.isnan(s.U) and math.isnan(s.residual)
             else:
                 assert repr(s) == c
+
+
+@st.composite
+def windows_over(draw, candidates):
+    """Segments drawn from candidates (over one store), each with a lag that
+    starts its window between rows, on a stored row, below the 1e-9*dt
+    slack (a one-row window without a trapezoid term), or nowhere (0)."""
+    segs, etas = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        seg = draw(st.sampled_from(candidates))
+        times = seg.times.tolist()
+        kind = draw(st.sampled_from(["between", "row", "slack", "zero"]))
+        if kind == "between":
+            eta = draw(st.floats(0.0, 1.0)) * (times[-1] - times[0])
+        elif kind == "row":
+            eta = times[-1] - draw(st.sampled_from(times))
+        else:
+            eta = 0.5e-9 * seg.dt if kind == "slack" else 0.0
+        segs.append(seg)
+        etas.append(eta)
+    return segs, etas
+
+
+def assert_tails_match_oracle(segs, etas, eq, params, f, grid):
+    """The window sums, and the functional built on them, have the bits of
+    the per-window oracle."""
+    f_hat = float(incidence_values(f, eq.T_hat, eq.V_hat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tails, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)
+        want_tails, want_ok = delay_tails_per_window(segs, etas, f, f_hat, grid.nx)
+    assert tails.tobytes() == want_tails.tobytes() and ok.tolist() == want_ok.tolist()
+    fields, ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+    with mock.patch.object(lyapunov, "_delay_tails", delay_tails_per_window):
+        want_fields, want_ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+    assert fields.tobytes() == want_fields.tobytes() and ok.tolist() == want_ok.tolist()
+    return ok
+
+
+@pytest.fixture(scope="module")
+def member_trajectories(sat_equilibrium, saturated):
+    """Three members of one run with an integral delay and a jump that
+    shortens a step: each member's rows are a strided view of the store."""
+    grid = Grid1D(0.0, 1.0, 5)
+    params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=DIFFUSION)
+    norm = equilibrium_norm(sat_equilibrium)
+    members = [
+        InitialData(preset="equilibrium_perturbation", epsilon=eps * norm, equilibrium=sat_equilibrium, **BUMP)
+        for eps in (0.2, 0.1, 0.05)
+    ]
+    df = integral_delay(1.0, state_mean_reducer(grid, "V", 0.4 / sat_equilibrium.V_hat))
+    trajs = run(members, params, saturated, df, SolverConfig(dt=0.05, t_end=3.0), grid, [ParamJump(2.02, "c", 4.0)])
+    return params, grid, trajs
+
+
+class TestWindowSums:
+    """The one-pass window sums of the last piece equal the per-window
+    ``np.add.reduce`` oracle bit for bit."""
+
+    @given(data=st.data(), floor=st.booleans())
+    def test_moving_histories(self, ref_params, saturated, sat_equilibrium, data, floor):
+        grid, seg, *_ = data.draw(pushed_histories())
+        segs, etas = data.draw(windows_over([seg.view(0, hi) for hi in range(1, len(seg) + 1)]))
+        if floor:  # T = 0 at one node of one row: every window over that row hits the floor
+            seg.fields[data.draw(st.integers(0, len(seg) - 1)), 0, data.draw(st.integers(0, grid.nx - 1))] = 0.0
+        assert_tails_match_oracle(segs, etas, sat_equilibrium, ref_params, saturated, grid)
+
+    @given(data=st.data())
+    def test_member_trajectories(self, member_trajectories, sat_equilibrium, saturated, data):
+        params, grid, trajs = member_trajectories
+        traj = data.draw(st.sampled_from(trajs))
+        ks = range(21, len(traj))  # rows 0.05 apart: a segment needs 1.0 of history behind it
+        segs, etas = data.draw(windows_over([traj.segment_at(k) for k in ks]))
+        if data.draw(st.booleans()):  # the lags the run recorded
+            etas = [float(traj.eta[np.searchsorted(traj.times, seg.t_now)]) for seg in segs]
+        assert assert_tails_match_oracle(segs, etas, sat_equilibrium, params, saturated, grid).all()
+
+    def test_floors_and_one_row_window(self, ref_params, saturated, sat_equilibrium):
+        # rows 0..10 at t = -1.0, -0.9, ..., 0; V = 0 at a node of row 3, T < 0 at a node of row 8
+        grid = Grid1D(0.0, 1.0, 4)
+        seg = eq_segment(grid, sat_equilibrium)
+        seg.fields[3, 2, 1] = 0.0
+        seg.fields[8, 0, 2] = -100.0
+        cases = [
+            (11, 0.15, False),  # starts between rows 8 and 9: only the interpolated start is below the floor
+            (11, 0.05, True),
+            (8, 0.15, True),
+            (8, 0.35, True),  # starts between rows 3 and 4: the start's V is half of row 4's
+            (8, 0.45, False),  # starts between rows 2 and 3
+            (11, 0.5e-11, True),  # a lag below the slack: one row, no trapezoid term
+            (5, 0.2, False),  # starts on row 2
+            (3, 0.2, True),  # starts on row 0
+        ]
+        segs = [seg.view(0, hi) for hi, _, _ in cases]
+        ok = assert_tails_match_oracle(segs, [eta for _, eta, _ in cases], sat_equilibrium, ref_params, saturated, grid)
+        assert ok.tolist() == [valid for *_, valid in cases]
 
 
 class TestCertify:

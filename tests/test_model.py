@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sddlab import IncidenceFn, ModelParams, eval_incidence, incidence_mu
-from sddlab.model import incidence_dT
+from sddlab import IncidenceFn, ModelParams, incidence_mu
+from sddlab.model import incidence_dT, incidence_values
 from sddlab.model import (
     check_hf1,
     check_hf1_plus,
@@ -13,6 +13,8 @@ from sddlab.model import (
     check_all,
     default_sample_box,
 )
+
+from .oracles import check_hf3_loop, check_hf4_loop
 
 BOX = ((0.0, 100.0), (0.0, 200.0))
 
@@ -47,41 +49,34 @@ class TestTypes:
 class TestEvalIncidence:
     def test_beddington_deangelis_hand_value(self):
         f = IncidenceFn("beddington_deangelis", k=1.0, k1=0.0, k2=1.0)
-        assert eval_incidence(f, 2.0, 3.0) == pytest.approx(1.5, rel=1e-15)
+        assert incidence_values(f, 2.0, 3.0) == pytest.approx(1.5, rel=1e-15)
 
     def test_bilinear_hand_value(self):
         f = IncidenceFn("bilinear", k=0.1)
-        assert eval_incidence(f, 5.0, 19.0) == pytest.approx(9.5, rel=1e-15)
+        assert incidence_values(f, 5.0, 19.0) == pytest.approx(9.5, rel=1e-15)
 
     @pytest.mark.parametrize("f", ALL_KINDS)
     def test_axis_zeros_bit_exact(self, f):
-        assert eval_incidence(f, 5.0, 0.0) == 0.0
-        assert eval_incidence(f, 0.0, 7.0) == 0.0
+        assert incidence_values(f, 5.0, 0.0) == 0.0
+        assert incidence_values(f, 0.0, 7.0) == 0.0
 
     @pytest.mark.parametrize("f", ALL_KINDS)
     def test_closed_form_dT_matches_central_difference(self, f):
         v_hat = 6.0
         T = np.array([0.01, 0.5, 4.0, 30.0, 250.0])
         e = 1e-5 * T
-        fd = (eval_incidence(f, T + e, v_hat) - eval_incidence(f, T - e, v_hat)) / (2.0 * e)
+        fd = (incidence_values(f, T + e, v_hat) - incidence_values(f, T - e, v_hat)) / (2.0 * e)
         assert incidence_dT(f, T, v_hat) == pytest.approx(fd, rel=1e-8)
-
-    def test_negative_inputs_rejected(self):
-        f = IncidenceFn("bilinear", k=0.1)
-        with pytest.raises(ValueError):
-            eval_incidence(f, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            eval_incidence(f, 1.0, -2.0)
 
     @given(T=st.floats(0, 1e3), V=st.floats(0, 1e4))
     def test_saturated_linear_bound(self, T, V):
         f = IncidenceFn("saturated", k=0.1, k2=0.1)
-        val = eval_incidence(f, T, V)
+        val = incidence_values(f, T, V)
         assert 0.0 <= val <= (f.k / f.k2) * T * (1.0 + 1e-12)
 
     def test_vectorized(self):
         f = IncidenceFn("saturated", k=0.1, k2=0.1)
-        out = eval_incidence(f, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        out = incidence_values(f, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert out.shape == (2,)
 
 
@@ -109,7 +104,7 @@ class TestHf1:
         verdict = check_hf1(f, ((0.0, 2.0), (0.0, 30.0)), 50)
         assert verdict.status == "fails"
         T, V = verdict.witness
-        assert abs(eval_incidence(f, T, V)) > 1.0 * abs(T)
+        assert abs(incidence_values(f, T, V)) > 1.0 * abs(T)
 
     def test_bilinear_without_mu_not_applicable(self):
         assert check_hf1(IncidenceFn("bilinear", k=0.1), BOX, 50).status == "not_applicable"
@@ -140,7 +135,7 @@ class TestHf3:
     def test_hand_point_saturated(self):
         # T=1, V=4, v_hat=2: factor1 = 2 - (4/5)/(2/3) = 0.8, factor2 = 0.2
         f = IncidenceFn("saturated", k=1.0, k2=1.0)
-        r = eval_incidence(f, 1.0, 4.0) / eval_incidence(f, 1.0, 2.0)
+        r = incidence_values(f, 1.0, 4.0) / incidence_values(f, 1.0, 2.0)
         assert (4.0 / 2.0 - r) == pytest.approx(0.8, rel=1e-12)
         assert (r - 1.0) == pytest.approx(0.2, rel=1e-12)
         assert check_hf3(f, 2.0, ((0.0, 10.0), (0.0, 10.0)), 40).holds
@@ -187,6 +182,94 @@ class TestHf4:
         assert "C1" in verdict.info  # branch B was attempted
         assert verdict.status == "fails"
         assert verdict.witness is not None
+
+
+def kinked_at(c):
+    def kinked(T, V):
+        return 0.05 * np.abs(T - c) * V / (1.0 + V)
+
+    return kinked
+
+
+def root(T, V):
+    """NaN below T = 3, so branch A and hf3 fail there with a witness."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(T - 3.0) * V
+
+
+def zero_rows(T, V):
+    """f(T, v_hat) = 0 for T <= 2: hf3 skips those rows."""
+    return np.maximum(T - 2.0, 0.0) * V / (1.0 + V)
+
+
+def wavy(T, V):
+    """Fails hf3 and branch A at scattered samples, so the first failing
+    sample in row-major order is not the first in column-major order."""
+    return T * V / (1.0 + V) * (2.0 + np.sin(T * T * V))
+
+
+FAMILIES = ["bilinear", "saturated", "beddington_deangelis", "crowley_martin", "kinked", "root", "zero_rows", "wavy"]
+
+
+@st.composite
+def check_cases(draw, family):
+    """A box (t0 > 0 or v0 > 0 allowed), its density, v_hat (sometimes on a
+    V sample, which hf3 skips) and an incidence of the family."""
+    n = draw(st.integers(2, 60))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    t1 = t0 + draw(st.floats(0.5, 200.0))
+    v0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    v1 = v0 + draw(st.floats(0.5, 400.0))
+    on_sample = [v for v in np.linspace(v0, v1, n).tolist() if v > 0.0]
+    v_hat = draw(st.one_of(st.floats(0.1, 50.0), st.sampled_from(on_sample)))
+    if family == "kinked":  # a kink on a T sample, where branch A sees it
+        f = kinked_at(draw(st.sampled_from(np.linspace(t0, t1, n).tolist())))
+    elif family in ("root", "zero_rows", "wavy"):
+        f = {"root": root, "zero_rows": zero_rows, "wavy": wavy}[family]
+    else:
+        k, k1, k2 = (draw(st.floats(0.01, 2.0)) for _ in range(3))
+        f = IncidenceFn(family, k=k, k1=k1, k2=k2)
+    return f, v_hat, ((t0, t1), (v0, v1)), n
+
+
+def outcome(check, *args):
+    """The verdict, or the error raised: branch B's least-squares fit
+    rejects the overflowing reciprocals of subnormal T samples (t0 near 0)."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        return repr(err)
+
+
+class TestChecksMatchLoops:
+    """The array checks give the verdicts of the one-point loops: status,
+    witness (the first failing sample in row-major order), note and info."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # root's NaN rows and near-zero f(T, v_hat)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_hf3_and_hf4_match_the_loops(self, family, data):
+        f, v_hat, box, n = data.draw(check_cases(family))
+        assert outcome(check_hf3, f, v_hat, box, n) == outcome(check_hf3_loop, f, v_hat, box, n)
+        assert outcome(check_hf4, f, v_hat, box, n) == outcome(check_hf4_loop, f, v_hat, box, n)
+
+    @pytest.mark.parametrize(
+        "f, box, hf3, hf4",
+        [
+            (root, ((0.0, 10.0), (0.0, 10.0)), "fails", "fails"),
+            (root, ((0.0, 2.5), (0.0, 10.0)), "holds", "fails"),  # every hf3 row is NaN, none skipped
+            (zero_rows, ((0.0, 10.0), (0.0, 10.0)), "holds", "fails"),  # hf4: the corner at T = 2
+            (zero_rows, ((0.0, 2.0), (0.0, 10.0)), "not_applicable", "fails"),
+            (kinked_at(5.0), ((0.0, 10.0), (0.0, 10.0)), "holds", "fails"),
+            (wavy, ((0.0, 50.0), (0.0, 50.0)), "fails", "fails"),
+        ],
+    )
+    def test_witness_cases(self, f, box, hf3, hf4):
+        got3, got4 = check_hf3(f, 1.0, box, 21), check_hf4(f, 1.0, box, 21)
+        assert (got3.status, got4.status) == (hf3, hf4)
+        assert got3 == check_hf3_loop(f, 1.0, box, 21)
+        assert got4 == check_hf4_loop(f, 1.0, box, 21)
 
 
 def test_check_all_report(ref_params, saturated):

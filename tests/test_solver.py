@@ -18,7 +18,6 @@ from sddlab import (
     constant_delay,
     equilibrium_norm,
     equilibrium_state,
-    eval_incidence,
     evaluate_eta,
     integral_delay,
     omega_lip_bounds,
@@ -28,6 +27,7 @@ from sddlab import (
     step,
     uniform_state,
 )
+from sddlab.model import incidence_values
 from sddlab.solver import InitialData, RunStream, apply_jump, validate_schedule
 
 from .oracles import fixed_lag_euler, saturated_closed_form
@@ -65,8 +65,8 @@ class TestRhs:
         state = as_row(uniform_state(grid3, (40.0, 12.0, 7.0)))
         delayed = as_row(uniform_state(grid3, (35.0, 11.0, 6.0)))
         dT, dTs, dV = rhs(state, delayed, ref_params, saturated, grid3)
-        f_now = eval_incidence(saturated, 40.0, 7.0)
-        f_del = eval_incidence(saturated, 35.0, 6.0)
+        f_now = incidence_values(saturated, 40.0, 7.0)
+        f_del = incidence_values(saturated, 35.0, 6.0)
         assert dT[1] == pytest.approx(10.0 - 0.1 * 40.0 - f_now, rel=1e-14)
         assert dTs[1] == pytest.approx(f_del - 0.5 * 12.0, rel=1e-14)
         assert dV[1] == pytest.approx(10.0 * 0.5 * 12.0 - 5.0 * 7.0, rel=1e-14)
