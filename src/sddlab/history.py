@@ -22,13 +22,14 @@ always receives one member's ``FieldState``.  With a member axis, eta and
 the delayed field are per member, each with the bits of that member alone.
 
 When ``push`` finds the buffers full, a store that has never handed out a
-``view`` slides the segment's live rows, and their cached xi values, to the
-front of the buffers (doubling them only while the live rows fill more
-than two thirds); a store that has (a run keeps its whole trajectory this
-way) is pinned and doubles its buffers instead, so every view keeps
-reading its own rows.  An unpinned store therefore holds about twice the
-delay window, however long the run, and a numpy view of its rows is valid
-only until the next row is added.
+``view`` slides its live rows (the segment's window, and the older rows a
+reader ``hold``s: ``certify``'s pending monitor block), and their cached xi
+values, to the front of the buffers, doubling them only while the live rows
+fill more than two thirds; a store that has (``run`` keeps its whole
+trajectory this way) is pinned and doubles its buffers instead, so every
+view keeps reading its own rows.  An unpinned store therefore holds about
+twice its live rows, however long the run, and a numpy view of its rows is
+valid only until the next row is added.
 """
 
 from __future__ import annotations
@@ -87,15 +88,17 @@ class FieldState:
 class _Rows:
     """The stored history: the first n rows of the buffers times (cap,) and
     fields (cap, *members, 3, nx), per xi callable a buffer (cap, *members)
-    and the count of its leading rows that hold xi values, and whether a
-    view pins the rows where they are."""
+    and the count of its leading rows that hold xi values, whether a view
+    pins the rows where they are, and the time of the oldest row a reader
+    still needs."""
 
-    __slots__ = ("times", "fields", "n", "xi", "pinned")
+    __slots__ = ("times", "fields", "n", "xi", "pinned", "hold")
 
     def __init__(self, times: np.ndarray, fields: np.ndarray):
         self.times, self.fields, self.n = times, fields, len(times)
         self.xi: dict[Callable[[FieldState], float], list] = {}  # xi -> [values, count]
         self.pinned = False
+        self.hold = np.inf
 
 
 def _xi_map(xi: Callable[[FieldState], float], fields: np.ndarray) -> np.ndarray:
@@ -151,8 +154,9 @@ class HistorySegment:
 
     def view(self, lo: int, hi: int) -> "HistorySegment":
         """The segment over rows lo..hi-1, counted from this segment's first
-        row and reaching up to the newest stored row; copies nothing."""
-        if not 0 <= lo < hi <= self._rows.n - self._lo:
+        row (a negative lo reaches the stored rows before it) up to the
+        newest stored row; copies nothing."""
+        if not -self._lo <= lo < hi <= self._rows.n - self._lo:
             raise ValueError(f"view: rows [{lo}, {hi}) outside the stored history")
         self._rows.pinned = True
         seg = object.__new__(HistorySegment)
@@ -200,10 +204,6 @@ class HistorySegment:
         return self._rows.times.item(self._hi - 1)
 
     @property
-    def state_now(self) -> FieldState:
-        return self.state(-1)
-
-    @property
     def times(self) -> np.ndarray:
         return self._rows.times[self._lo : self._hi]
 
@@ -223,6 +223,11 @@ class HistorySegment:
     def covers(self) -> bool:
         return self._rows.times[self._lo] <= self.t_now - self.h_max + 1e-9 * self.dt
 
+    def hold(self, t: float) -> None:
+        """Keep the stored rows from time t on, also those older than the
+        window, until the next hold."""
+        self._rows.hold = t
+
     def next_row(self) -> np.ndarray:
         """The (3, nx) row after the newest, to fill in place before
         ``push(t)`` commits it; until then it is not part of the history."""
@@ -230,24 +235,25 @@ class HistorySegment:
         if self._hi != rows.n:
             raise ValueError("push: only a segment ending at the newest stored row can grow")
         if rows.n == len(rows.times):
+            first = min(self._lo, bisect_left(rows.times, rows.hold, 0, rows.n))  # the oldest live row
             # sliding moves at most two rows per row it frees
-            if not rows.pinned and 2 * self._lo >= self._hi - self._lo:
-                self._slide()
+            if not rows.pinned and 2 * first >= rows.n - first:
+                self._slide(first)
             else:
                 self.reserve(rows.n)
         return rows.fields[rows.n]
 
-    def _slide(self) -> None:
-        """Move rows lo..n-1 and their cached xi values to the front."""
-        rows, lo = self._rows, self._lo
-        live = rows.n - lo
-        rows.times[:live] = rows.times[lo : rows.n]
-        rows.fields[:live] = rows.fields[lo : rows.n]
+    def _slide(self, first: int) -> None:
+        """Move rows first..n-1 and their cached xi values to the front."""
+        rows = self._rows
+        live = rows.n - first
+        rows.times[:live] = rows.times[first : rows.n]
+        rows.fields[:live] = rows.fields[first : rows.n]
         for cache in rows.xi.values():
             vals, done = cache
-            cache[1] = max(done - lo, 0)
-            vals[: cache[1]] = vals[lo:done]
-        rows.n, self._lo, self._hi = live, 0, live
+            cache[1] = max(done - first, 0)
+            vals[: cache[1]] = vals[first:done]
+        rows.n, self._lo, self._hi = live, self._lo - first, live
 
     def push(self, t: float, state: FieldState | None = None) -> None:
         """Append the row at time t: ``state``, or the filled ``next_row()``."""

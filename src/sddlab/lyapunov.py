@@ -43,7 +43,9 @@ row order, a window that has ended masked out.  Each window so adds its
 terms left to right from 0, as one window alone would, and a block gives
 the same bits as one sample at a time.  A difference of one running
 trapezoid sum would be cheaper, but near the equilibrium the small window
-integral would cancel against the large running sum.
+integral would cancel against the large running sum.  ``certify`` hands
+``monitor`` each block as its batched stream yields the block's rows, so
+it stores about MONITOR_BLOCK * stride + h/dt rows, however long the run.
 
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
 instead of producing infinities; clamping would silently corrupt the
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,10 +64,10 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
-from .history import DelayFunctional, FieldState, HistorySegment, delayed_state, window_starts
+from .history import DelayFunctional, FieldState, HistorySegment, window_starts
 from .history import evaluate_eta  # noqa: F401  the benchmark's tracer wraps this binding (perfbench/selftest.py)
 from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
-from .solver import InitialData, SolverConfig, Trajectory, run
+from .solver import InitialData, RunStream, SolverConfig, Trajectory
 
 __all__ = [
     "LOG_FLOOR",
@@ -296,7 +299,10 @@ def rate_decomposition(
 
     now = traj.fields[ks]
     state = FieldState(now[:, 0], now[:, 1], now[:, 2])
-    lagged = np.array([delayed_state(segs[i], eta) for i, eta in zip(at, eta_k)])
+    seg_k = [segs[i] for i in at]
+    rows, off, start = window_starts(seg_k, t_k - eta_k)  # each k's delayed row, as delayed_state reads it
+    lagged = traj.fields[rows + [seg.offset(traj.history) for seg in seg_k]]
+    lagged[off] = start
     delayed = FieldState(lagged[:, 0], lagged[:, 1], lagged[:, 2])
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     emwh = math.exp(-params.omega * params.h_max)
@@ -381,6 +387,49 @@ def monitor(
     ]
 
 
+def _monitor_members(
+    stream: RunStream, eq: Equilibrium, params: ModelParams, f: IncidenceFn, grid: Grid1D, stride: int, warmup: float | None
+):
+    """``monitor`` of each member's trajectory, drained from one batched
+    stream: per member its samples (None if it aborted or the run has fewer
+    than three samples), and the rows of the first and the last sample.
+    Each block goes to ``monitor`` once the stream yields the sample after
+    its last k; the store holds the rows from h_max + 3 dt before the
+    block's sample k - 1 (or the newest) on, as a step is at most dt."""
+    seg, h, dt = stream.history, params.h_max, stream.history.dt
+    warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
+    samples = [[] for _ in range(seg.members[0])]
+    times, etas, base, k = [], [], 0, None  # the held samples base, base + 1, ...; the pending block's first k
+    for s, sample in enumerate(stream):
+        times.append(sample.t)
+        etas.append(sample.eta)
+        if s == 0:
+            t0, first = sample.t, sample.row.copy()
+            ready = t0 + h + dt * (1.0 - 1e-9)  # monitor's test that a sample has its full trailing window
+        if k is None and sample.t >= max(t0 + warmup, ready):
+            k = s + (times[-2] < ready)  # monitor's first k: past the warmup, with k - 1 ready
+        last = sample.t == seg.t_now  # the stream stores no row after its last sample
+        if k is not None and (s == k + (MONITOR_BLOCK - 1) * stride + 1 or last and k < s):
+            x = np.array(times) + h + dt * (1.0 - 1e-9)  # monitor's ready test, per window start
+            w0 = base + int(np.searchsorted(x, times[k - 1 - base], side="right")) - 1
+            lags = np.array(etas[w0 - base :])
+            end = len(seg) - 1 + last  # one past sample s's row, counted from the delay window's first
+            # a warmup to halfway from sample k - 1 to k makes k monitor's first sample, also
+            # where a shortened step leaves no window start w0 whose earliest sample is k
+            mid = 0.5 * (times[k - 1 - base] + times[k - base])
+            for m in [m for m, gone in enumerate(stream.aborted) if not gone]:
+                rows = seg.member(m).view(end - 1 - s + w0, end)
+                traj = Trajectory(grid, h, dt, rows, rows.times, rows.fields, lags[:, m])
+                samples[m] += monitor(traj, eq, params, f, grid, stride, mid - rows.times[0])
+            k += MONITOR_BLOCK * stride
+        held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt
+        seg.hold(held)
+        cut = bisect_left(times, held)
+        del times[:cut], etas[:cut]
+        base += cut
+    return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row
+
+
 def distance_to_equilibrium(state: FieldState, eq: Equilibrium, grid: Grid1D) -> float:
     """Root-mean-square distance of the triple from the equilibrium."""
     dev = (
@@ -425,8 +474,9 @@ def certify_local_stability(
     """Perturb, run, monitor; one verdict per perturbation size.
 
     Per epsilon the equilibrium is displaced along every configured
-    direction shape; all these runs advance as one ``run`` over a member
-    axis, and each member's trajectory is monitored on its own.  The
+    direction shape; all these runs advance as one ``RunStream`` over a
+    member axis, and each member's trajectory is monitored on its own, a
+    block at a time as the stream yields it, from a bounded store.  The
     verdict aggregates the worst direction.  The stable_evidence verdict
     requires a decrease fraction of at least 0.99 on valid samples and a
     terminal distance below the initial one (the 0.99 gate is an
@@ -463,7 +513,13 @@ def certify_local_stability(
         for eps in epsilons
         for name, w, center, width in specs
     ]
-    trajs = iter(run(members, params, f, df, cfg, grid) if members else ())
+    runs = iter(())
+    if members:
+        stream = RunStream(members, params, f, df, cfg, grid)
+        # about twice the rows a block holds, reserved once: the store then slides and never grows
+        held = MONITOR_BLOCK * max(stride, 1) + math.ceil(params.h_max / cfg.dt) + 2
+        stream.history.reserve(min(math.ceil(cfg.t_end / cfg.dt) + 1, 2 * held))
+        runs = zip(*_monitor_members(stream, eq, params, f, grid, stride, warmup), stream.aborted, stream.abort_time)
     verdicts: list[StabilityVerdict] = []
     for eps in epsilons:
         frac_min = math.inf
@@ -477,17 +533,16 @@ def certify_local_stability(
         all_contracted = True
         any_expanded_badly = False
         for name, *_ in specs:
-            traj = next(trajs)
-            if traj.aborted or len(traj) < 3:
+            samples, row0, row1, aborted, abort_time = next(runs)
+            if samples is None:
                 any_aborted = True
-                if traj.aborted and abort is None:
-                    abort = (name, traj.abort_time)
+                if aborted and abort is None:
+                    abort = (name, abort_time)
                 frac_min = 0.0
                 all_contracted = False
                 continue
-            d0 = distance_to_equilibrium(traj.state(0), eq, grid)
-            d1 = distance_to_equilibrium(traj.state(-1), eq, grid)
-            samples = monitor(traj, eq, params, f, grid, stride=stride, warmup=warmup)
+            d0 = distance_to_equilibrium(FieldState(*row0), eq, grid)
+            d1 = distance_to_equilibrium(FieldState(*row1), eq, grid)
             valid = [s for s in samples if s.valid]
             n_samples += len(samples)
             n_valid += len(valid)

@@ -12,8 +12,8 @@ The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
 (``history``).  ``run`` sizes that store once, from t_end, dt and the number
 of jumps, and returns a ``Trajectory`` that is a view of the same rows; a
-caller that drains the stream itself and takes no view keeps only the
-trailing delay window in memory.
+caller that drains the stream itself keeps only the trailing delay window
+and the rows it holds (``certify``: its pending monitor block) in memory.
 
 Several runs that share the parameters, dt and step times (``certify``'s
 perturbations) advance as one stream: their rows carry a leading member

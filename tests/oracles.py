@@ -221,12 +221,15 @@ def check_hf4_loop(f, v_hat: float, box, n: int = 50) -> Verdict:
     info["branch_a"] = branch_a_ok
 
     y_raw = np.asarray(fn(Tpos, np.full_like(Tpos, v_hat)), dtype=float)
-    usable = np.isfinite(y_raw) & (y_raw > 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        y, inv_T = 1.0 / y_raw, 1.0 / Tpos
+    # a subnormal T or f(T, v_hat) overflows its reciprocal, which the fit cannot take
+    usable = np.isfinite(y_raw) & (y_raw > 0.0) & np.isfinite(y) & np.isfinite(inv_T)
     Tb = Tpos[usable]
     info["branch_b"] = False
     if Tb.size >= 2:
-        y = 1.0 / y_raw[usable]
-        A = np.column_stack([np.ones_like(Tb), 1.0 / Tb])
+        y = y[usable]
+        A = np.column_stack([np.ones_like(Tb), inv_T[usable]])
         coef, _ = nnls(A, y)
         c1f, c2f = float(coef[0]), float(coef[1])
         slack = y - (c1f + c2f / Tb)

@@ -122,7 +122,7 @@ class TestDelayedState:
     def test_lag_zero_is_newest_bitwise(self, small_grid):
         seg = segment_with_v(small_grid, lambda t: 3.0 + t)
         out = delayed_state(seg, 0.0)
-        assert np.array_equal(out[2], seg.state_now.V)
+        assert np.array_equal(out[2], seg.state(-1).V)
 
     def test_on_node_lag_bitwise(self, small_grid):
         seg = segment_with_v(small_grid, lambda t: 3.0 + np.cos(t), dt=0.25)

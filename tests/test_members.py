@@ -1,12 +1,15 @@
 """Runs that advance as one stream over a member axis.
 
 ``certify`` perturbs its equilibrium along every eps x direction and runs
-all of them as one ``run`` over a member axis.  Each member must equal its
-solo run bit for bit: rows, eta, box counts and every ``LyapunovSample``
-field.  A member that blows up is frozen and masked, and must still report
-its solo abort; the others must run on unchanged.
+all of them as one ``RunStream`` over a member axis, monitoring each block
+of samples as the stream yields it.  Each member must equal its solo run
+bit for bit: rows, eta, box counts and every ``LyapunovSample`` field.  A
+member that blows up is frozen and masked, and must still report its solo
+abort; the others must run on unchanged.
 """
 
+import math
+from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import sddlab.lyapunov as lyapunov
 from sddlab import (
+    Equilibrium,
     FieldState,
     Grid1D,
     HistorySegment,
@@ -37,6 +41,7 @@ from sddlab import (
     wrapped_delay,
 )
 from sddlab.config import load_config
+from sddlab.lyapunov import MONITOR_BLOCK
 from sddlab.solver import InitialData, RunStream
 
 from .test_cli import ABORT_CONFIG, JUMP_CONFIG
@@ -77,6 +82,20 @@ def load(path_or_text, tmp_path=None):
     return load_config(path_or_text)
 
 
+def assert_monitored_as_solo(members, monitored, eq, cfg, solver, schedule=(), stride=10, warmup=None):
+    """Each member's streamed samples and first and last rows equal those of
+    monitor(run(solo)); an aborted member has no samples."""
+    samples, first, last = monitored
+    for m, initial in enumerate(members):
+        solo = run(initial, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid, schedule)
+        if solo.aborted:
+            assert samples[m] is None
+            continue
+        want = monitor(solo, eq, cfg.params, cfg.incidence, cfg.grid, stride=stride, warmup=warmup)
+        assert want and sample_bits(samples[m]) == sample_bits(want)
+        assert bits(first[m]) == bits(solo.fields[0]) and bits(last[m]) == bits(solo.fields[-1])
+
+
 class TestCertifyMembers:
     @pytest.mark.parametrize(
         "config", ["bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay"]
@@ -85,27 +104,82 @@ class TestCertifyMembers:
         cfg = load_config(CONFIGS / f"{config}.ini")
         solver = replace(cfg.solver, t_end=min(cfg.solver.t_end, 6.0))
         (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
-        calls = []
+        streams, calls = [], []
+        monitor_members = lyapunov._monitor_members
 
-        def recording_run(initial, *args):
-            trajs = run(initial, *args)
-            calls.append((initial, trajs))
-            return trajs
+        class RecordingStream(RunStream):
+            def __init__(self, initial, *args):
+                super().__init__(initial, *args)
+                streams.append(initial)
 
-        monkeypatch.setattr(lyapunov, "run", recording_run)
+        def recording(*args):
+            calls.append(monitor_members(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(lyapunov, "RunStream", RecordingStream)
+        monkeypatch.setattr(lyapunov, "_monitor_members", recording)
         eps = [frac * equilibrium_norm(eq) for frac in cfg.output.eps_fractions]
         certify_local_stability(eq, eps, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid,
                                 directions=cfg.output.directions, stride=cfg.output.monitor_stride)
         # one stream for every eps x direction
-        ((members, trajs),) = calls
-        assert len(members) == len(trajs) == len(eps) * len(cfg.output.directions)
-        for initial, member in zip(members, trajs):
-            solo = run(initial, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid)
-            assert_same_run(member, solo)
-            stride = cfg.output.monitor_stride
-            got = monitor(member, eq, cfg.params, cfg.incidence, cfg.grid, stride=stride)
-            want = monitor(solo, eq, cfg.params, cfg.incidence, cfg.grid, stride=stride)
-            assert got and sample_bits(got) == sample_bits(want)
+        ((members,), (monitored,)) = streams, calls
+        assert len(members) == len(monitored[0]) == len(eps) * len(cfg.output.directions)
+        assert_monitored_as_solo(members, monitored, eq, cfg, solver, stride=cfg.output.monitor_stride)
+
+    @pytest.mark.parametrize("jump, stride, warmup", [("1.005", 7, None), ("1.325", 1, 0.0)])
+    def test_a_window_with_a_shortened_step(self, tmp_path, jump, stride, warmup):
+        # the jump's shortened step puts one more row in a block's window than
+        # h_max/dt counts; at 1.325 it falls just before the first k of the
+        # second block (stride 1 from k = 102), where no window start makes
+        # that k monitor's earliest sample
+        cfg = load(JUMP_CONFIG.replace("1.005", jump), tmp_path)
+        (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
+        members = [
+            InitialData(preset="equilibrium_perturbation", epsilon=2.0, direction="gaussian_bump",
+                        weights=(0.3, -0.5, 0.8), bump_center=0.3, bump_width=0.1, equilibrium=eq),
+            InitialData(preset="equilibrium_perturbation", epsilon=1.0, equilibrium=eq, profile="linear_ramp"),
+        ]
+        stream = RunStream(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
+        monitored = lyapunov._monitor_members(stream, eq, cfg.params, cfg.incidence, cfg.grid, stride, warmup)
+        assert_monitored_as_solo(members, monitored, eq, cfg, cfg.solver, cfg.schedule, stride, warmup)
+
+    def test_an_aborting_member_beside_one_that_runs_on(self, tmp_path):
+        # the infected member aborts at t = 18, after the first block (t = 17.5)
+        cfg = load(ABORT_CONFIG, tmp_path)
+        members = [InitialData(preset="uniform", values=v) for v in ((100.0, 0.0, 0.0), (100.0, 0.0, 1e-200))]
+        eq = Equilibrium(50.0, 10.0, 10.0, "interior", 0.0)
+        stream = RunStream(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid)
+        monitored = lyapunov._monitor_members(stream, eq, cfg.params, cfg.incidence, cfg.grid, 1, None)
+        assert stream.aborted == [False, True] and stream.abort_time[1] == 18.0
+        assert_monitored_as_solo(members, monitored, eq, cfg, cfg.solver, stride=1)
+
+    def test_the_store_stays_bounded(self, monkeypatch):
+        # certify at t_end and 10 t_end: the rows the store keeps stay within
+        # a block's window, and its capacity is reserved once, the same for both
+        cfg = load_config(CONFIGS / "saturated_constant_delay.ini")
+        grid = replace(cfg.grid, nx=11)
+        (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
+        seen = []
+
+        class RecordingStream(RunStream):
+            def __iter__(self):
+                seg, rows = self.history, self.history._rows
+                for sample in super().__iter__():
+                    first_live = min(seg._lo, bisect_left(rows.times, rows.hold, 0, rows.n))
+                    seen[-1].append((rows.n - first_live, len(rows.times)))
+                    yield sample
+
+        monkeypatch.setattr(lyapunov, "RunStream", RecordingStream)
+        for t_end in (9.0, 90.0):
+            seen.append([])
+            (verdict,) = certify_local_stability(eq, [0.05 * equilibrium_norm(eq)], cfg.params, cfg.incidence,
+                                                 cfg.delay, replace(cfg.solver, t_end=t_end), grid)
+            assert verdict.n_samples > 0 and verdict.abort is None
+        live_rows = MONITOR_BLOCK * cfg.output.monitor_stride + math.ceil(cfg.params.h_max / cfg.solver.dt)
+        (short, long) = seen
+        assert len(long) > 9 * len(short)
+        assert max(live for live, _ in short + long) <= live_rows + 2
+        assert {cap for _, cap in short} == {cap for _, cap in long} and len({cap for _, cap in long}) == 1
 
     def test_a_jump_off_the_step_grid_shortens_every_members_step(self, tmp_path):
         cfg = load(JUMP_CONFIG, tmp_path)

@@ -183,6 +183,18 @@ class TestHf4:
         assert verdict.status == "fails"
         assert verdict.witness is not None
 
+    @pytest.mark.parametrize(
+        "f",
+        [IncidenceFn("saturated", k=1.0, k2=1.0), IncidenceFn("bilinear", k=1.0), lambda T, V: T * V / (1.0 + T)],
+    )
+    def test_a_subnormal_t_sample_is_left_out_of_the_fit(self, f):
+        # 1/T overflows at T = 2.2e-309; nnls used to raise on the inf
+        box = ((2.225073858507203e-309, 1.0), (0.0, 1.0))
+        verdict = check_hf4(f, 1.0, box, 3)
+        assert verdict.holds and verdict.info["branch_b"] is True
+        assert verdict.info["C1"] >= 0.0 and verdict.info["C2"] >= 0.0
+        assert verdict == check_hf4_loop(f, 1.0, box, 3)
+
 
 def kinked_at(c):
     def kinked(T, V):
@@ -233,8 +245,7 @@ def check_cases(draw, family):
 
 
 def outcome(check, *args):
-    """The verdict, or the error raised: branch B's least-squares fit
-    rejects the overflowing reciprocals of subnormal T samples (t0 near 0)."""
+    """The verdict, or the error raised."""
     try:
         return check(*args)
     except ValueError as err:

@@ -101,7 +101,7 @@ class TestStep:
         for _ in range(20):
             eta, clipped, finite = step(seg, ref_params, saturated, df, cfg, grid3)
             assert finite and clipped == 0 and eta == 0.4
-            assert max_state_dev(seg.state_now, eq_state) <= 1e-10
+            assert max_state_dev(seg.state(-1), eq_state) <= 1e-10
 
     def test_negative_clipping_counts(self, grid3):
         # strong bilinear incidence drives T negative within one Euler step
@@ -113,7 +113,7 @@ class TestStep:
         cfg_clip = SolverConfig(dt=0.1, t_end=1.0, clip_negative=True)
         _, clipped, _ = step(seg, params, f, df, cfg_clip, grid3)
         assert clipped > 0
-        assert np.all(seg.state_now.T >= 0.0)
+        assert np.all(seg.state(-1).T >= 0.0)
 
     def test_delayed_row_is_read_after_the_store_slides(self, ref_params, saturated, grid3):
         # the store is full with rows -0.3..0.35 (one step shortened), so the
@@ -289,7 +289,7 @@ class TestInitialData:
         seg = build_initial_segment(InitialData(preset="uniform", values=(1.0, 2.0, 3.0)), grid3, 1.0, 0.1)
         assert seg.t_now == 0.0
         assert seg.covers()
-        assert np.all(seg.state_now.V == 3.0)
+        assert np.all(seg.state(-1).V == 3.0)
         assert np.all(seg.state(0).V == 3.0)
 
     def test_gaussian_bump_shape(self):
@@ -298,8 +298,8 @@ class TestInitialData:
             preset="gaussian_bump", values=(10.0, 0.0, 0.0), bump_amp=(5.0, 0.0, 0.0), bump_center=0.5, bump_width=0.1
         )
         seg = build_initial_segment(initial, grid, 1.0, 0.1)
-        assert seg.state_now.T[50] == pytest.approx(15.0, abs=1e-9)
-        assert seg.state_now.T[0] == pytest.approx(10.0, abs=1e-6)
+        assert seg.state(-1).T[50] == pytest.approx(15.0, abs=1e-9)
+        assert seg.state(-1).T[0] == pytest.approx(10.0, abs=1e-6)
 
     def test_linear_ramp_is_lipschitz(self, grid3, sat_equilibrium):
         eps = 2.0
@@ -399,7 +399,7 @@ class TestDiagnostics:
         seg = jump_run.segment_at(k)
         assert np.shares_memory(seg.fields, jump_run.fields)
         assert seg.times[-1] == jump_run.times[k]
-        assert np.array_equal(seg.state_now.V, jump_run.fields[k, 2])
+        assert np.array_equal(seg.state(-1).V, jump_run.fields[k, 2])
 
 
 class TestRunStream:
