@@ -80,8 +80,8 @@ def _resolve_initial(cfg: RunConfig) -> InitialData:
 
 
 def _probe_indices(nx: int, count: int) -> list[int]:
-    idx = np.unique(np.round(np.linspace(0, nx - 1, min(count, nx))).astype(int))
-    return [int(i) for i in idx]
+    # a sorted set, not np.unique, whose masked-array check imports numpy.ma
+    return sorted(set(np.round(np.linspace(0, nx - 1, min(count, nx))).astype(int).tolist()))
 
 
 def cmd_equilibria(cfg: RunConfig, out: Path) -> int:

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  every certify seeds a Generator; load it with the module, not in the run
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
@@ -284,7 +285,7 @@ def rate_decomposition(
     if ks.min() < 1 or ks.max() + 1 >= len(traj):
         raise ValueError(f"rate_decomposition: need samples {ks.min() - 1}..{ks.max() + 1} in the trajectory")
     # U at every sample next to or at a k, each once
-    ms = np.unique(np.concatenate((ks - 1, ks, ks + 1)))
+    ms = np.array(sorted(set(np.concatenate((ks - 1, ks, ks + 1)).tolist())))  # np.unique would import numpy.ma
     at = np.searchsorted(ms, ks)
     segs = [traj.segment_at(m) for m in ms]
     U, ok = u_sdd_total(segs, traj.eta[ms], eq, params, f, grid)

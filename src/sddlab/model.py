@@ -30,7 +30,6 @@ from difflib import get_close_matches
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "KINDS",
@@ -370,13 +369,33 @@ def check_hf3(f, v_hat: float, box: Box, n: int = 50, eps_strict: float = 1e-12)
     return Verdict(HOLDS)
 
 
+def _nnls2(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """argmin |A x - y| over x >= 0 for two columns, by the KKT cases of
+    Lawson & Hanson (*Solving Least Squares Problems*, ch. 23): the free fit
+    if it is positive, else the best of zero and the one-column fits.  A QR
+    with the longer column first fits a 1/T = 1e300 row before the other."""
+    y_max, col = float(np.max(np.abs(y))) or 1.0, np.max(np.abs(A), axis=0)
+    As, ys = A / col, y / y_max
+    p = [0, 1] if col[0] * np.linalg.norm(As[:, 0]) >= col[1] * np.linalg.norm(As[:, 1]) else [1, 0]
+    r = np.linalg.qr(np.column_stack((A[:, p], ys)), mode="r")  # r[:2, 2] is Q^T y
+    with np.errstate(divide="ignore", invalid="ignore"):  # a rank-one A leaves r[1, 1] = 0
+        w = r[1, 2] / r[1, 1]
+        x = np.array([(r[0, 2] - r[0, 1] * w) / r[0, 0], w])[p] * y_max
+    if not (np.isfinite(x).all() and (x > 0.0).all()):  # a zero, or one lost to underflow, is on a face
+        c = np.maximum(As.T @ ys / np.sum(As * As, axis=0), 0.0) * y_max / col
+        fits = (np.zeros(2), np.array([c[0], 0.0]), np.array([0.0, c[1]]))
+        x = min(fits, key=lambda z: np.linalg.norm(As @ (z * col / y_max) - ys))  # judged as returned, underflow too
+    return x
+
+
 def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     """Differentiability in T (branch A) or reciprocal bound (branch B).
 
     Branch A probes the second difference of f in T at two step sizes; a
     kink makes the probe blow up as the step shrinks.  Branch B fits
-    1/f(T, v_hat) >= C1 + C2/T with nonnegative least squares and verifies
-    the inequality at all samples.  The verdict holds if either passes.
+    1/f(T, v_hat) >= C1 + C2/T with a closed-form two-variable nonnegative
+    least squares (``_nnls2``, by its KKT cases) and verifies the inequality
+    at all samples.  The verdict holds if either passes.
     """
     t0, t1, v0, v1 = _validate_box(box)
     if not v_hat > 0.0:
@@ -412,8 +431,9 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
         witness_a = (float(TT[i, j]), float(VV[i, j]))
     info["branch_a"] = witness_a is None
 
-    # branch B: nonnegative least squares for 1/f(T, v_hat) >= C1 + C2/T
-    # (evaluated regardless so the fitted constants are always reported)
+    # branch B: nonnegative least squares, closed form by its KKT cases, for
+    # 1/f(T, v_hat) >= C1 + C2/T (evaluated regardless so the fitted
+    # constants are always reported)
     y_raw = np.asarray(fn(Tpos, np.full_like(Tpos, v_hat)), dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         y, inv_T = 1.0 / y_raw, 1.0 / Tpos
@@ -424,7 +444,7 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     if Tb.size >= 2:
         y = y[usable]
         A = np.column_stack([np.ones_like(Tb), inv_T[usable]])
-        coef, _ = nnls(A, y)
+        coef = _nnls2(A, y)
         c1f, c2f = float(coef[0]), float(coef[1])
         slack = y - (c1f + c2f / Tb)
         tol = 1e-9 * float(np.max(np.abs(y)))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sddlab
 from sddlab import run
 from sddlab.cli import _resolve_initial, main
 from sddlab.config import load_config
@@ -300,3 +304,39 @@ class TestUsageAndErrors:
         text = "[initial]\npreset = equilibrium_perturbation\neq_index = 5\n[time]\nt_end = 1\n[grid]\nnx = 5\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+IMPORTS_DURING_MAIN = """
+import contextlib, io, json, sys
+import sddlab.cli
+loaded = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for command in ("simulate", "certify"):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sddlab.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    loaded[command] = [code, sorted(set(sys.modules) - before)]
+print(json.dumps(loaded))
+"""
+
+
+def test_the_cli_loads_no_scipy_and_main_imports_nothing_heavy(tmp_path):
+    """``import sddlab.cli`` pulls in no scipy module, and ``main`` itself
+    imports no module but the ``locale`` that argparse's gettext loads, so
+    no lazy import moves into the timed run.  A fresh process, because this
+    one's ``sys.modules`` holds whatever other tests imported."""
+    cfg = write_cfg(tmp_path, JUMP_CONFIG)
+    src = str(Path(sddlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTS_DURING_MAIN, str(cfg), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("scipy") == []
+    for command, (code, modules) in loaded.items():
+        assert code == 0, command
+        assert set(modules) <= {"locale", "_locale"}, command

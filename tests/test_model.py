@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from sddlab import IncidenceFn, ModelParams, incidence_mu
 from sddlab.model import incidence_dT, incidence_values
 from sddlab.model import (
+    _nnls2,
     check_hf1,
     check_hf1_plus,
     check_hf3,
@@ -194,6 +198,70 @@ class TestHf4:
         assert verdict.holds and verdict.info["branch_b"] is True
         assert verdict.info["C1"] >= 0.0 and verdict.info["C2"] >= 0.0
         assert verdict == check_hf4_loop(f, 1.0, box, 3)
+
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_a_1e300_reciprocal_row_leaves_c1_exact(self, n):
+        # 1/f = 2/T exactly; the row at T = 1e-300 must be matched by C2
+        # alone, not spread into C1 (scipy's nnls gave C1 = 0.3 at n = 3)
+        verdict = check_hf4(IncidenceFn("saturated", k=1.0, k2=1.0), 1.0, ((1e-300, 10.0), (0.0, 10.0)), n)
+        assert verdict.info["branch_b"] is True
+        assert verdict.info["C1"] == pytest.approx(0.0, abs=1e-12)
+        assert verdict.info["C2"] == pytest.approx(2.0, rel=1e-12)
+
+
+@st.composite
+def reciprocal_fits(draw):
+    """Branch B's fit [1, 1/T] x ~ y on the T samples of a box, some boxes
+    starting at T = 1e-300 (1/T = 1e300), with y = C1 + C2/T plus noise; C1
+    and C2 are drawn of either sign or zero, so each KKT case is the answer.
+    No subnormal draws: scipy's nnls takes an all-5e-324 y for zero."""
+    n = draw(st.integers(3, 60))
+    t0 = draw(st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 10.0))
+    T = np.linspace(t0, t0 + draw(st.floats(0.5, 200.0)), n)
+    T = T[T >= 1e-300]  # check_hf4 leaves out a T whose 1/T overflows
+    c1, c2 = (draw(st.just(0.0) | st.floats(-2.0, 2.0, allow_subnormal=False)) for _ in range(2))
+    y = c1 + c2 / T
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0])) * float(np.max(np.abs(y)))
+    u = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=T.size, max_size=T.size))
+    y = y + noise * np.array(u)
+    return np.column_stack([np.ones_like(T), 1.0 / T]), y
+
+
+class TestNnls2:
+    """Branch B's closed-form fit against ``scipy.optimize.nnls``."""
+
+    @settings(max_examples=200)
+    @given(problem=reciprocal_fits())
+    def test_agrees_with_scipy(self, problem):
+        A, y = problem
+        x, (x_ref, _) = _nnls2(A, y), nnls(A, y)
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+
+        def residual(z):
+            return math.hypot(*(A @ z - y))  # no overflow with a 1e300 row
+
+        # residuals a few roundings of the data apart are a tie: with a 1e300
+        # row the float grain of C2 alone moves the residual by ~eps |y|
+        assert residual(x) <= residual(x_ref) * (1.0 + 1e-12) + 64.0 * np.finfo(float).eps * math.hypot(*y)
+        scale = np.max(np.abs(y)) / np.max(np.abs(A), axis=0)  # |y| per unit of each column
+        diff = np.abs(x - x_ref)
+        assert np.all((diff <= 1e-9 * np.abs(x_ref)) | (diff <= 1e-12 * scale))
+
+    @pytest.mark.parametrize(
+        "c1, c2, support",
+        [
+            (1.0, 2.0, (True, True)),
+            (3.0, -0.5, (True, False)),
+            (-0.5, 3.0, (False, True)),
+            (-1.0, -1.0, (False, False)),
+        ],
+    )
+    def test_each_kkt_case(self, c1, c2, support):
+        T = np.linspace(1.0, 10.0, 12)
+        A, y = np.column_stack([np.ones_like(T), 1.0 / T]), c1 + c2 / T
+        x = _nnls2(A, y)
+        assert tuple(bool(v) for v in x > 0.0) == support
+        np.testing.assert_allclose(x, nnls(A, y)[0], rtol=1e-9, atol=1e-12)
 
 
 def kinked_at(c):
