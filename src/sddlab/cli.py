@@ -43,6 +43,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _line_template(floats: int) -> str:
+    """%-template of a CSV line: ``floats`` columns as ``_fmt`` writes them, then a 0/1 flag."""
+    return ",".join(["%.17g"] * floats) + ",%d\n"
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -98,11 +103,8 @@ def cmd_equilibria(cfg: RunConfig, out: Path) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     t_start = time.perf_counter()
-    header = ["t"]
     probes = _probe_indices(cfg.grid.nx, cfg.output.probe_nodes)
-    for i in probes:
-        header += [f"T_n{i}", f"Tstar_n{i}", f"V_n{i}"]
-    header += ["eta", "eta_rate", "box_violation"]
+    header = ["t", *(f"{c}_n{i}" for i in probes for c in ("T", "Tstar", "V")), "eta", "eta_rate", "box_violation"]
 
     initial = _resolve_initial(cfg)
     stream = RunStream(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
@@ -110,19 +112,17 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     t_prev = eta_prev = None
     eta_min, eta_max, max_rate = math.inf, -math.inf, 0.0
     comp_min = np.full(3, math.inf)
+    line = _line_template(len(header) - 1)
+    columns = (np.array(probes)[:, None] + cfg.grid.nx * np.arange(3)).ravel()  # T, T_star, V per probe, in a flat row
     with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for s in stream:
             rate = 0.0 if t_prev is None else (s.eta - eta_prev) / (s.t - t_prev)
-            line = [_fmt(s.t)]
-            for i in probes:
-                line += [_fmt(x) for x in s.row[:, i]]
-            line += [_fmt(s.eta), _fmt(rate), "1" if s.lower + s.upper > 0 else "0"]
-            fh.write(",".join(line) + "\n")
+            fh.write(line % (s.t, *s.row.take(columns).tolist(), s.eta, rate, s.lower + s.upper > 0))
             samples, lower, upper = samples + 1, lower + s.lower, upper + s.upper
             t_prev, eta_prev = s.t, s.eta
             eta_min, eta_max, max_rate = min(eta_min, s.eta), max(eta_max, s.eta), max(max_rate, abs(rate))
-            np.minimum(comp_min, s.row.min(axis=1), out=comp_min)
+            np.minimum(comp_min, s.extremes[0], out=comp_min)
             last = s.row
 
     wall = time.perf_counter() - t_start

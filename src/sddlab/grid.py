@@ -67,8 +67,8 @@ def laplacian_neumann(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     mid += flat[:-2]
     mid += flat[2:]
     mid /= dx2
-    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / dx2
-    out[..., -1] = 2.0 * (u[..., -2] - u[..., -1]) / dx2
+    n = u.shape[-1] - 1  # both ends of each row at once; with nx = 3, u[1] is the inner node of both
+    out[..., ::n] = 2.0 * (u[..., 1 : n : max(n - 2, 1)] - u[..., ::n]) / dx2
     return out
 
 

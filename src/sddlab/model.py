@@ -88,6 +88,7 @@ class ModelParams:
             raise ValueError(f"omega: must be nonnegative, got {self.omega}")
         if len(self.diff) != 3 or any(di < 0.0 for di in self.diff):
             raise ValueError(f"diff: need three nonnegative coefficients, got {self.diff}")
+        object.__setattr__(self, "diff_column", np.array(self.diff, dtype=float)[:, None])  # scales (..., 3, nx) rows
 
 
 @dataclass(frozen=True)
@@ -447,8 +448,8 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
         coef = _nnls2(A, y)
         c1f, c2f = float(coef[0]), float(coef[1])
         slack = y - (c1f + c2f / Tb)
-        tol = 1e-9 * float(np.max(np.abs(y)))
-        info.update({"branch_b": bool(np.all(slack >= -tol)), "C1": c1f, "C2": c2f})
+        # each sample's own scale: one 1/f near 1e300 must not forgive the others
+        info.update({"branch_b": bool(np.all(slack >= -1e-9 * np.abs(y))), "C1": c1f, "C2": c2f})
 
     if info["branch_a"]:
         return Verdict(HOLDS, note="smooth in T (branch A)", info=info)

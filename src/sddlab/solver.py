@@ -6,7 +6,7 @@ step start, and the delayed field is read there by linear interpolation of
 the history.  The method is first order; a higher-order stepper would need
 a continuous extension of the history, not just more stages on a frozen
 delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
-Equations, 2003).
+Equations, 2003).  A component with d_i == 0 gets no diffusion term at all.
 
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
@@ -34,9 +34,11 @@ Every run monitors the invariant-box bounds
     0 <= V  <= N lam mu e^{-omega h} / (d c),
 
 (upper bounds only when f admits the linear-bound constant mu) and counts
-excursions beyond ``invariance_tol``.  Negative clipping is off by default:
-the exact dynamics preserve positivity, so violations indicate step-size
-trouble and are surfaced rather than silently fixed.
+excursions beyond ``invariance_tol``.  One pass reduces each new row to its
+per-component min and max, which tell whether a member is finite; a side is
+counted entry by entry only when they leave the box.  Negative clipping is
+off by default: the exact dynamics preserve positivity, so violations
+indicate step-size trouble and are surfaced rather than silently fixed.
 """
 
 from __future__ import annotations
@@ -281,11 +283,13 @@ def rhs(
     )
     np.subtract(params.burst_n * params.delta * T_star, params.c * V, out=out[..., 2, :])
     if any(params.diff):
-        diff = np.array(params.diff)[:, None]
         lap = laplacian_neumann(grid, state)
-        lap *= diff
-        # a component with d_i == 0 is left alone: + 0 * lap would turn -0.0 into +0.0
-        np.add(out, lap, out=out, where=diff != 0.0)
+        lap *= params.diff_column
+        if all(params.diff):
+            out += lap
+        else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan
+            for i in [i for i, d in enumerate(params.diff) if d]:
+                out[..., i, :] += lap[..., i, :]
     return out
 
 
@@ -300,12 +304,12 @@ def step(
     frozen: np.ndarray | None = None,
 ):
     """Advance one explicit Euler step; the lag is taken at the step start.
-    Returns (eta, clipped, finite), one value per member with a member axis.
+    Returns eta, clipped and finite (per member with a member axis) and the committed row's ``_extremes``.
 
     The new row is written straight into the segment's next row.  A member
-    whose new row is nonfinite, or that is ``frozen``, keeps its last good
-    row; the row is committed unless every member kept its old one, so a
-    blow-up leaves a one-run segment at the last good state.
+    whose new row is nonfinite (by its extremes), or that is ``frozen``,
+    keeps its last good row; the row is committed unless every member kept
+    its old one, so a blow-up leaves a one-run segment at the last good state.
     """
     dt_step = cfg.dt if dt is None else dt
     # (*members, 3, nx); taken first, because it may slide the store under
@@ -320,15 +324,17 @@ def step(
         np.add(u, np.multiply(dt_step, rhs(u, delayed, params, f, grid), out=row), out=row)
     clipped = 0
     if cfg.clip_negative:
-        clipped = _count(row < 0.0)
+        clipped = np.count_nonzero(row < 0.0, axis=(-2, -1))
         np.maximum(row, 0.0, out=row)
-    finite = np.isfinite(row).all(axis=(-2, -1))
+    extremes = _extremes(row)
+    finite = np.isfinite(extremes).all(axis=(0, -1))
     keep = ~finite if frozen is None else ~finite | frozen
-    if not keep.all():
-        if keep.any():
+    if (kept := np.count_nonzero(keep)) < keep.size:
+        if kept:
             row[keep] = u[keep]
+            extremes = _extremes(row)
         seg.push(seg.t_now + dt_step)
-    return lag, clipped, finite
+    return lag, clipped, finite, extremes
 
 
 @dataclass
@@ -380,29 +386,31 @@ def _upper_limits(bounds, tol: float) -> np.ndarray | None:
     return None if bounds is None else np.array(bounds)[:, None] + tol
 
 
-def _violations(row: np.ndarray, limits: np.ndarray | None, tol: float):
-    """Box excursions of a (*members, 3, nx) row, below 0 and above the
-    limits: two ints, or two lists of one int per member."""
-    lower = _count(row < -tol)
-    upper = 0 * lower if limits is None else _count(row > limits)
-    return lower.tolist(), upper.tolist()
+def _extremes(row: np.ndarray) -> np.ndarray:
+    """Per-component (min, max) of a (*members, 3, nx) row, as (2, *members, 3); NaN propagates."""
+    return np.array((np.minimum.reduce(row, axis=-1), np.maximum.reduce(row, axis=-1)))
 
 
-def _count(mask: np.ndarray):
-    """True entries of a (*members, 3, nx) mask, per member."""
-    return np.count_nonzero(mask) if mask.ndim == 2 else mask.sum(axis=(-2, -1))
+def _violations(row: np.ndarray, extremes: np.ndarray, limits: np.ndarray | None, tol: float):
+    """Box excursions of a (*members, 3, nx) row, below 0 and above the limits: two ints, or two
+    lists of one int per member; a side that the row's ``_extremes`` keep inside counts 0 at once."""
+    none = 0 if row.ndim == 2 else [0] * len(row)
+    lower = none if (extremes[0] >= -tol).all() else np.count_nonzero(row < -tol, axis=(-2, -1)).tolist()
+    inside = limits is None or (extremes[1] <= limits[:, 0]).all()
+    return lower, none if inside else np.count_nonzero(row > limits, axis=(-2, -1)).tolist()
 
 
 class Sample(NamedTuple):
     """One committed sample: its time, its (*members, 3, nx) row, the lag
-    eta the step leaving it used, and its lower/upper box excursion counts,
-    each per member with a member axis."""
+    eta the step leaving it used, its lower/upper box excursion counts,
+    each per member with a member axis, and the row's ``_extremes``."""
 
     t: float
     row: np.ndarray
     eta: float | np.ndarray
     lower: int | list[int]
     upper: int | list[int]
+    extremes: np.ndarray
 
 
 class RunStream:
@@ -471,7 +479,8 @@ class RunStream:
         t0 = seg.t_now
         t_final = t0 + cfg.t_end
         limits = _upper_limits(self.bounds, tol)
-        counts = _violations(seg.fields[-1], limits, tol)
+        extremes = _extremes(seg.fields[-1])
+        box = (*_violations(seg.fields[-1], extremes, limits, tol), extremes)
         ji = 0
         t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
         while seg.t_now < t_final - t_slack:
@@ -485,7 +494,7 @@ class RunStream:
             dt_step = min(cfg.dt, t_final - t)
             if ji < len(jumps):
                 dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-            eta, clipped, finite = step(seg, params, f, df, cfg, grid, dt=dt_step, frozen=self._aborted)
+            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt=dt_step, frozen=self._aborted)
             if cfg.clip_negative:
                 self._clips += clipped * ~self._aborted
             if not finite.all():
@@ -495,11 +504,11 @@ class RunStream:
                 for m in np.flatnonzero(new).tolist():
                     log.error("solver abort: nonfinite state after t=%.6g%s", t, f" (member {m})" if seg.members else "")
                 if self._aborted.all():
-                    yield Sample(t, seg.fields[-1], eta, *counts)
+                    yield Sample(t, seg.fields[-1], eta, *box)
                     return
-            yield Sample(t, seg.fields[-2], eta, *counts)
-            counts = _violations(seg.fields[-1], limits, tol)
-        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), *counts)
+            yield Sample(t, seg.fields[-2], eta, *box)
+            box = (*_violations(seg.fields[-1], extremes, limits, tol), extremes)
+        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), *box)
 
 
 def run(

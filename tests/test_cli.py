@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import sddlab
 from sddlab import run
-from sddlab.cli import _resolve_initial, main
+from sddlab.cli import _fmt, _line_template, _resolve_initial, main
 from sddlab.config import load_config
 
 BILINEAR = Path("configs/bilinear_reference.ini").resolve()
@@ -134,6 +135,12 @@ class TestSimulateCommand:
         for out in (out1, out2):
             assert main(["simulate", "--config", str(BILINEAR), "--out", str(out)]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    def test_line_template_writes_what_fmt_writes(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1, -2.5, np.float64(0.4)]
+        for flag in (False, True):
+            joined = ",".join([_fmt(x) for x in values] + ["1" if flag else "0"]) + "\n"
+            assert _line_template(len(values)) % (*values, flag) == joined
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         out = tmp_path / "out"

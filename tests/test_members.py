@@ -251,7 +251,7 @@ class TestAbortedMembers:
         seg = HistorySegment.from_profile(0.5, 0.1, 0.0, lambda t: np.full((2, 3, 3), [[50.0], [10.0], [10.0]]) + t)
         before = seg.fields[-1].copy()
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5)
-        _, _, finite = step(seg, params, IncidenceFn("saturated", k=0.1, k2=0.1), constant_delay(0.5, 0.2),
+        _, _, finite, _ = step(seg, params, IncidenceFn("saturated", k=0.1, k2=0.1), constant_delay(0.5, 0.2),
                             SolverConfig(dt=0.1, t_end=1.0), grid, frozen=np.array([True, False]))
         assert finite.all() and seg.t_now == pytest.approx(0.1)
         assert bits(seg.fields[-1, 0]) == bits(before[0])

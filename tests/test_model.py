@@ -208,6 +208,17 @@ class TestHf4:
         assert verdict.info["C1"] == pytest.approx(0.0, abs=1e-12)
         assert verdict.info["C2"] == pytest.approx(2.0, rel=1e-12)
 
+    def test_a_1e300_reciprocal_row_forgives_no_other_sample(self):
+        # the fit C1 = 0, C2 = 2 matches the T = 1e-300 row, but at T = 0.5
+        # 1/f = 3.2 < C2/T = 4; a tolerance scaled by max|1/f| (1e300) let that pass
+        def f(T, V):
+            return T * V / (1.0 + V) * (1.0 + 0.5 * np.sin(T))
+
+        box = ((1e-300, 10.0), (0.0, 10.0))
+        verdict = check_hf4(f, 1.0, box, 21)
+        assert verdict.info["branch_b"] is False
+        assert verdict == check_hf4_loop(f, 1.0, box, 21)
+
 
 @st.composite
 def reciprocal_fits(draw):

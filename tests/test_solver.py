@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddlab import (
@@ -27,10 +27,10 @@ from sddlab import (
     step,
     uniform_state,
 )
-from sddlab.model import incidence_values
-from sddlab.solver import InitialData, RunStream, apply_jump, validate_schedule
+from sddlab.model import KINDS, incidence_values
+from sddlab.solver import InitialData, RunStream, _extremes, _upper_limits, _violations, apply_jump, validate_schedule
 
-from .oracles import fixed_lag_euler, saturated_closed_form
+from .oracles import fixed_lag_euler, rhs_ref, saturated_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,106 @@ class TestRhs:
         assert np.all(out[2, 2] == -np.inf)
 
 
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+def draw_rows(draw, shape, entries):
+    return np.array(draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+
+@st.composite
+def rhs_inputs(draw):
+    """rhs arguments: rows with and without a member axis, some entries -0.0,
+    +-inf or NaN, and each d_i zero or not (all, some or none diffusing)."""
+    nx = draw(st.integers(3, 7))
+    shape = (*draw(st.sampled_from([(), (1,), (3,)])), 3, nx)
+    state, delayed = (draw_rows(draw, shape, st.floats(-100.0, 100.0) | SPECIAL) for _ in range(2))
+    diff = tuple(draw(st.sampled_from([0.0, 1e-3, 0.25])) for _ in range(3))
+    params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.3, h_max=1.0, diff=diff)
+    f = IncidenceFn(draw(st.sampled_from(KINDS)), k=0.1, k1=0.05, k2=0.1)
+    return state, delayed, params, f, Grid1D(0.0, 1.0, nx)
+
+
+class TestRhsOracle:
+    @settings(max_examples=200)
+    @given(case=rhs_inputs())
+    def test_bitwise_equal_to_the_oracle(self, case):
+        # a NaN's sign is not compared: NaN + NaN keeps either operand's, and
+        # numpy's masked add even picks differently within one call
+        with np.errstate(all="ignore"):
+            got, want = rhs(*case), rhs_ref(*case)
+        assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+    def test_run_rows_match_a_loop_over_the_oracle(self):
+        # d2 == 0 next to diffusing T and V; T_star starts at -0.0 wherever the
+        # narrow bump underflows to 0 (-0.0 + -1e-3 * 0.0)
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(2e-3, 0.0, 4e-3))
+        f, grid, dt = IncidenceFn("saturated", k=0.1, k2=0.1), Grid1D(0.0, 1.0, 21), 0.01
+        initial = InitialData(preset="gaussian_bump", values=(50.0, -0.0, 10.0), bump_amp=(5.0, -1e-3, 1.0), bump_width=0.01)
+        traj = run(initial, params, f, constant_delay(0.5, 0.2), SolverConfig(dt=dt, t_end=300 * dt), grid)
+        assert len(traj) == 301 and not traj.aborted
+        assert np.signbit(traj.fields[0, 1]).any() and (traj.fields[0, 1] == 0.0).any()
+        rows = [traj.fields[0]]  # the initial segment is this row at every time up to 0
+        for k in range(300):
+            rows.append(rows[k] + dt * rhs_ref(rows[k], rows[max(k - 20, 0)], params, f, grid))
+        assert traj.fields.tobytes() == np.array(rows).tobytes()
+
+
+@st.composite
+def box_rows(draw):
+    """(row, limits, tol): a (*members, 3, nx) row whose entries lie exactly at
+    -tol or at their component's limit, one float past either, or inside the
+    box, and up to two per member are NaN, +-inf or -0.0; without bounds,
+    limits is None."""
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    limits = _upper_limits(draw(st.sampled_from([None, (100.0, 200.0, 300.0)])), tol)
+    shape = (*draw(st.sampled_from([(), (1,), (4,)])), 3, draw(st.integers(3, 6)))
+    top = np.full((3, 1), 1e3) if limits is None else limits
+    row = np.empty(shape)
+    for c in range(3):
+        edges = [-tol, np.nextafter(-tol, -1.0), top[c, 0], np.nextafter(top[c, 0], np.inf), 0.0, 1.0]
+        row[..., c, :] = draw_rows(draw, shape[:-2] + shape[-1:], st.sampled_from(edges) | st.floats(-1.0, 400.0))
+    for m in np.ndindex(shape[:-2]):
+        for _ in range(draw(st.integers(0, 2))):
+            row[m + (draw(st.integers(0, 2)), draw(st.integers(0, shape[-1] - 1)))] = draw(SPECIAL)
+    return row, limits, tol
+
+
+class TestBoxPass:
+    @settings(max_examples=100)
+    @given(case=box_rows(), data=st.data())
+    def test_flags_and_counts_match_the_direct_forms(self, case, data):
+        row, limits, tol = case
+
+        def direct(r):
+            upper = 0 * np.count_nonzero(r, axis=(-2, -1)) if limits is None else np.count_nonzero(r > limits, axis=(-2, -1))
+            return np.count_nonzero(r < -tol, axis=(-2, -1)).tolist(), upper.tolist()
+
+        assert _violations(row, _extremes(row), limits, tol) == direct(row)
+        # one step from a segment that holds the row at every time: a member
+        # keeps it when frozen or when its new row is not finite
+        members = row.shape[:-2]
+        frozen = np.array(data.draw(st.lists(st.booleans(), min_size=members[0], max_size=members[0]))) if members else None
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(1e-3, 0.0, 2e-3))
+        f, grid = IncidenceFn("saturated", k=0.1, k2=0.1), Grid1D(0.0, 1.0, row.shape[-1])
+        seg = HistorySegment.from_profile(0.5, 0.1, 0.0, lambda t: row)
+        with np.errstate(all="ignore"):
+            new = row + 0.1 * rhs_ref(row, row, params, f, grid)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, invariance_tol=tol)
+        _, _, finite, extremes = step(seg, params, f, constant_delay(0.5, 0.2), cfg, grid, frozen=frozen)
+        assert np.array_equal(finite, np.isfinite(new).all(axis=(-2, -1)))
+        keep = ~finite if frozen is None else ~finite | frozen
+        if keep.all():
+            assert seg.t_now == 0.0  # nothing committed
+            return
+        committed = np.where(keep[..., None, None], row, new)
+        assert seg.t_now == pytest.approx(0.1) and seg.fields[-1].tobytes() == committed.tobytes()
+        assert np.array_equal(extremes, np.array((committed.min(axis=-1), committed.max(axis=-1))), equal_nan=True)
+        assert _violations(seg.fields[-1], extremes, limits, tol) == direct(committed)
+
+
 class TestStep:
     def test_equilibrium_is_fixed_point(self, ref_params, saturated, grid3, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
@@ -99,7 +199,7 @@ class TestStep:
             0.01,
         )
         for _ in range(20):
-            eta, clipped, finite = step(seg, ref_params, saturated, df, cfg, grid3)
+            eta, clipped, finite, _ = step(seg, ref_params, saturated, df, cfg, grid3)
             assert finite and clipped == 0 and eta == 0.4
             assert max_state_dev(seg.state(-1), eq_state) <= 1e-10
 
@@ -111,7 +211,7 @@ class TestStep:
         initial = InitialData(preset="uniform", values=(0.01, 0.1, 500.0))
         seg = build_initial_segment(initial, grid3, 0.5, 0.1)
         cfg_clip = SolverConfig(dt=0.1, t_end=1.0, clip_negative=True)
-        _, clipped, _ = step(seg, params, f, df, cfg_clip, grid3)
+        _, clipped, _, _ = step(seg, params, f, df, cfg_clip, grid3)
         assert clipped > 0
         assert np.all(seg.state(-1).T >= 0.0)
 
@@ -128,7 +228,7 @@ class TestStep:
         assert (seg._rows.n, len(seg._rows.times), seg._lo) == (8, 8, 3)
         now, lagged = seg.fields[-1].copy(), as_row(state(0.1))
         k = rhs(now, lagged, ref_params, saturated, grid3)
-        eta, _, _ = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
+        eta, _, _, _ = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
         assert seg._rows.n == 6 and eta == 0.25  # slid: 5 live rows + the new one
         assert np.array_equal(seg.fields[-1], now + 0.1 * k)
 
