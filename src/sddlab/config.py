@@ -386,7 +386,8 @@ def load_config(path: str | Path) -> RunConfig:
                     delay = integral_delay(h, xi)
                 else:
                     kappa = None if kappa_name == "uniform" else (lambda th: 2.0 * (1.0 + th / h))
-                    rho = smooth_clamp(h) if rho_name == "smooth" else (lambda s: min(max(s, 0.0), h))
+                    # evaluate_eta clamps every eta into [0, h], so the hard clamp is the identity
+                    rho = smooth_clamp(h) if rho_name == "smooth" else (lambda s: s)
                     delay = wrapped_delay(h, xi, kappa=kappa, rho=rho)
         except ValueError as exc:
             _attach_context(sd, exc)

@@ -15,11 +15,13 @@ and the delay functional
 
 whose output always lies in [0, h].  The constant kind short-circuits the
 quadrature; the integral kind is the special case kappa = 1, rho =
-identity-then-clamp.  A stored row never changes, so each row's xi value is
-computed once and cached beside it, in a float buffer keyed by the xi
-callable: xi must be a pure function of the snapshot it is given, and it
-always receives one member's ``FieldState``.  With a member axis, eta and
-the delayed field are per member, each with the bits of that member alone.
+identity-then-clamp.  The functional works on whole arrays: xi maps rows
+(..., 3, nx) to values (...), kappa takes the array of node offsets theta,
+and rho the array of inner integrals.  A stored row never changes, so each
+row's xi value is computed once and cached beside it, in a float buffer
+keyed by the xi callable: xi must be a pure function of each row it is
+given.  With a member axis, eta and the delayed field are per member, each
+with the bits of that member alone.
 
 When ``push`` finds the buffers full, a store that has never handed out a
 ``view`` slides its live rows (the segment's window, and the older rows a
@@ -56,6 +58,10 @@ __all__ = [
     "window_starts",
 ]
 
+BAND = 0.01  # smooth_clamp's corner half-width, as a fraction of h_max
+
+Reducer = Callable[[np.ndarray], np.ndarray]  # xi: rows (..., 3, nx) -> values (...)
+
 
 @dataclass(frozen=True)
 class FieldState:
@@ -76,14 +82,6 @@ class FieldState:
         """T, T_star, V: a FieldState unpacks like a (3, nx) row."""
         return iter((self.T, self.T_star, self.V))
 
-    @classmethod
-    def of_row(cls, row: np.ndarray) -> "FieldState":
-        """Views of a stored (3, nx) float row, without the checks."""
-        state = object.__new__(cls)
-        for name, field in zip(("T", "T_star", "V"), row):
-            object.__setattr__(state, name, field)
-        return state
-
 
 class _Rows:
     """The stored history: the first n rows of the buffers times (cap,) and
@@ -96,15 +94,9 @@ class _Rows:
 
     def __init__(self, times: np.ndarray, fields: np.ndarray):
         self.times, self.fields, self.n = times, fields, len(times)
-        self.xi: dict[Callable[[FieldState], float], list] = {}  # xi -> [values, count]
+        self.xi: dict[Reducer, list] = {}  # xi -> [values, count]
         self.pinned = False
         self.hold = np.inf
-
-
-def _xi_map(xi: Callable[[FieldState], float], fields: np.ndarray) -> np.ndarray:
-    """xi of each (3, nx) row of a (..., 3, nx) stack, shaped (...)."""
-    flat = fields.reshape((-1,) + fields.shape[-2:])
-    return np.array([xi(FieldState.of_row(row)) for row in flat], dtype=float).reshape(fields.shape[:-2])
 
 
 class HistorySegment:
@@ -292,7 +284,7 @@ class HistorySegment:
         start = (1.0 - w) * fields[j - 1] + w * fields[j]
         return np.concatenate(([t_lo], times[j:hi])), j - lo, start
 
-    def xi_values(self, xi: Callable[[FieldState], float]) -> np.ndarray:
+    def xi_values(self, xi: Reducer) -> np.ndarray:
         """xi of every row of the window, (len, *members), as a view of the
         cache; each stored row is reduced once."""
         rows = self._rows
@@ -301,7 +293,7 @@ class HistorySegment:
             cache = rows.xi[xi] = [np.empty(rows.times.shape + self.members), 0]
         vals, done = cache
         if done < self._hi:
-            vals[done : self._hi] = _xi_map(xi, rows.fields[done : self._hi])
+            vals[done : self._hi] = xi(rows.fields[done : self._hi])
             cache[1] = self._hi
         return vals[self._lo : self._hi]
 
@@ -310,16 +302,18 @@ class HistorySegment:
 class DelayFunctional:
     """eta(u_t) as a tagged family: constant, integral, or wrapped.
 
-    xi reduces a FieldState to a scalar, kappa weights the history window,
-    and rho is a differentiable map of the inner integral into [0, h_max].
+    xi reduces rows (..., 3, nx) to values (...) and must be pure, since its
+    values are cached per row; kappa weights the history window at an array
+    of offsets theta in [-h_max, 0]; rho maps an array of inner integrals,
+    differentiably, into [0, h_max] (``evaluate_eta`` clamps its result).
     """
 
     kind: str
     h_max: float
     eta_const: float = 0.0
-    xi: Callable[[FieldState], float] | None = None
-    kappa: Callable[[float], float] | None = None
-    rho: Callable[[float], float] | None = None
+    xi: Reducer | None = None
+    kappa: Callable[[np.ndarray], np.ndarray] | None = None
+    rho: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "integral", "wrapped"):
@@ -337,51 +331,46 @@ def constant_delay(h_max: float, eta: float) -> DelayFunctional:
     return DelayFunctional("constant", h_max, eta_const=eta)
 
 
-def integral_delay(h_max: float, xi: Callable[[FieldState], float]) -> DelayFunctional:
+def integral_delay(h_max: float, xi: Reducer) -> DelayFunctional:
     """eta = clamp of integral xi(u(t+theta)) dtheta over [-h, 0]."""
     return DelayFunctional("integral", h_max, xi=xi)
 
 
 def wrapped_delay(
     h_max: float,
-    xi: Callable[[FieldState], float],
-    kappa: Callable[[float], float] | None = None,
-    rho: Callable[[float], float] | None = None,
+    xi: Reducer,
+    kappa: Callable[[np.ndarray], np.ndarray] | None = None,
+    rho: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DelayFunctional:
     """General form with weight kappa and differentiable clamp rho."""
     return DelayFunctional("wrapped", h_max, xi=xi, kappa=kappa, rho=rho or smooth_clamp(h_max))
 
 
-def state_mean_reducer(grid: Grid1D, component: str = "V", scale: float = 1.0) -> Callable[[FieldState], float]:
+def state_mean_reducer(grid: Grid1D, component: str = "V", scale: float = 1.0) -> Reducer:
     """xi as the scaled quadrature mean of one field component."""
     if component not in ("T", "T_star", "V"):
         raise ValueError(f"component: must be one of T, T_star, V, got {component!r}")
+    c = ("T", "T_star", "V").index(component)
 
-    def xi(state: FieldState) -> float:
-        return scale * mean_value(grid, getattr(state, component))
+    def xi(rows: np.ndarray) -> np.ndarray:
+        return scale * mean_value(grid, rows[..., c, :])
 
     return xi
 
 
-def smooth_clamp(h_max: float, band: float = 0.01) -> Callable[[float], float]:
-    """C^1 saturating map of the real line onto [0, h_max].
+def smooth_clamp(h_max: float) -> Callable[[np.ndarray], np.ndarray]:
+    """C^1 saturating map of the real line onto [0, h_max], elementwise.
 
     Identity-then-clamp with the two corners replaced by quadratic blends
-    over a band of width 2*band*h_max, so the map stays differentiable as
-    the delay-rate analysis requires.
+    over a band of width 2*BAND*h_max, so the map stays differentiable as
+    the delay-rate analysis requires.  NaN maps to h_max.
     """
-    b = band * h_max
+    b = BAND * h_max
 
-    def rho(s: float) -> float:
-        if s <= -b:
-            return 0.0
-        if s < b:
-            return (s + b) * (s + b) / (4.0 * b)
-        if s <= h_max - b:
-            return s
-        if s < h_max + b:
-            return h_max - (h_max + b - s) * (h_max + b - s) / (4.0 * b)
-        return h_max
+    def rho(s: np.ndarray) -> np.ndarray:
+        c = np.maximum(np.fmin(s, h_max + b), -b)  # s where a blend is taken; NaN goes to h_max + b
+        low = np.where(c < b, (c + b) * (c + b) / (4.0 * b), c)
+        return np.where(c > h_max - b, h_max - (h_max + b - c) * (h_max + b - c) / (4.0 * b), low)
 
     return rho
 
@@ -397,23 +386,19 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
     if df.kind == "constant":
         return np.full(members, df.eta_const) if members else df.eta_const
     t_now = seg.t_now
-    t_start = t_now - seg.h_max
-    nodes, i, start = seg.window(t_start)
+    nodes, i, start = seg.window(t_now - seg.h_max)
     g = seg.xi_values(df.xi)[i:]
     if start is not None:
-        g = np.concatenate((_xi_map(df.xi, start[None]), g))
+        g = np.concatenate(([df.xi(start)], g))
     col = (slice(None),) + (None,) * len(members)  # a node column against (n, *members)
     if df.kappa is not None:
-        g = np.array([df.kappa(t - t_now) for t in nodes.tolist()])[col] * g
+        g = df.kappa(nodes - t_now)[col] * g
     # summed left to right; 0.0 + turns an all -0.0 sum into +0.0, as summing from 0.0 does
-    raw = (0.0 + np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes)[col])[-1]).tolist()
-
-    def finish(r: float) -> float:
-        if df.kind == "wrapped" and df.rho is not None:
-            r = df.rho(r)
-        return min(max(r, 0.0), df.h_max)
-
-    return np.array([finish(r) for r in raw]) if members else finish(raw)
+    raw = 0.0 + np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes)[col])[-1]
+    if df.kind == "wrapped" and df.rho is not None:
+        raw = df.rho(raw)
+    eta = np.minimum(np.maximum(raw, 0.0), df.h_max)  # a -0.0 from rho becomes +0.0
+    return eta if members else float(eta)
 
 
 def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
@@ -425,38 +410,18 @@ def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
         lags = np.asarray(lag, dtype=float)
         if lags.shape:
             least, most = lags.min().item(), lags.max().item()
-            if least != most:
-                return _delayed_rows(seg, lags, least, most)
+            if least != most:  # each member read alone, through the window at its own lag
+                return np.stack([_lagged_row(seg.member(m), one) for m, one in enumerate(lags.tolist())])
             lag = least  # one lag: the members share its row and weights
+    return _lagged_row(seg, lag)
+
+
+def _lagged_row(seg: HistorySegment, lag: float) -> np.ndarray:
+    """The window's (*members, 3, nx) row at t - lag, one float lag for all."""
     if not 0.0 <= lag <= seg.h_max * (1.0 + 1e-12):
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
     _, i, start = seg.window(seg.t_now - lag)
     return seg._rows.fields[seg._lo + i] if start is None else start
-
-
-def _delayed_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: float) -> np.ndarray:
-    """``delayed_state`` for members with lags from least to most: one search
-    over the shared row times, and the window's arithmetic for the members
-    that fall between rows."""
-    if not 0.0 <= least <= most <= seg.h_max * (1.0 + 1e-12):
-        raise ValueError(f"delayed_state: lags {lags} outside [0, {seg.h_max}]")
-    times, fields, lo, hi = seg._rows.times, seg._rows.fields, seg._lo, seg._hi
-    slack = 1e-9 * seg.dt
-    t_now, first, last = times.item(hi - 1), times.item(lo), times.item(hi - 1)
-    if not (first - slack <= t_now - most and t_now - least <= last + slack):
-        raise ValueError(f"history: times {t_now - lags} outside the covered window [{first}, {last}]")
-    t_lo = t_now - lags
-    j = lo + np.searchsorted(times[lo:hi], t_lo - slack)  # the first stored row at or after each
-    t_j = times[j]
-    members = np.arange(len(j))
-    out = fields[j, members]
-    off = t_j > t_lo + slack
-    if off.any():
-        off = slice(None) if off.all() else np.flatnonzero(off)
-        j, t_prev = j[off], times[j[off] - 1]
-        w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[:, None, None]
-        out[off] = (1.0 - w) * fields[j - 1, members[off]] + w * out[off]
-    return out
 
 
 def window_starts(segs: Sequence[HistorySegment], t_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -98,12 +98,13 @@ class SolverConfig:
     invariance_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt: must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end: must be nonnegative, got {self.t_end}")
-        if self.invariance_tol < 0.0:
-            raise ValueError(f"invariance_tol: must be nonnegative, got {self.invariance_tol}")
+        # written so that NaN fails each test
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt: must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end: must be nonnegative and finite, got {self.t_end}")
+        if not 0.0 <= self.invariance_tol < math.inf:
+            raise ValueError(f"invariance_tol: must be nonnegative and finite, got {self.invariance_tol}")
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,25 @@ def snapshot_window_trapezoid(times: list[float], snaps: list[tuple], h: float, 
     return total
 
 
+def smooth_clamp_scalar(h_max: float, band: float = 0.01):
+    """The C^1 clamp onto [0, h_max] one float at a time, as piecewise
+    branches; NaN fails every test and falls through to h_max."""
+    b = band * h_max
+
+    def rho(s: float) -> float:
+        if s <= -b:
+            return 0.0
+        if s < b:
+            return (s + b) * (s + b) / (4.0 * b)
+        if s <= h_max - b:
+            return s
+        if s < h_max + b:
+            return h_max - (h_max + b - s) * (h_max + b - s) / (4.0 * b)
+        return h_max
+
+    return rho
+
+
 def green_identity_residual(
     grid: Grid1D,
     u: np.ndarray,

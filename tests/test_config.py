@@ -36,6 +36,7 @@ class TestDefaults:
             "configs/bilinear_reference.ini",
             "configs/saturated_constant_delay.ini",
             "configs/saturated_integral_delay.ini",
+            "configs/saturated_wrapped_delay.ini",
             "configs/drug_schedule.ini",
         ):
             cfg = load_config(name)
@@ -88,6 +89,17 @@ class TestErrors:
         path = write(tmp_path, "[params]\nlambda 10\n")
         with pytest.raises(ConfigError, match="key = value"):
             load_config(path)
+
+    @pytest.mark.parametrize("key", ["dt", "t_end", "invariance_tol"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_time_value_rejected_with_its_line(self, tmp_path, key, value):
+        # an infinite t_end ran simulate until killed; a NaN invariance_tol read every box count as 0
+        path = write(tmp_path, f"[params]\nd1 = 0.001\n\n[time]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        (msg,) = info.value.errors
+        assert msg.startswith(f"line 5: [time] {key}:")
+        assert "finite" in msg and value in msg
 
     def test_bad_enum_value(self, tmp_path):
         path = write(tmp_path, "[incidence]\nkind = saturatd\n")

@@ -1,9 +1,10 @@
 """Fresh CLI output against golden files of the shipped configs.
 
 ``tests/golden/<config>/`` holds ``equilibria.csv``, ``trajectory.csv``
-and ``certify.csv`` for every ``configs/*.ini``; the two saturated
-``certify.csv`` cover the Lyapunov tail under a constant and an integral
-delay.  The trajectory goldens keep every 100th sample row plus the last one; the
+and ``certify.csv`` for every ``configs/*.ini``; the three saturated
+``certify.csv`` cover the Lyapunov tail under a constant, an integral and a
+wrapped delay (the last one weights its window by ``kappa`` and passes it
+through ``rho``).  The trajectory goldens keep every 100th sample row plus the last one; the
 fresh output is thinned the same way before comparing.  Numbers must agree
 to rel 1e-9 / abs 1e-12, text columns (``kind``, ``verdict``) exactly.  A
 change that moves an output beyond this tolerance re-records the goldens
@@ -40,7 +41,13 @@ ABS_TOL = 1e-12
 TEXT_COLUMNS = {"kind", "verdict", "direction", "valid"}
 TRAJECTORY_STRIDE = 100
 
-CONFIG_NAMES = ("bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay")
+CONFIG_NAMES = (
+    "bilinear_reference",
+    "drug_schedule",
+    "saturated_constant_delay",
+    "saturated_integral_delay",
+    "saturated_wrapped_delay",
+)
 COMMANDS = (("equilibria", "equilibria.csv"), ("simulate", "trajectory.csv"), ("certify", "certify.csv"))
 CASES = [(config, command, csv_name) for config in CONFIG_NAMES for command, csv_name in COMMANDS]
 

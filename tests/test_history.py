@@ -14,9 +14,10 @@ from sddlab import (
     state_mean_reducer,
     wrapped_delay,
 )
-from sddlab.history import smooth_clamp
+from sddlab.config import load_config
+from sddlab.history import BAND, smooth_clamp
 
-from .oracles import fine_trapezoid, snapshot_interp, snapshot_window_trapezoid
+from .oracles import fine_trapezoid, smooth_clamp_scalar, snapshot_interp, snapshot_window_trapezoid
 
 
 def const_state(grid, t_val, ts_val, v_val):
@@ -88,7 +89,7 @@ class TestEvaluateEta:
 
     def test_wrapped_rho_hand_value(self, small_grid):
         # xi = 1 so the inner integral over [-1, 0] is 1; rho(s) = h s/(1+s)
-        df = wrapped_delay(1.0, xi=lambda s: 1.0, rho=lambda s: 1.0 * s / (1.0 + s))
+        df = wrapped_delay(1.0, xi=lambda rows: np.ones(rows.shape[:-2]), rho=lambda s: 1.0 * s / (1.0 + s))
         seg = segment_with_v(small_grid, lambda t: 3.0)
         assert evaluate_eta(df, seg) == pytest.approx(0.5, rel=1e-12)
 
@@ -116,6 +117,32 @@ class TestEvaluateEta:
         eta = evaluate_eta(df, seg)
         ref = fine_trapezoid(lambda th: a * v_of_t(th), -h, 0.0, round(10 * h / dt))
         assert eta == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("members", [(), (3,)])
+    def test_negative_zero_eta_is_positive_zero(self, small_grid, members):
+        # np.maximum(-0.0, 0.0) is +0.0, where Python's max(-0.0, 0.0) kept -0.0
+        seg = HistorySegment.from_profile(1.0, 0.1, 0.0, lambda t: np.ones(members + (3, small_grid.nx)))
+        minus_zero_xi = lambda rows: np.full(rows.shape[:-2], -0.0)  # noqa: E731
+        for df in (
+            integral_delay(1.0, minus_zero_xi),
+            wrapped_delay(1.0, state_mean_reducer(small_grid, "V"), rho=lambda s: -0.0 * np.abs(s)),
+        ):
+            eta = evaluate_eta(df, seg)
+            assert np.shape(eta) == members
+            assert np.all(eta == 0.0) and not np.signbit(eta).any()
+
+    @pytest.mark.parametrize("xi_scale", [-0.05, 0.0, 0.01, 0.03, 0.2])
+    def test_config_clamp_rho_gives_the_scalar_clamps_bits(self, tmp_path, small_grid, xi_scale):
+        # the raw integral lands below 0, inside [0, h] and above h across the scales
+        path = tmp_path / "run.ini"
+        path.write_text(f"[grid]\nnx = 5\n[delay]\nkind = wrapped\nkappa = recency\nrho = clamp\nxi_scale = {xi_scale}\n")
+        df = load_config(path).delay
+        h = df.h_max
+        scalar = wrapped_delay(h, df.xi, kappa=df.kappa, rho=lambda s: min(max(s, 0.0), h))
+        for t_now in (0.0, 0.37, 2.5):
+            seg = segment_with_v(small_grid, lambda t: 8.0 + 3.0 * np.sin(4.0 * t), dt=0.03, t_now=t_now)
+            eta = evaluate_eta(df, seg)
+            assert np.float64(eta).tobytes() == np.float64(evaluate_eta(scalar, seg)).tobytes()
 
 
 class TestDelayedState:
@@ -190,12 +217,24 @@ class TestSmoothClamp:
         assert rho(0.5) == 0.5
 
     def test_c1_at_corners(self):
-        rho = smooth_clamp(1.0, band=0.01)
+        rho = smooth_clamp(1.0)
         eps = 1e-7
         for corner in (0.01, 0.99):  # band edges
             left = (rho(corner) - rho(corner - eps)) / eps
             right = (rho(corner + eps) - rho(corner)) / eps
             assert left == pytest.approx(right, abs=1e-4)
+
+    @given(h=st.floats(1e-6, 1e6), free=st.lists(st.floats(), max_size=8))
+    def test_array_form_equals_the_scalar_branches_bitwise(self, h, free):
+        b = BAND * h
+        edges = np.array([-b, b, h - b, h + b])  # each band edge, and one float either side of it
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        s = np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), specials, free))
+        want = np.array([smooth_clamp_scalar(h)(x) for x in s.tolist()])
+        got = smooth_clamp(h)(s)
+        assert got.shape == s.shape and got.tobytes() == want.tobytes()
+        for x, w in zip(s.tolist(), want.tolist()):  # and one float at a time, as a solo run's evaluate_eta passes it
+            assert np.float64(smooth_clamp(h)(x)).tobytes() == np.float64(w).tobytes()
 
 
 @st.composite
@@ -230,7 +269,7 @@ def pushed_histories(draw):
 def oracle_eta(seg, times, snaps, xi, kappa=None):
     def g(theta, snap):
         w = kappa(theta) if kappa is not None else 1.0
-        return w * xi(FieldState(*snap))
+        return w * xi(np.array(snap))
 
     raw = snapshot_window_trapezoid(times, snaps, seg.h_max, seg.dt, g)
     return min(max(raw, 0.0), seg.h_max)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import sddlab.lyapunov as lyapunov
 from sddlab import (
     Equilibrium,
-    FieldState,
     Grid1D,
     HistorySegment,
     IncidenceFn,
@@ -98,7 +97,14 @@ def assert_monitored_as_solo(members, monitored, eq, cfg, solver, schedule=(), s
 
 class TestCertifyMembers:
     @pytest.mark.parametrize(
-        "config", ["bilinear_reference", "drug_schedule", "saturated_constant_delay", "saturated_integral_delay"]
+        "config",
+        [
+            "bilinear_reference",
+            "drug_schedule",
+            "saturated_constant_delay",
+            "saturated_integral_delay",
+            "saturated_wrapped_delay",
+        ],
     )
     def test_each_member_equals_its_solo_run(self, monkeypatch, config):
         cfg = load_config(CONFIGS / f"{config}.ini")
@@ -322,17 +328,28 @@ class TestMemberQueries:
             got = evaluate_eta(df, seg)
             assert bits(got) == bits([evaluate_eta(df, one) for one in solo])
 
-    def test_xi_receives_one_members_field_state(self):
+    def test_xi_reduces_each_stored_row_once_as_member_stacks(self):
         grid = Grid1D(0, 1, 4)
-        seen = []
+        seen, stored = [], []
 
-        def xi(state):
-            seen.append(state)
-            return float(state.V[0])
+        def xi(rows):
+            seen.append(rows.copy())
+            return rows[..., 2, 0] + rows[..., 0, 3]
 
-        seg = HistorySegment.from_profile(0.2, 0.1, 0.0, lambda t: np.arange(24.0).reshape(2, 3, 4) + t)
-        assert evaluate_eta(integral_delay(0.2, xi), seg).shape == (2,)
-        assert all(isinstance(s, FieldState) and s.V.shape == (4,) for s in seen)
-        assert len(seen) == 2 * len(seg)
+        def row(t):
+            stored.append(np.arange(24.0).reshape(2, 3, 4) * (1.0 + t))
+            return stored[-1]
+
+        # h = 2 dt: every window starts on a stored row, so xi sees only stored rows
+        seg = HistorySegment.from_profile(0.2, 0.1, 0.0, row)
+        df = integral_delay(0.2, xi)
+        for k in range(1, 5):
+            assert evaluate_eta(df, seg).shape == (2,)
+            assert evaluate_eta(df, seg).shape == (2,)  # the cache answers a second call
+            seg.next_row()[...] = row(0.1 * k)
+            seg.push(0.1 * k)
+        assert [rows.shape for rows in seen] == [(3, 2, 3, 4)] + [(1, 2, 3, 4)] * 3
+        assert bits(np.concatenate(seen)) == bits(stored[:-1])
         cached = seg.xi_values(xi)
         assert cached.shape == (len(seg), 2) and np.shares_memory(cached, seg.xi_values(xi))
+        assert bits(cached) == bits(xi(seg.fields))
