@@ -13,6 +13,7 @@ Sections: [params] [incidence] [delay] [grid] [time] [initial] [schedule]
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from difflib import get_close_matches
@@ -296,11 +297,11 @@ class _Section:
 
 
 def _attach_context(section: _Section, exc: ValueError) -> None:
-    """Map a dataclass invariant message back to the offending config line."""
-    message = str(exc)
-    fld = message.split(":", 1)[0].strip()
-    key = _FIELD_TO_KEY.get(fld, fld)
-    section._fail(key, section.line_of(key), message)
+    """Map a dataclass invariant message ``field: problem`` back to the
+    offending config line, reported under its config key."""
+    fld, _, problem = str(exc).partition(":")
+    key = _FIELD_TO_KEY.get(fld.strip(), fld.strip())
+    section._fail(key, section.line_of(key), problem.strip())
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -437,7 +438,7 @@ def load_config(path: str | Path) -> RunConfig:
         try:
             validate_schedule(schedule, solver.t_end, params)
         except ValueError as exc:
-            ss._fail("schedule", None, str(exc))
+            _attach_context(ss, exc)
     if params is not None and grid is not None and solver is not None:
         # explicit Euler on the diffusion stencil needs dt <= dx^2/(2 max d_i)
         # for the initial coefficients and for every scheduled value
@@ -471,8 +472,18 @@ def load_config(path: str | Path) -> RunConfig:
         so._fail("monitor_stride", so.line_of("monitor_stride"), f"must be at least 1, got {output.monitor_stride}")
     if output.seed < 0 or output.seed >= 2**64:
         so._fail("seed", so.line_of("seed"), f"must fit an unsigned 64-bit integer, got {output.seed}")
-    if any(e <= 0.0 for e in output.eps_fractions):
-        so._fail("eps_fractions", so.line_of("eps_fractions"), "all entries must be positive")
+    # written so that NaN fails each test
+    bad = [e for e in output.eps_fractions if not 0.0 < e < math.inf]
+    if bad:
+        so._fail("eps_fractions", so.line_of("eps_fractions"), f"entry {bad[0]} must be positive and finite")
+    if output.warmup is not None and not 0.0 <= output.warmup < math.inf:
+        so._fail("warmup", so.line_of("warmup"), f"must be nonnegative and finite, got {output.warmup}")
+    if not -math.inf < output.tol_decrease < math.inf:
+        so._fail("tol_decrease", so.line_of("tol_decrease"), f"must be finite, got {output.tol_decrease}")
+    for key in ("hyp_box_t", "hyp_box_v"):
+        box = getattr(output, key)
+        if box is not None and not 0.0 < box < math.inf:
+            so._fail(key, so.line_of(key), f"must be positive and finite, got {box}")
     if output.hyp_density < 2:
         so._fail("hyp_density", so.line_of("hyp_density"), f"must be at least 2, got {output.hyp_density}")
 

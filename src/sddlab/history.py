@@ -21,7 +21,10 @@ and rho the array of inner integrals.  A stored row never changes, so each
 row's xi value is computed once and cached beside it, in a float buffer
 keyed by the xi callable: xi must be a pure function of each row it is
 given.  With a member axis, eta and the delayed field are per member, each
-with the bits of that member alone.
+with the bits of that member alone: the members share their row times, so
+one search over them finds every member's delayed row, one gather reads
+those rows and one expression interpolates the members that fall between
+rows.
 
 When ``push`` finds the buffers full, a store that has never handed out a
 ``view`` slides its live rows (the segment's window, and the older rows a
@@ -405,13 +408,15 @@ def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     """The (3, nx) fields T, T_star, V at time t - lag; on a stored row, a
     view of that row.  With a member axis, ``lag`` holds one lag per member
     (or one for all) and the result is (B, 3, nx), each member read as it
-    would be alone."""
+    would be alone: distinct lags take one search over the shared row times,
+    one gather of every member's row at or after its time, and one
+    interpolation of the members whose time falls between rows."""
     if seg.members:
         lags = np.asarray(lag, dtype=float)
         if lags.shape:
             least, most = lags.min().item(), lags.max().item()
-            if least != most:  # each member read alone, through the window at its own lag
-                return np.stack([_lagged_row(seg.member(m), one) for m, one in enumerate(lags.tolist())])
+            if least != most:  # NaN included
+                return _lagged_rows(seg, lags, least, most)
             lag = least  # one lag: the members share its row and weights
     return _lagged_row(seg, lag)
 
@@ -422,6 +427,33 @@ def _lagged_row(seg: HistorySegment, lag: float) -> np.ndarray:
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
     _, i, start = seg.window(seg.t_now - lag)
     return seg._rows.fields[seg._lo + i] if start is None else start
+
+
+def _lagged_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: float) -> np.ndarray:
+    """Member b's (3, nx) row at t - lags[b], for a (B,) array of lags whose
+    extremes are least and most; the range checks and the arithmetic are
+    ``_lagged_row``'s, so each member gets the bits of its solo read."""
+    bound = seg.h_max * (1.0 + 1e-12)
+    if not (0.0 <= least and most <= bound):  # NaN fails too
+        bad = next(lag for lag in lags.tolist() if not 0.0 <= lag <= bound)
+        raise ValueError(f"delayed_state: lag {bad} outside [0, {seg.h_max}]")
+    rows, lo = seg._rows, seg._lo
+    times = rows.times[lo : seg._hi]
+    slack = 1e-9 * seg.dt
+    first, t_now = times.item(0), times.item(-1)
+    if not first - slack <= t_now - most:  # the earliest time; none is after t_now
+        raise ValueError(f"history: time {t_now - most} outside the covered window [{first}, {t_now}]")
+    t_lo = t_now - lags
+    j = times.searchsorted(t_lo - slack)  # each member's first window row at or after its time
+    t_j = times[j]
+    out = rows.fields[lo + j, np.arange(len(lags))]
+    (m,) = (t_j > t_lo + slack).nonzero()  # the members whose time falls between rows j - 1 and j
+    if len(m):
+        jm = j[m]
+        t_prev = times[jm - 1]
+        w = ((t_lo[m] - t_prev) / (t_j[m] - t_prev))[:, None, None]
+        out[m] = (1.0 - w) * rows.fields[lo + jm - 1, m] + w * out[m]
+    return out
 
 
 def window_starts(segs: Sequence[HistorySegment], t_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

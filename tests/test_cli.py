@@ -300,6 +300,12 @@ class TestUsageAndErrors:
         assert main(["equilibria", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "positive" in capsys.readouterr().err
 
+    def test_nan_eps_fraction_is_a_config_error(self, tmp_path, capsys):
+        # it passed the positivity test and died mid-run with a NaN lag (exit 2)
+        cfg = write_cfg(tmp_path, "[grid]\nnx = 11\n[time]\nt_end = 1\n[output]\neps_fractions = nan\n")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "line 6: [output] eps_fractions: entry nan must be positive and finite" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == 1
         assert main(["simulate"]) == 1  # missing --config

@@ -101,6 +101,48 @@ class TestErrors:
         assert msg.startswith(f"line 5: [time] {key}:")
         assert "finite" in msg and value in msg
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("[grid]\nnx = 2\n", "line 2: [grid] nx: need at least 3 nodes, got 2"),
+            ("[params]\nlambda = -1\n", "line 2: [params] lambda: must be positive, got -1.0"),
+            ("[time]\nt_end = 5\n[schedule]\njump1 = 9 burst_n 5\n", "[schedule] schedule: jump time 9.0 outside (0, 5.0)"),
+        ],
+    )
+    def test_invariant_message_names_its_key_once(self, tmp_path, text, want):
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, text))
+        assert info.value.errors == [want]
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("eps_fractions", "nan", "entry nan must be positive and finite"),
+            ("eps_fractions", "0.05 inf", "entry inf must be positive and finite"),
+            ("eps_fractions", "0.05 -0.1", "entry -0.1 must be positive and finite"),
+            ("warmup", "nan", "must be nonnegative and finite, got nan"),
+            ("warmup", "inf", "must be nonnegative and finite, got inf"),
+            ("warmup", "-1", "must be nonnegative and finite, got -1.0"),
+            ("tol_decrease", "nan", "must be finite, got nan"),
+            ("tol_decrease", "-inf", "must be finite, got -inf"),
+            ("hyp_box_t", "nan", "must be positive and finite, got nan"),
+            ("hyp_box_t", "0", "must be positive and finite, got 0.0"),
+            ("hyp_box_v", "-1", "must be positive and finite, got -1.0"),
+            ("hyp_box_v", "inf", "must be positive and finite, got inf"),
+        ],
+    )
+    def test_bad_output_float_rejected_with_its_line(self, tmp_path, key, value, problem):
+        # a NaN eps died mid-run, an infinite one wrote an eps=inf row, and a NaN warmup or
+        # tol_decrease made every verdict inconclusive
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, f"[grid]\nnx = 11\n\n[output]\n{key} = {value}\n"))
+        assert info.value.errors == [f"line 5: [output] {key}: {problem}"]
+
+    def test_output_floats_accept_auto_and_edge_values(self, tmp_path):
+        text = "[output]\nwarmup = 0\ntol_decrease = -1e-8\nhyp_box_t = auto\nhyp_box_v = 1e-3\n"
+        out = load_config(write(tmp_path, text)).output
+        assert (out.warmup, out.tol_decrease, out.hyp_box_t, out.hyp_box_v) == (0.0, -1e-8, None, 1e-3)
+
     def test_bad_enum_value(self, tmp_path):
         path = write(tmp_path, "[incidence]\nkind = saturatd\n")
         with pytest.raises(ConfigError, match="saturated"):

@@ -9,6 +9,7 @@ abort; the others must run on unchanged.
 """
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
@@ -278,7 +279,8 @@ class TestAbortedMembers:
 @st.composite
 def member_histories(draw):
     """B histories over shared times (one step shortened), stored once with a
-    member axis and once each on its own."""
+    member axis and once each on its own, and one lag per member: exactly 0,
+    exactly h_max, the lag of a stored row or any lag between."""
     members = draw(st.integers(1, 4))
     h = draw(st.floats(0.05, 2.0))
     dt = draw(st.floats(0.01, 0.5))
@@ -298,19 +300,26 @@ def member_histories(draw):
         seg.next_row()[...] = random_rows(t)
         seg.push(t)
     solo = [HistorySegment(h, dt, seg.times, seg.fields[:, m]) for m in range(members)]
-    return grid, seg, solo
+    on_rows = [t - s for s in seg.times.tolist() if s >= t - h]
+    lag = st.one_of(st.just(0.0), st.just(h), st.sampled_from(on_rows), st.floats(0.0, 1.0).map(lambda f: f * h))
+    lags = draw(st.lists(lag, min_size=members, max_size=members))
+    return grid, seg, solo, lags
+
+
+def pushed_history(members=4, nx=5, h=0.1, dt=0.01, steps=60) -> HistorySegment:
+    """A store that no view pins, as certify's: random rows pushed at k*dt."""
+    rng = np.random.default_rng(7)
+    seg = HistorySegment.from_profile(h, dt, 0.0, lambda t: rng.uniform(0.5, 20.0, (members, 3, nx)))
+    for k in range(1, steps):
+        seg.next_row()[...] = rng.uniform(0.5, 20.0, (members, 3, nx))
+        seg.push(k * dt)
+    return seg
 
 
 class TestMemberQueries:
-    @given(hist=member_histories(), data=st.data())
-    def test_delayed_state_per_member_equals_each_alone(self, hist, data):
-        _, seg, solo = hist
-        times, t_now, h = seg.times.tolist(), seg.t_now, seg.h_max
-        in_window = [t_now - t for t in times if t >= t_now - h]
-        lags = [
-            data.draw(st.sampled_from(in_window)) if data.draw(st.booleans()) else data.draw(st.floats(0.0, 1.0)) * h
-            for _ in solo
-        ]
+    @given(hist=member_histories())
+    def test_delayed_state_per_member_equals_each_alone(self, hist):
+        _, seg, solo, lags = hist
         got = delayed_state(seg, np.array(lags))
         assert got.shape == (len(solo), 3, 4)
         for m, one in enumerate(solo):
@@ -319,9 +328,44 @@ class TestMemberQueries:
         for m, one in enumerate(solo):
             assert bits(shared[m]) == bits(delayed_state(one, lags[0]))
 
+    def test_delayed_state_after_the_store_slid(self, monkeypatch):
+        slides = []
+        slide = HistorySegment._slide
+        monkeypatch.setattr(HistorySegment, "_slide", lambda seg, first: slides.append(first) or slide(seg, first))
+        seg = pushed_history()
+        assert slides and not seg._rows.pinned
+        h, t_now, times = seg.h_max, seg.t_now, seg.times.tolist()
+        solo = [HistorySegment(h, seg.dt, times, seg.fields[:, m].copy()) for m in range(4)]
+
+        def no_member_copies(self, m):
+            raise AssertionError("delayed_state read a member through HistorySegment.member")
+
+        monkeypatch.setattr(HistorySegment, "member", no_member_copies)
+        lags = np.array([0.0, h, t_now - times[3], 0.37 * h])  # lag 0, h_max, on a row, between rows
+        got = delayed_state(seg, lags)
+        for m, one in enumerate(solo):
+            assert bits(got[m]) == bits(delayed_state(one, lags[m]))
+        assert bits(got[0]) == bits(seg.fields[-1, 0]) and bits(got[2]) == bits(seg.fields[3, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, -math.inf, 0.1 * (1.0 + 1e-9), math.inf])
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_one_bad_lag_among_valid_ones_raises(self, bad, m):
+        seg = pushed_history()  # h_max = 0.1
+        lags = np.array([0.0, 0.02, 0.05, 0.1])
+        lags[m] = bad
+        with pytest.raises(ValueError, match=re.escape(f"delayed_state: lag {bad} outside [0, 0.1]")):
+            delayed_state(seg, lags)
+
+    def test_a_time_before_the_window_raises(self):
+        seg = pushed_history()
+        short = seg.view(len(seg) - 3, len(seg))  # two steps, shorter than h_max
+        with pytest.raises(ValueError, match="outside the covered window"):
+            delayed_state(short, np.array([0.0, 0.01, 0.05, 0.02]))
+        assert delayed_state(short, np.array([0.0, 0.015, 0.02, 0.005])).shape == (4, 3, 5)
+
     @given(hist=member_histories())
     def test_eta_per_member_equals_each_alone(self, hist):
-        grid, seg, solo = hist
+        grid, seg, solo, _ = hist
         h = seg.h_max
         xi = state_mean_reducer(grid, "V", 0.3 / h)
         for df in (integral_delay(h, xi), wrapped_delay(h, xi, kappa=lambda th: 2.0 * (1.0 + th / h))):
