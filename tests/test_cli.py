@@ -11,7 +11,7 @@ import pytest
 import sddlab
 from sddlab import run
 from sddlab.cli import _fmt, _line_template, _resolve_initial, main
-from sddlab.config import load_config
+from sddlab.config import DEFAULTS_DOC, load_config
 
 BILINEAR = Path("configs/bilinear_reference.ini").resolve()
 SCHEDULE = Path("configs/drug_schedule.ini").resolve()
@@ -305,6 +305,10 @@ class TestUsageAndErrors:
         cfg = write_cfg(tmp_path, "[grid]\nnx = 11\n[time]\nt_end = 1\n[output]\neps_fractions = nan\n")
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "line 6: [output] eps_fractions: entry nan must be positive and finite" in capsys.readouterr().err
+
+    def test_help_prints_the_config_defaults(self, capsys):
+        assert main(["--help"]) == 0
+        assert DEFAULTS_DOC in capsys.readouterr().out
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == 1

@@ -1,8 +1,16 @@
+import json
+import random
+import re
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sddlab.config import ConfigError, load_config
+from sddlab.config import _SCHEMA, DEFAULTS_DOC, ConfigError, load_config
+
+CASES = Path(__file__).parent / "golden" / "config_cases.json"
 
 
 def write(tmp_path, text):
@@ -106,7 +114,18 @@ class TestErrors:
         [
             ("[grid]\nnx = 2\n", "line 2: [grid] nx: need at least 3 nodes, got 2"),
             ("[params]\nlambda = -1\n", "line 2: [params] lambda: must be positive, got -1.0"),
-            ("[time]\nt_end = 5\n[schedule]\njump1 = 9 burst_n 5\n", "[schedule] schedule: jump time 9.0 outside (0, 5.0)"),
+            ("[time]\nt_end = 5\n[schedule]\njump1 = 9 burst_n 5\n", "line 4: [schedule] jump1: jump time 9.0 outside (0, 5.0)"),
+            ("[schedule]\njump1 = 1 c -1\n", "line 2: [schedule] jump1: c: must be positive, got -1.0"),
+            (
+                "[schedule]\njump1 = 1 foo 1\n",
+                "line 2: [schedule] jump1: unknown parameter 'foo'; "
+                "allowed: ['burst_n', 'c', 'd', 'd1', 'd2', 'd3', 'delta', 'lambda', 'omega']",
+            ),
+            # N order, not file order: jump2 is the jump that goes back in time
+            (
+                "[schedule]\njump2 = 2 c 4\njump1 = 3 c 3\n",
+                "line 2: [schedule] jump2: jump times must be strictly increasing (got 2.0 after 3.0)",
+            ),
         ],
     )
     def test_invariant_message_names_its_key_once(self, tmp_path, text, want):
@@ -147,6 +166,20 @@ class TestErrors:
         path = write(tmp_path, "[incidence]\nkind = saturatd\n")
         with pytest.raises(ConfigError, match="saturated"):
             load_config(path)
+
+
+def test_defaults_doc_matches_schema():
+    # a key=value runs up to the next key=value or parenthesis; the --help text and the
+    # loader must agree on every default it states
+    sections = re.split(r"^\[(\w+)\]", DEFAULTS_DOC, flags=re.M)[1:]
+    stated = 0
+    for name, text in zip(sections[::2], sections[1::2]):
+        for key, value in re.findall(r"(\w+)=(.*?)\s*(?=[()]|\b\w+=|\Z)", text, flags=re.S):
+            assert key in _SCHEMA[name], f"[{name}] {key}"
+            default, parse = _SCHEMA[name][key]
+            assert parse(value) == default, f"[{name}] {key}={value}"
+            stated += 1
+    assert stated == 46  # all 53 keys but bump_* (5) and hyp_box_* (2)
 
 
 class TestSchedule:
@@ -218,3 +251,217 @@ class TestEulerBound:
             load_config(write(tmp_path, "[params]\nd3 = 0.001\n[time]\nstepper = euler\n"))
         (msg,) = info.value.errors
         assert msg.startswith("line 4: unknown key 'stepper' in [time]")
+
+
+# A seeded corpus of random configs. Each case holds the loader's error list, or every loaded
+# value when the config is valid; a refactor of the loader must replay it exactly.
+# Re-record with: PYTHONPATH=src python -m tests.test_config
+
+# every section and key, with values a config may give it; the loader's own tables are not
+# used, so the corpus checks them
+_PLAUSIBLE = {
+    "params": {
+        "lambda": ("10", "8", "12.5"),
+        "d": ("0.1", "0.2"),
+        "delta": ("0.5", "0.4"),
+        "burst_n": ("10", "5", "20"),
+        "c": ("5", "3"),
+        "omega": ("0", "0.1"),
+        "h_max": ("1", "2", "0.5"),
+        "d1": ("0", "0.001"),
+        "d2": ("0", "0.001", "0.002"),
+        "d3": ("0", "0.002"),
+    },
+    "incidence": {
+        "kind": ("saturated", "bilinear", "beddington_deangelis", "crowley_martin", "saturatd"),
+        "k": ("0.1", "0.05"),
+        "k1": ("0", "0.2"),
+        "k2": ("0.1", "0.3", "0"),
+        "mu": ("auto", "none", "0.5"),
+    },
+    "delay": {
+        "kind": ("constant", "integral", "wrapped", "integrl"),
+        "eta_const": ("auto", "0.25", "0.5", "3"),
+        "xi_component": ("V", "T", "T_star", "v"),
+        "xi_scale": ("0.01", "0.02"),
+        "kappa": ("uniform", "recency"),
+        "rho": ("smooth", "clamp"),
+    },
+    "grid": {
+        "x_min": ("0", "-1"),
+        "x_max": ("1", "2"),
+        "nx": ("101", "41", "11", "2"),
+    },
+    "time": {
+        "dt": ("0.01", "0.005", "0.1"),
+        "t_end": ("50", "20", "5", "0"),
+        "clip_negative": ("true", "false", "yes", "off", "maybe"),
+        "invariance_tol": ("1e-9", "0", "1e-6"),
+    },
+    "initial": {
+        "preset": ("uniform", "gaussian_bump", "equilibrium_perturbation", "bump"),
+        "t0": ("50", "40"),
+        "tstar0": ("10", "5"),
+        "v0": ("10", "1"),
+        "bump_amp_t": ("5", "1"),
+        "bump_amp_tstar": ("1", "0.5"),
+        "bump_amp_v": ("1", "2"),
+        "bump_center": ("auto", "0.5"),
+        "bump_width": ("auto", "0.1"),
+        "epsilon_rel": ("0.05", "0", "-0.1"),
+        "direction": ("constant", "gaussian_bump"),
+        "eq_index": ("0", "1", "-1"),
+        "profile": ("constant_in_time", "linear_ramp"),
+        "ramp_depth": ("0.1", "0", "0.5", "1"),
+    },
+    "schedule": {},
+    "output": {
+        "dir": ("out", "results", ""),
+        "probe_nodes": ("5", "1", "0"),
+        "monitor_stride": ("10", "1", "0"),
+        "warmup": ("auto", "0", "2", "-1"),
+        "tol_decrease": ("1e-8", "-1e-8"),
+        "eps_fractions": ("0.1 0.05 0.025", "0.05", "0.1 -0.1"),
+        "directions": ("constant gaussian_bump", "constant", "gaussian_bump constant", "bump"),
+        "seed": ("0", "42", "-1", "18446744073709551616"),
+        "hyp_box_t": ("auto", "10", "0"),
+        "hyp_box_v": ("auto", "5"),
+        "hyp_density": ("50", "2", "1"),
+    },
+}
+_WILD = ("nan", "inf", "-inf", "auto", "none", "", "abc", "-1", "0", "1.5", "true", "3 4")
+_JUMP_T = ("1", "2.5", "4", "4", "9", "0", "-1", "60", "x", "nan")
+_JUMP_PARAM = ("burst_n", "c", "lambda", "d", "delta", "omega", "d1", "d2", "d3", "h_max", "foo")
+_JUMP_VALUE = ("5", "4", "0.001", "0.5", "2", "-1", "0", "nan", "0.05", "y")
+
+
+def _misspell(rng: random.Random, word: str) -> str:
+    i = rng.randrange(len(word))
+    return word[:i] + word[i + 1 :] if len(word) > 2 else word + "x"
+
+
+def _random_jumps(rng: random.Random, noise: float) -> list[str]:
+    lines, n = [], 0
+    for _ in range(rng.randrange(5)):
+        n += rng.choice((1, 1, 1, 1, 2, 0)) if noise else 1  # 0 repeats a key
+        key = f"jump{n}" if rng.random() >= 0.05 * noise else rng.choice(("first", "jump", "jumpa"))
+        tokens = [rng.choice(_JUMP_T), rng.choice(_JUMP_PARAM), rng.choice(_JUMP_VALUE)]
+        if rng.random() < 0.4:
+            tokens = [str(2 * n), rng.choice(_JUMP_PARAM[:9]), rng.choice(_JUMP_VALUE[:3])]
+        if rng.random() < 0.05 * noise:
+            tokens.pop(rng.randrange(3))
+        lines.append(f"{key} = {' '.join(tokens)}")
+    if rng.random() < 0.3:
+        rng.shuffle(lines)  # file order need not be N order
+    return lines
+
+
+def random_config(rng: random.Random) -> str:
+    """One config over every section and key, with bad values, names and lines mixed in."""
+    noise = rng.choice((0.0, 1.0, 1.0))  # a third of the cases make no deliberate mistake
+    lines = ["lambda = 1"] if rng.random() < 0.02 * noise else []
+    sections = [name for name in _PLAUSIBLE if rng.random() < 0.5]
+    rng.shuffle(sections)
+    if sections and rng.random() < 0.04 * noise:
+        sections.append(rng.choice(sections))
+    for name in sections:
+        header = f"[{name}]"
+        if rng.random() < 0.07 * noise:
+            header = rng.choice((f"[{_misspell(rng, name)}]", f"[{name}", f"[ {name.upper()} ]"))
+        lines.append(header)
+        if name == "schedule":
+            lines += _random_jumps(rng, noise)
+        for key, choices in _PLAUSIBLE[name].items():
+            if rng.random() > 0.3:
+                continue
+            roll = rng.random()
+            value = choices[0] if roll < 0.4 else rng.choice(choices)
+            if roll > 1.0 - 0.04 * noise:
+                value = rng.choice(_WILD)
+            line = f"{key} = {value}" if rng.random() < 0.8 else f"{key}={value}"
+            if rng.random() < 0.06 * noise:
+                mistake = rng.randrange(4)
+                if mistake == 0:
+                    line = line.replace(key, _misspell(rng, key), 1)
+                elif mistake == 1:
+                    lines.append(f"{key} = {rng.choice(choices)}")
+                elif mistake == 2:
+                    line = line.replace(key, key.upper(), 1)
+                else:
+                    line = line.replace("=", "", 1)
+            lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("# comment", "; comment", "")))
+    return "\n".join(lines) + "\n"
+
+
+def _plain(value):
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _loaded_values(cfg) -> dict:
+    """Every loaded value, floats by repr; the delay's callables evaluated on fixed inputs."""
+    out = {
+        name: {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+        for name, obj in (
+            ("params", cfg.params),
+            ("incidence", cfg.incidence),
+            ("grid", cfg.grid),
+            ("solver", cfg.solver),
+            ("initial", cfg.initial),
+            ("output", cfg.output),
+        )
+    }
+    out["eq_index"], out["epsilon_rel"] = cfg.eq_index, _plain(cfg.epsilon_rel)
+    out["schedule"] = [[_plain(j.t), j.name, _plain(j.value)] for j in cfg.schedule]
+    delay = cfg.delay
+    inputs = {
+        "xi": np.linspace(-1.0, 3.0, 6 * cfg.grid.nx).reshape(2, 3, cfg.grid.nx),
+        "kappa": np.array([-1.0, -0.5, 0.0]),
+        "rho": np.array([-0.5, 0.0, 0.1, 0.5, 0.95, 1.0, 2.0, np.nan]),
+    }
+    out["delay"] = {"kind": delay.kind, "h_max": _plain(delay.h_max), "eta_const": _plain(delay.eta_const)}
+    with np.errstate(all="ignore"):
+        for name, arg in inputs.items():
+            fn = getattr(delay, name)
+            out["delay"][name] = None if fn is None else [repr(float(v)) for v in fn(arg)]
+    return out
+
+
+def _outcome(path) -> dict:
+    try:
+        return {"values": _loaded_values(load_config(path))}
+    except ConfigError as exc:
+        return {"errors": exc.errors}
+
+
+def record_cases(n: int = 400, seed: int = 0) -> list[dict]:
+    rng = random.Random(seed)
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.ini"
+        for _ in range(n):
+            text = random_config(rng)
+            path.write_text(text, encoding="utf-8")
+            cases.append({"config": text, "outcome": _outcome(path)})
+    return cases
+
+
+def test_config_corpus_replays(tmp_path):
+    cases = json.loads(CASES.read_text(encoding="utf-8"))
+    path = tmp_path / "case.ini"
+    wrong = []
+    for i, case in enumerate(cases):
+        path.write_text(case["config"], encoding="utf-8")
+        if _outcome(path) != case["outcome"]:
+            wrong.append(i)
+    assert not wrong, f"{len(wrong)} of {len(cases)} cases differ, first:\n{cases[wrong[0]]['config']}"
+
+
+if __name__ == "__main__":
+    lines = ",\n".join(json.dumps(case) for case in record_cases())  # one case per line
+    CASES.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
