@@ -375,7 +375,7 @@ def load_config(path: str | Path) -> RunConfig:
         # explicit Euler on the diffusion stencil needs dt <= dx^2/(2 max d_i)
         # for the initial coefficients and for every scheduled value
         d_max = max([*params.diff, *(j.value for j in schedule if j.name in ("d1", "d2", "d3"))])
-        bound = grid.dx**2 / (2.0 * d_max) if d_max > 0.0 else float("inf")
+        bound = grid.dx * grid.dx / (2.0 * d_max) if d_max > 0.0 else float("inf")
         if solver.dt > bound:
             fail(
                 "time",

@@ -10,7 +10,8 @@ with T_hat = (lam - delta s e^{omega h}) / d and V_hat = (N delta / c) s.
 The admissible bracket ends at s_max = lam e^{-omega h} / delta, where
 T_hat reaches zero; h_f(0) = 0 is the trivial root.  All sign-changing
 roots are returned (multiple equilibria may coexist); tangential roots
-are invisible to bisection by design and the scan resolution is the knob.
+are invisible to bisection by design.  The scan resolution (``_CELLS``),
+the bisection tolerance and the residual gate are fixed constants.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ import numpy as np
 from .model import IncidenceFn, ModelParams, incidence_values
 
 log = logging.getLogger(__name__)
+
+_CELLS = 1000  # scan cells over the bracket
+_TOL = 1e-10  # bisection stops at |h_f| <= _TOL
+_RESIDUAL_TOL = 1e-8  # the largest stationary residual an equilibrium may leave
 
 __all__ = [
     "Equilibrium",
@@ -91,35 +96,29 @@ def trivial_equilibrium(params: ModelParams, f: IncidenceFn) -> Equilibrium:
     return Equilibrium(T, 0.0, 0.0, "trivial", stationary_residual(params, f, T, 0.0, 0.0))
 
 
-def find_interior_roots(
-    params: ModelParams,
-    f: IncidenceFn,
-    subdivisions: int = 1000,
-    tol: float = 1e-10,
-) -> list[float]:
-    """Scan (eps_s, s_max] for sign changes of h_f and bisect each one.
+def find_interior_roots(params: ModelParams, f: IncidenceFn) -> list[float]:
+    """Scan (eps_s, s_max] in ``_CELLS`` cells for sign changes of h_f and
+    bisect each one.
 
     eps_s = 1e-9 * s_max excludes the trivial root at 0.  Bisection stops
-    at |h_f| <= tol (or once the cell width is exhausted); results are
-    sorted and deduplicated within 10*tol.  An empty list means no interior
+    at |h_f| <= _TOL (or once the cell width is exhausted); results are
+    sorted and deduplicated within 10*_TOL.  An empty list means no interior
     equilibrium was detected at this resolution.
     """
-    if subdivisions < 10:
-        raise ValueError(f"subdivisions: need at least 10, got {subdivisions}")
     hi = s_max(params)
     lo = 1e-9 * hi
-    edges = np.linspace(lo, hi, subdivisions + 1)
+    edges = np.linspace(lo, hi, _CELLS + 1)
     vals = h_f(params, f, edges)
 
     roots: list[float] = []
-    for i in range(subdivisions):
+    for i in range(_CELLS):
         a, b = float(edges[i]), float(edges[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0:
             roots.append(a)
             continue
         if fb == 0.0:
-            if i == subdivisions - 1:
+            if i == _CELLS - 1:
                 roots.append(b)
             continue
         if fa * fb > 0.0:
@@ -127,7 +126,7 @@ def find_interior_roots(
         for _ in range(200):
             mid = 0.5 * (a + b)
             fm = float(h_f(params, f, mid))
-            if abs(fm) <= tol or (b - a) <= 1e-16 * hi:
+            if abs(fm) <= _TOL or (b - a) <= 1e-16 * hi:
                 roots.append(mid)
                 break
             if fa * fm < 0.0:
@@ -140,22 +139,17 @@ def find_interior_roots(
     roots.sort()
     deduped: list[float] = []
     for r in roots:
-        if not deduped or r - deduped[-1] > 10.0 * tol:
+        if not deduped or r - deduped[-1] > 10.0 * _TOL:
             deduped.append(r)
     if not deduped:
-        log.info("no interior equilibrium detected at this resolution (subdivisions=%d)", subdivisions)
+        log.info("no interior equilibrium detected at this resolution (%d cells)", _CELLS)
     return deduped
 
 
-def assemble_equilibrium(
-    params: ModelParams,
-    f: IncidenceFn,
-    s_root: float,
-    residual_tol: float = 1e-8,
-) -> Equilibrium:
+def assemble_equilibrium(params: ModelParams, f: IncidenceFn, s_root: float) -> Equilibrium:
     """Lift a validated root of h_f to the full stationary triple.
 
-    Rejects candidates whose stationary residual exceeds residual_tol.
+    Rejects candidates whose stationary residual exceeds ``_RESIDUAL_TOL``.
     A root at the bracket end gives T_hat = 0 and is flagged degenerate
     (the local-stability hypotheses lose meaning there).
     """
@@ -164,27 +158,19 @@ def assemble_equilibrium(
     T = max((params.lam - params.delta * Ts * ewh) / params.d, 0.0)
     V = params.burst_n * params.delta * Ts / params.c
     res = stationary_residual(params, f, T, Ts, V)
-    if not res <= residual_tol:
+    if not res <= _RESIDUAL_TOL:
         raise ValueError(
             f"assemble_equilibrium: s={s_root!r} leaves stationary residual {res:.3g} "
-            f"above tolerance {residual_tol:.3g}"
+            f"above tolerance {_RESIDUAL_TOL:.3g}"
         )
     degenerate = T <= 1e-12 * max(1.0, params.lam / params.d)
     return Equilibrium(T, Ts, V, "interior", res, degenerate=degenerate)
 
 
-def find_equilibria(
-    params: ModelParams,
-    f: IncidenceFn,
-    subdivisions: int = 1000,
-    tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-) -> list[Equilibrium]:
+def find_equilibria(params: ModelParams, f: IncidenceFn) -> list[Equilibrium]:
     """The trivial equilibrium followed by all detected interior ones."""
-    out = [trivial_equilibrium(params, f)]
-    for s in find_interior_roots(params, f, subdivisions, tol):
-        out.append(assemble_equilibrium(params, f, s, residual_tol))
-    return out
+    roots = find_interior_roots(params, f)
+    return [trivial_equilibrium(params, f)] + [assemble_equilibrium(params, f, s) for s in roots]
 
 
 def equilibrium_norm(eq: Equilibrium) -> float:

@@ -10,6 +10,7 @@ integration-by-parts identity holds to O(dx^2) for smooth no-flux fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ class Grid1D:
             raise ValueError(f"nx: need at least 3 nodes, got {self.nx}")
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max: must exceed x_min ({self.x_max} <= {self.x_min})")
+        # written so that NaN fails each test
+        if not -math.inf < self.x_min < math.inf:
+            raise ValueError(f"x_min: must be finite, got {self.x_min}")
+        if not -math.inf < self.x_max < math.inf:
+            raise ValueError(f"x_max: must be finite, got {self.x_max}")
+        if not self.length < math.inf:
+            raise ValueError(f"x_max: the span x_max - x_min must be finite, got {self.length}")
 
     @property
     def dx(self) -> float:

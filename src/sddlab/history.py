@@ -207,11 +207,6 @@ class HistorySegment:
         """(len, 3, nx) view of the window's rows: T, T_star, V."""
         return self._rows.fields[self._lo : self._hi]
 
-    def state(self, i: int) -> FieldState:
-        """Row i of the window (negative counts from the newest) as views."""
-        row = self.fields[i]
-        return FieldState(row[0], row[1], row[2])
-
     def __len__(self) -> int:
         return self._hi - self._lo
 

@@ -420,7 +420,7 @@ def _monitor_members(
             mid = 0.5 * (times[k - 1 - base] + times[k - base])
             for m in [m for m, gone in enumerate(stream.aborted) if not gone]:
                 rows = seg.member(m).view(end - 1 - s + w0, end)
-                traj = Trajectory(grid, h, dt, rows, rows.times, rows.fields, lags[:, m])
+                traj = Trajectory(rows, lags[:, m])
                 samples[m] += monitor(traj, eq, params, f, grid, stride, mid - rows.times[0])
             k += MONITOR_BLOCK * stride
         held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt

@@ -53,6 +53,8 @@ KINDS = ("bilinear", "saturated", "beddington_deangelis", "crowley_martin")
 
 Box = tuple[tuple[float, float], tuple[float, float]]
 
+_EPS_STRICT = 1e-12  # hf3's margin: a product at or below it is a failure
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -234,6 +236,17 @@ def _validate_box(box: Box) -> tuple[float, float, float, float]:
     return float(t0), float(t1), float(v0), float(v1)
 
 
+def _samples(f, box: Box, n: int, v_hat: float = 1.0):
+    """The checks' common start: validate the box, v_hat and n, in that
+    order, then f as a callable and the two sample axes Ts and Vs."""
+    t0, t1, v0, v1 = _validate_box(box)
+    if not v_hat > 0.0:
+        raise ValueError(f"v_hat: must be positive, got {v_hat}")
+    if n < 2:
+        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
+    return _as_callable(f), np.linspace(t0, t1, n), np.linspace(v0, v1, n)
+
+
 def default_sample_box(params: ModelParams, f: IncidenceFn) -> Box:
     """Default box [0, 2*lam/d] x [0, 2*V_bound], V_bound from the invariant set.
 
@@ -255,18 +268,13 @@ def check_hf1(f, box: Box, n: int = 50) -> Verdict:
     existence (mu = k*V_max works on the box itself), so the verdict is
     not_applicable.
     """
-    t0, t1, v0, v1 = _validate_box(box)
-    if n < 2:
-        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
-    fn = _as_callable(f)
+    fn, Ts, Vs = _samples(f, box, n)
     mu = incidence_mu(f) if isinstance(f, IncidenceFn) else None
     if mu is None:
         return Verdict(
             NOT_APPLICABLE,
             note="no candidate mu and none derivable; a bounded box cannot falsify existence",
         )
-    Ts = np.linspace(t0, t1, n)
-    Vs = np.linspace(v0, v1, n)
     TT, VV = np.meshgrid(Ts, Vs, indexing="ij")
     vals = np.abs(fn(TT, VV))
     bound = mu * np.abs(TT)
@@ -284,12 +292,7 @@ def check_hf1(f, box: Box, n: int = 50) -> Verdict:
 
 def check_hf1_plus(f, box: Box, n: int = 50) -> Verdict:
     """Sampled check of the axis zeros, positivity, and strict monotonicity."""
-    t0, t1, v0, v1 = _validate_box(box)
-    if n < 2:
-        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
-    fn = _as_callable(f)
-    Ts = np.linspace(t0, t1, n)
-    Vs = np.linspace(v0, v1, n)
+    fn, Ts, Vs = _samples(f, box, n)
 
     # exact zeros on both axes, regardless of the box ranges
     on_T_axis = np.asarray(fn(Ts, np.zeros_like(Ts)), dtype=float)
@@ -331,22 +334,15 @@ def check_hf1_plus(f, box: Box, n: int = 50) -> Verdict:
     return Verdict(HOLDS)
 
 
-def check_hf3(f, v_hat: float, box: Box, n: int = 50, eps_strict: float = 1e-12) -> Verdict:
+def check_hf3(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     """Sampled strict betweenness of f(T,V)/f(T,v_hat) vs 1 and V/v_hat.
 
-    Verifies (V/v_hat - r) * (r - 1) > eps_strict with r = f(T,V)/f(T,v_hat)
+    Verifies (V/v_hat - r) * (r - 1) > _EPS_STRICT with r = f(T,V)/f(T,v_hat)
     at all samples with T > 0, V > 0, V != v_hat.  An exactly zero product
     away from V = v_hat is a failure (the bilinear ratio cancels T and the
     product vanishes identically).
     """
-    t0, t1, v0, v1 = _validate_box(box)
-    if not v_hat > 0.0:
-        raise ValueError(f"v_hat: must be positive, got {v_hat}")
-    if n < 2:
-        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
-    fn = _as_callable(f)
-    Ts = np.linspace(t0, t1, n)
-    Vs = np.linspace(v0, v1, n)
+    fn, Ts, Vs = _samples(f, box, n, v_hat)
     Ts = Ts[Ts > 0.0]
     # V = v_hat is a boundary where both factors vanish; skip it, not a failure
     Vs = Vs[(Vs > 0.0) & (np.abs(Vs - v_hat) > 1e-9 * max(1.0, v_hat))]
@@ -359,13 +355,13 @@ def check_hf3(f, v_hat: float, box: Box, n: int = 50, eps_strict: float = 1e-12)
     TT, VV = np.meshgrid(Ts[rows], Vs, indexing="ij")
     r = np.asarray(fn(TT, VV), dtype=float) / f_ref[rows, None]
     product = (Vs / v_hat - r) * (r - 1.0)
-    bad = np.argwhere(product <= eps_strict)
+    bad = np.argwhere(product <= _EPS_STRICT)
     if bad.size:
         i, j = bad[0]
         return Verdict(
             FAILS,
             witness=(float(TT[i, j]), float(VV[i, j])),
-            note=f"strictness product {product[i, j]:.3g} <= {eps_strict:.0e} at the witness",
+            note=f"strictness product {product[i, j]:.3g} <= {_EPS_STRICT:.0e} at the witness",
         )
     return Verdict(HOLDS)
 
@@ -398,14 +394,7 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     least squares (``_nnls2``, by its KKT cases) and verifies the inequality
     at all samples.  The verdict holds if either passes.
     """
-    t0, t1, v0, v1 = _validate_box(box)
-    if not v_hat > 0.0:
-        raise ValueError(f"v_hat: must be positive, got {v_hat}")
-    if n < 2:
-        raise ValueError(f"n: need at least 2 samples per axis, got {n}")
-    fn = _as_callable(f)
-    Ts = np.linspace(t0, t1, n)
-    Vs = np.linspace(v0, v1, n)
+    fn, Ts, Vs = _samples(f, box, n, v_hat)
     Tpos = Ts[Ts > 0.0]
     if Tpos.size == 0:
         return Verdict(NOT_APPLICABLE, note="no positive T samples in the box")
@@ -415,7 +404,8 @@ def check_hf4(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     # branch A: second-difference stability probe at steps e and e/2, on
     # every (T, V) at once; the witness is the first failing point in
     # row-major order
-    e = max(1e-4 * (t1 - t0), 1e-9)
+    (t0, t1), _ = box
+    e = max(1e-4 * (float(t1) - float(t0)), 1e-9)
     half = 0.5 * e
     TT, VV = np.meshgrid(Tpos, np.concatenate(([v_hat], Vs[Vs > 0.0])), indexing="ij")
     f_e, f_0, f_me, f_h, f_mh = (np.asarray(fn(TT + step, VV), dtype=float) for step in (e, 0.0, -e, half, -half))

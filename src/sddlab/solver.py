@@ -229,17 +229,11 @@ def _target_state(initial: InitialData, grid: Grid1D) -> FieldState:
     )
 
 
-def build_initial_segment(
-    initial: InitialData,
-    grid: Grid1D,
-    h_max: float,
-    dt: float,
-    t0: float = 0.0,
-) -> HistorySegment:
-    """Materialize the preset as a history segment ending at t0."""
+def build_initial_segment(initial: InitialData, grid: Grid1D, h_max: float, dt: float) -> HistorySegment:
+    """Materialize the preset as a history segment over [-h_max, 0]."""
     target = _target_state(initial, grid)
     if initial.profile == "constant_in_time":
-        return HistorySegment.from_profile(h_max, dt, t0, lambda t: target)
+        return HistorySegment.from_profile(h_max, dt, 0.0, lambda t: target)
     goal = np.array((target.T, target.T_star, target.V))
     if initial.equilibrium is not None:
         eq = equilibrium_state(grid, initial.equilibrium)
@@ -248,10 +242,10 @@ def build_initial_segment(
         start = (1.0 - initial.ramp_depth) * goal
 
     def profile(t: float) -> FieldState:
-        a = min(max((t - (t0 - h_max)) / h_max, 0.0), 1.0)
+        a = min(max((t + h_max) / h_max, 0.0), 1.0)
         return FieldState(*(start + a * (goal - start)))
 
-    return HistorySegment.from_profile(h_max, dt, t0, profile)
+    return HistorySegment.from_profile(h_max, dt, 0.0, profile)
 
 
 def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, float, float] | None:
@@ -342,17 +336,13 @@ def step(
 class Trajectory:
     """Sampled run output with per-sample delay and box diagnostics.
 
-    ``times`` (n,) and ``fields`` (n, 3, nx) are views of the rows of
-    ``history``, the run's history store from the first sample on.
+    ``history`` holds the run's rows from the first sample on; ``times``
+    (n,), ``fields`` (n, 3, nx), ``h_max`` and ``dt`` are read from it, the
+    first two as views of its rows.
     """
 
-    grid: Grid1D
-    h_max: float
-    dt: float
-    history: HistorySegment | None = None
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    fields: np.ndarray = field(default_factory=lambda: np.empty((0, 3, 0)))
-    eta: np.ndarray = field(default_factory=lambda: np.empty(0))
+    history: HistorySegment
+    eta: np.ndarray
     lower_violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     upper_violations: np.ndarray | None = None
     bounds: tuple[float, float, float] | None = None
@@ -361,12 +351,12 @@ class Trajectory:
     abort_time: float | None = None
     compat_residual: float | None = None
 
+    def __post_init__(self) -> None:
+        history = self.history
+        self.times, self.fields, self.h_max, self.dt = history.times, history.fields, history.h_max, history.dt
+
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, k: int) -> FieldState:
-        """Sample k (negative counts from the last) as views of its row."""
-        return FieldState(*self.fields[k])
 
     def segment_at(self, k: int) -> HistorySegment:
         """History view ending at sample k (negative counts from the last),
@@ -513,61 +503,39 @@ class RunStream:
 
 
 def run(
-    initial,
+    initial: InitialData,
     params: ModelParams,
     f: IncidenceFn,
     df: DelayFunctional,
     cfg: SolverConfig,
     grid: Grid1D,
     schedule=(),
-):
-    """Integrate to t_end, applying parameter jumps exactly at their times,
-    and keep every sample.
+) -> Trajectory:
+    """Integrate one run to t_end, applying parameter jumps exactly at their
+    times, and keep every sample.
 
     A nonfinite state aborts the run; the trajectory keeps every sample up
-    to the last good time and carries the abort diagnostics.  Given a
-    sequence of ``InitialData``, the members run as one ``RunStream`` and
-    the result is one ``Trajectory`` per member, each a view of that
-    member's rows and equal to its solo run.
+    to the last good time and carries the abort diagnostics.  Members, a
+    sequence of ``InitialData``, advance as one ``RunStream``.
     """
+    if not isinstance(initial, InitialData):
+        raise TypeError(f"run: takes one InitialData, not {type(initial).__name__}; members run as a RunStream")
     stream = RunStream(initial, params, f, df, cfg, grid, schedule)
     seg = stream.history
     # one row per step, one shortened step per jump, one row of float drift
     seg.reserve(math.ceil(cfg.t_end / cfg.dt) + len(stream.jumps) + 1)
-    origin = seg.view(len(seg) - 1, len(seg))
-    samples = [(s.eta, s.lower, s.upper) for s in stream]
-    etas, lower, upper = (np.array(c) for c in zip(*samples))
-    diag = (stream.aborted, stream.abort_time, stream.clip_events, stream.compat_residual)
-    if not seg.members:
-        return _trajectory(grid, stream.bounds, origin, etas, lower, upper, *diag)
-    return [
-        _trajectory(grid, stream.bounds, origin.member(m), etas[:, m], lower[:, m], upper[:, m], *(d[m] for d in diag))
-        for m in range(seg.members[0])
-    ]
-
-
-def _trajectory(grid, bounds, origin, eta, lower, upper, aborted, abort_time, clip_events, compat_residual):
-    """One run's Trajectory over the stored rows from ``origin`` on; a
-    member that aborted keeps its samples up to its abort."""
-    history = origin.view(0, len(eta))
-    if aborted:
-        history = history.view(0, int(np.searchsorted(history.times, abort_time)) + 1)
-    n = len(history)
+    origin = seg.view(len(seg) - 1, len(seg))  # pins the store under the trajectory's rows
+    etas, lower, upper = (np.array(c) for c in zip(*[(s.eta, s.lower, s.upper) for s in stream]))
     return Trajectory(
-        grid=grid,
-        h_max=history.h_max,
-        dt=history.dt,
-        history=history,
-        times=history.times,
-        fields=history.fields,
-        eta=eta[:n],
-        lower_violations=lower[:n],
-        upper_violations=upper[:n] if bounds is not None else None,
-        bounds=bounds,
-        clip_events=clip_events,
-        aborted=aborted,
-        abort_time=abort_time,
-        compat_residual=compat_residual,
+        history=origin.view(0, len(etas)),
+        eta=etas,
+        lower_violations=lower,
+        upper_violations=upper if stream.bounds is not None else None,
+        bounds=stream.bounds,
+        clip_events=stream.clip_events,
+        aborted=stream.aborted,
+        abort_time=stream.abort_time,
+        compat_residual=stream.compat_residual,
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sddlab.cli import main
 from sddlab.config import _SCHEMA, DEFAULTS_DOC, ConfigError, load_config
 
 CASES = Path(__file__).parent / "golden" / "config_cases.json"
@@ -182,6 +183,21 @@ def test_defaults_doc_matches_schema():
     assert stated == 46  # all 53 keys but bump_* (5) and hyp_box_* (2)
 
 
+@pytest.mark.parametrize(
+    "grid, error",
+    [
+        ("x_max = inf", "line 2: [grid] x_max: must be finite, got inf"),
+        ("x_min = -inf", "line 2: [grid] x_min: must be finite, got -inf"),
+        ("x_min = -1e308\nx_max = 1e308", "line 3: [grid] x_max: the span x_max - x_min must be finite, got inf"),
+    ],
+)
+def test_an_infinite_domain_is_a_config_error(tmp_path, capsys, grid, error):
+    path = write(tmp_path, f"[grid]\n{grid}\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSchedule:
     def test_jump_parsing(self, tmp_path):
         path = write(
@@ -244,6 +260,13 @@ class TestEulerBound:
         assert load_config(write(tmp_path, base)).params.diff == (0.001, 0.001, 0.001)
         with pytest.raises(ConfigError, match=r"dx\^2/\(2 max d_i\) = 0\.0025 .*max d_i = 0\.02"):
             load_config(write(tmp_path, base + "[schedule]\njump1 = 5 d3 0.02\n"))
+
+    def test_a_span_whose_dx_squared_overflows_loads(self, tmp_path, capsys):
+        # dx = 1e298 squares to inf: the bound is inf, not an OverflowError
+        path = write(tmp_path, "[params]\nd1 = 0.1\n[grid]\nx_max = 1e300\n")
+        assert load_config(path).grid.dx == pytest.approx(1e298)
+        assert main(["check-hypotheses", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stepper_key_is_gone(self, tmp_path):
         # explicit Euler is the only stepper, so [time] has no stepper key

@@ -18,6 +18,9 @@ def test_grid_invariants():
         Grid1D(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         Grid1D(1.0, 1.0, 5)
+    for x_min, x_max in ((0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308), (0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="x_m"):
+            Grid1D(x_min, x_max, 5)
 
 
 @given(c=st.floats(-1e6, 1e6), nx=st.integers(3, 200))

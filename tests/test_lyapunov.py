@@ -32,7 +32,7 @@ from sddlab import (
 from sddlab import lyapunov
 from sddlab.lyapunov import _delay_tails, _v, u_sdd_fields
 from sddlab.model import incidence_values
-from sddlab.solver import InitialData
+from sddlab.solver import InitialData, RunStream, Trajectory
 
 from .oracles import delay_tails_per_window, saturated_closed_form, snapshot_window_trapezoid
 from .test_history import pushed_histories
@@ -401,8 +401,9 @@ def assert_tails_match_oracle(segs, etas, eq, params, f, grid):
 
 @pytest.fixture(scope="module")
 def member_trajectories(sat_equilibrium, saturated):
-    """Three members of one run with an integral delay and a jump that
-    shortens a step: each member's rows are a strided view of the store."""
+    """Three members of one RunStream with an integral delay and a jump that
+    shortens a step, each equal to its solo run: each member's rows are a
+    strided view of the stream's store."""
     grid = Grid1D(0.0, 1.0, 5)
     params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=DIFFUSION)
     norm = equilibrium_norm(sat_equilibrium)
@@ -411,7 +412,16 @@ def member_trajectories(sat_equilibrium, saturated):
         for eps in (0.2, 0.1, 0.05)
     ]
     df = integral_delay(1.0, state_mean_reducer(grid, "V", 0.4 / sat_equilibrium.V_hat))
-    trajs = run(members, params, saturated, df, SolverConfig(dt=0.05, t_end=3.0), grid, [ParamJump(2.02, "c", 4.0)])
+    args = (params, saturated, df, SolverConfig(dt=0.05, t_end=3.0), grid, [ParamJump(2.02, "c", 4.0)])
+    stream = RunStream(members, *args)
+    origin = stream.history.view(len(stream.history) - 1, len(stream.history))  # pins the store's rows
+    etas = np.array([sample.eta for sample in stream])
+    trajs = [Trajectory(origin.member(m).view(0, len(etas)), etas[:, m]) for m in range(len(members))]
+    for initial, traj in zip(members, trajs):
+        solo = run(initial, *args)
+        assert traj.fields.strides != solo.fields.strides
+        assert traj.times.tobytes() == solo.times.tobytes() and traj.fields.tobytes() == solo.fields.tobytes()
+        assert traj.eta.tobytes() == solo.eta.tobytes()
     return params, grid, trajs
 
 

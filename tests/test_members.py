@@ -61,17 +61,30 @@ def sample_bits(samples) -> list[bytes]:
     ]
 
 
-def assert_same_run(member, solo):
-    assert (member.aborted, member.abort_time, member.clip_events) == (solo.aborted, solo.abort_time, solo.clip_events)
-    assert member.compat_residual == solo.compat_residual
-    assert bits(member.times) == bits(solo.times)
-    assert bits(member.fields) == bits(solo.fields)
-    assert bits(member.eta) == bits(solo.eta)
-    assert np.array_equal(member.lower_violations, solo.lower_violations)
-    if solo.upper_violations is None:
-        assert member.upper_violations is None
-    else:
-        assert np.array_equal(member.upper_violations, solo.upper_violations)
+def assert_members_run_solo(members, params, f, df, solver, grid, schedule=()):
+    """Drain one RunStream of every member and check each member against
+    run() of it alone: its aborted, abort_time, clip_events and
+    compat_residual, and up to its abort its row times, rows, eta and box
+    counts; after its abort it stays frozen at its last good row.  Returns
+    the drained stream, its sample times (n,) and eta (n, B)."""
+    stream = RunStream(members, params, f, df, solver, grid, schedule)
+    samples = [(s.t, s.row.copy(), s.eta, s.lower, s.upper) for s in stream]  # through a sliding store
+    times, rows, etas, lower, upper = (np.array(c) for c in zip(*samples))
+    for m, initial in enumerate(members):
+        solo = run(initial, params, f, df, solver, grid, schedule)
+        diag = (stream.aborted[m], stream.abort_time[m], stream.clip_events[m], stream.compat_residual[m])
+        assert diag == (solo.aborted, solo.abort_time, solo.clip_events, solo.compat_residual)
+        n = bisect_left(times.tolist(), solo.abort_time) + 1 if solo.aborted else len(times)
+        assert bits(times[:n]) == bits(solo.times)
+        assert bits(rows[:n, m]) == bits(solo.fields)
+        assert np.all(rows[n:, m] == rows[n - 1, m])
+        assert bits(etas[:n, m]) == bits(solo.eta)
+        assert np.array_equal(lower[:n, m], solo.lower_violations)
+        if solo.upper_violations is None:
+            assert stream.bounds is None
+        else:
+            assert np.array_equal(upper[:n, m], solo.upper_violations)
+    return stream, times, etas
 
 
 def load(path_or_text, tmp_path=None):
@@ -189,6 +202,8 @@ class TestCertifyMembers:
         assert {cap for _, cap in short} == {cap for _, cap in long} and len({cap for _, cap in long}) == 1
 
     def test_a_jump_off_the_step_grid_shortens_every_members_step(self, tmp_path):
+        # the members' monitored samples against their solo runs' are
+        # test_a_window_with_a_shortened_step's, on this config at stride 7
         cfg = load(JUMP_CONFIG, tmp_path)
         (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
         members = [
@@ -197,18 +212,10 @@ class TestCertifyMembers:
                         weights=(0.3, -0.5, 0.8), bump_center=0.3, bump_width=0.1, equilibrium=eq),
             InitialData(preset="equilibrium_perturbation", epsilon=1.0, equilibrium=eq, profile="linear_ramp"),
         ]
-        trajs = run(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
-        assert np.any(np.diff(trajs[0].times) < 0.5 * cfg.solver.dt)  # the shortened step
-        stream = RunStream(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
-        rows = np.array([sample.row.copy() for sample in stream])  # through a sliding store
-        assert [bits(rows[:, m]) for m in range(len(members))] == [bits(t.fields) for t in trajs]
-        assert len({bits(t.eta) for t in trajs}) == len(trajs)  # each member has its own lags
-        for initial, member in zip(members, trajs):
-            solo = run(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
-            assert_same_run(member, solo)
-            got = monitor(member, eq, cfg.params, cfg.incidence, cfg.grid, stride=7)
-            want = monitor(solo, eq, cfg.params, cfg.incidence, cfg.grid, stride=7)
-            assert got and sample_bits(got) == sample_bits(want)
+        _, times, etas = assert_members_run_solo(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver,
+                                                 cfg.grid, cfg.schedule)
+        assert np.any(np.diff(times) < 0.5 * cfg.solver.dt)  # the shortened step
+        assert len({bits(etas[:, m]) for m in range(len(members))}) == len(members)  # each member has its own lags
 
 
 class TestAbortedMembers:
@@ -224,33 +231,26 @@ class TestAbortedMembers:
     def test_aborts_match_solo_runs_and_the_rest_run_on(self, tmp_path, values):
         cfg = load(ABORT_CONFIG, tmp_path)
         members = [InitialData(preset="uniform", values=v) for v in values]
-        trajs = run(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid)
-        stream = RunStream(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid)
-        rows = np.array([sample.row.copy() for sample in stream])
-        assert len(rows) == max(len(t) for t in trajs)
-        assert [bits(rows[: len(t), m]) for m, t in enumerate(trajs)] == [bits(t.fields) for t in trajs]
-        for initial, member in zip(members, trajs):
-            solo = run(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid)
-            assert_same_run(member, solo)
-            infected = initial.values != (100.0, 0.0, 0.0)
-            assert solo.aborted == infected
-            if not infected:
-                assert member.times[-1] == cfg.solver.t_end
-            # an aborted member stays frozen at its last good row in the store
-            seg = member.history
-            stored = seg._rows.fields[seg._lo : seg._rows.n]
-            assert np.array_equal(stored[: len(member)], member.fields)
-            assert np.all(stored[len(member) :] == member.fields[-1])
+        stream, times, _ = assert_members_run_solo(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver,
+                                                   cfg.grid)
+        infected = [initial.values != (100.0, 0.0, 0.0) for initial in members]
+        assert stream.aborted == infected
+        # the stream ends at t_end, or at the last abort when every member aborts
+        assert times[-1] == (max(stream.abort_time) if all(infected) else cfg.solver.t_end)
 
     def test_clip_events_count_each_member_until_its_abort(self, tmp_path):
         cfg = load(ABORT_CONFIG, tmp_path)
         solver = replace(cfg.solver, clip_negative=True)
         values = ((50.0, 10.0, 10.0), (100.0, 0.0, 0.0), (100.0, 0.0, 1e-200), (100.0, 1e-300, 0.0))
         members = [InitialData(preset="uniform", values=v) for v in values]
-        trajs = run(members, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid)
-        for initial, member in zip(members, trajs):
-            assert_same_run(member, run(initial, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid))
-        assert any(t.aborted and t.clip_events > 0 for t in trajs)
+        stream, _, _ = assert_members_run_solo(members, cfg.params, cfg.incidence, cfg.delay, solver, cfg.grid)
+        assert any(aborted and clips > 0 for aborted, clips in zip(stream.aborted, stream.clip_events))
+
+    def test_run_takes_one_initial_data(self, tmp_path):
+        cfg = load(ABORT_CONFIG, tmp_path)
+        members = [InitialData(preset="uniform", values=(100.0, 0.0, 0.0))] * 2
+        with pytest.raises(TypeError, match="members run as a RunStream"):
+            run(members, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid)
 
     def test_step_keeps_a_frozen_members_row(self):
         # two members at (50, 10, 10) + t: the frozen one keeps its row, the other moves

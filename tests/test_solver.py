@@ -38,16 +38,13 @@ def grid3():
     return Grid1D(0.0, 1.0, 3)
 
 
-def max_state_dev(a: FieldState, b: FieldState) -> float:
-    return max(
-        float(np.max(np.abs(a.T - b.T))),
-        float(np.max(np.abs(a.T_star - b.T_star))),
-        float(np.max(np.abs(a.V - b.V))),
-    )
-
-
-def as_row(state: FieldState) -> np.ndarray:
+def as_row(state: FieldState | np.ndarray) -> np.ndarray:
     return np.array(tuple(state))
+
+
+def max_state_dev(a: FieldState | np.ndarray, b: FieldState | np.ndarray) -> float:
+    """Largest nodewise difference of two states, each a FieldState or a (3, nx) row."""
+    return float(np.max(np.abs(as_row(a) - as_row(b))))
 
 
 class TestRhs:
@@ -201,7 +198,7 @@ class TestStep:
         for _ in range(20):
             eta, clipped, finite, _ = step(seg, ref_params, saturated, df, cfg, grid3)
             assert finite and clipped == 0 and eta == 0.4
-            assert max_state_dev(seg.state(-1), eq_state) <= 1e-10
+            assert max_state_dev(seg.fields[-1], eq_state) <= 1e-10
 
     def test_negative_clipping_counts(self, grid3):
         # strong bilinear incidence drives T negative within one Euler step
@@ -213,7 +210,7 @@ class TestStep:
         cfg_clip = SolverConfig(dt=0.1, t_end=1.0, clip_negative=True)
         _, clipped, _, _ = step(seg, params, f, df, cfg_clip, grid3)
         assert clipped > 0
-        assert np.all(seg.state(-1).T >= 0.0)
+        assert np.all(seg.fields[-1, 0] >= 0.0)
 
     def test_delayed_row_is_read_after_the_store_slides(self, ref_params, saturated, grid3):
         # the store is full with rows -0.3..0.35 (one step shortened), so the
@@ -263,9 +260,9 @@ class TestRun:
         ref = fixed_lag_euler(rhs3, lambda t: u0, lag, dt / 10.0, t_end)
         err = 0.0
         for k in range(len(traj)):
-            s = traj.state(k)
+            T, T_star, V = traj.fields[k]
             r = ref[10 * k]
-            err = max(err, abs(s.T[0] - r[0]), abs(s.T_star[0] - r[1]), abs(s.V[0] - r[2]))
+            err = max(err, abs(T[0] - r[0]), abs(T_star[0] - r[1]), abs(V[0] - r[2]))
         assert err <= 20.0 * dt
 
     def test_box_containment_short(self, ref_params, saturated):
@@ -389,8 +386,8 @@ class TestInitialData:
         seg = build_initial_segment(InitialData(preset="uniform", values=(1.0, 2.0, 3.0)), grid3, 1.0, 0.1)
         assert seg.t_now == 0.0
         assert seg.covers()
-        assert np.all(seg.state(-1).V == 3.0)
-        assert np.all(seg.state(0).V == 3.0)
+        assert np.all(seg.fields[-1, 2] == 3.0)
+        assert np.all(seg.fields[0, 2] == 3.0)
 
     def test_gaussian_bump_shape(self):
         grid = Grid1D(0.0, 1.0, 101)
@@ -398,8 +395,8 @@ class TestInitialData:
             preset="gaussian_bump", values=(10.0, 0.0, 0.0), bump_amp=(5.0, 0.0, 0.0), bump_center=0.5, bump_width=0.1
         )
         seg = build_initial_segment(initial, grid, 1.0, 0.1)
-        assert seg.state(-1).T[50] == pytest.approx(15.0, abs=1e-9)
-        assert seg.state(-1).T[0] == pytest.approx(10.0, abs=1e-6)
+        assert seg.fields[-1, 0, 50] == pytest.approx(15.0, abs=1e-9)
+        assert seg.fields[-1, 0, 0] == pytest.approx(10.0, abs=1e-6)
 
     def test_linear_ramp_is_lipschitz(self, grid3, sat_equilibrium):
         eps = 2.0
@@ -411,11 +408,11 @@ class TestInitialData:
         )
         seg = build_initial_segment(initial, grid3, 1.0, 0.1)
         quotients = [
-            max_state_dev(seg.state(i + 1), seg.state(i)) / (seg.times[i + 1] - seg.times[i])
+            max_state_dev(seg.fields[i + 1], seg.fields[i]) / (seg.times[i + 1] - seg.times[i])
             for i in range(len(seg) - 1)
         ]
         assert max(quotients) <= eps / 1.0 * 1.01  # ramp slope = |u0 - eq| / h
-        assert max_state_dev(seg.state(0), equilibrium_state(grid3, sat_equilibrium)) <= 1e-12
+        assert max_state_dev(seg.fields[0], equilibrium_state(grid3, sat_equilibrium)) <= 1e-12
 
     def test_perturbation_requires_equilibrium_at_build_time(self, grid3):
         bare = InitialData(preset="equilibrium_perturbation", epsilon=0.1)
@@ -499,7 +496,7 @@ class TestDiagnostics:
         seg = jump_run.segment_at(k)
         assert np.shares_memory(seg.fields, jump_run.fields)
         assert seg.times[-1] == jump_run.times[k]
-        assert np.array_equal(seg.state(-1).V, jump_run.fields[k, 2])
+        assert np.array_equal(seg.fields[-1, 2], jump_run.fields[k, 2])
 
 
 class TestRunStream:
