@@ -63,7 +63,7 @@ class Equilibrium:
 
 def s_max(params: ModelParams) -> float:
     """Upper end of the admissible T*_hat bracket (where T_hat hits 0)."""
-    return params.lam * math.exp(-params.omega * params.h_max) / params.delta
+    return params.lam * params.emwh / params.delta
 
 
 def h_f(params: ModelParams, f: IncidenceFn, s):

@@ -245,13 +245,11 @@ class HistorySegment:
             vals[: cache[1]] = vals[first:done]
         rows.n, self._lo, self._hi = live, self._lo - first, live
 
-    def push(self, t: float, state: FieldState | None = None) -> None:
-        """Append the row at time t: ``state``, or the filled ``next_row()``."""
-        row = self.next_row()
+    def push(self, t: float) -> None:
+        """Commit the filled ``next_row()`` as the row at time t."""
+        self.next_row()
         if t <= self.t_now:
             raise ValueError(f"push: time must advance ({t} <= {self.t_now})")
-        if state is not None:
-            row[0], row[1], row[2] = state.T, state.T_star, state.V
         rows = self._rows
         rows.times[rows.n] = t
         rows.n += 1
@@ -402,11 +400,12 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
 def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     """The (3, nx) fields T, T_star, V at time t - lag; on a stored row, a
     view of that row.  With a member axis, ``lag`` holds one lag per member
-    (or one for all) and the result is (B, 3, nx), each member read as it
-    would be alone: distinct lags take one search over the shared row times,
-    one gather of every member's row at or after its time, and one
-    interpolation of the members whose time falls between rows."""
-    if seg.members:
+    (or one float for all, read without a lag array) and the result is
+    (B, 3, nx), each member read as it would be alone: distinct lags take
+    one search over the shared row times, one gather of every member's row
+    at or after its time, and one interpolation of the members whose time
+    falls between rows."""
+    if seg.members and not isinstance(lag, float):
         lags = np.asarray(lag, dtype=float)
         if lags.shape:
             least, most = lags.min().item(), lags.max().item()

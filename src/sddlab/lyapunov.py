@@ -175,7 +175,7 @@ def u_sdd_fields(
     r2 = now[:, 1] / Ts_hat
     r3 = now[:, 2] / V_hat
     a, b = incidence_ab(f, V_hat)
-    emwh = math.exp(-params.omega * params.h_max)
+    emwh = params.emwh
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = emwh * (a * T_hat / (a + b * T_hat)) * _v(r1)
         term2 = Ts_hat * _v(r2)
@@ -306,7 +306,7 @@ def rate_decomposition(
     lagged[off] = start
     delayed = FieldState(lagged[:, 0], lagged[:, 1], lagged[:, 2])
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
-    emwh = math.exp(-params.omega * params.h_max)
+    emwh = params.emwh
     d1, d2, d3 = params.diff
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         parts = _ratio_arrays(state, delayed, eq, f)

@@ -25,6 +25,7 @@ row-major (T, then V) order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from difflib import get_close_matches
 from typing import Callable, Mapping
@@ -68,6 +69,11 @@ class ModelParams:
     omega    intracellular death exponent (1/time)
     h_max    maximal delay (time)
     diff     diffusion coefficients (d1, d2, d3), each >= 0
+
+    Derived once per parameter set, for the solver's step: ``emwh`` =
+    e^{-omega h}, ``burst_delta`` = N delta, the (3, 1) columns ``loss`` =
+    (d, delta, c) and ``diff_column``, which scale (..., 3, nx) rows, and
+    ``diffusing``, the indices of the components with d_i > 0.
     """
 
     lam: float
@@ -90,7 +96,14 @@ class ModelParams:
             raise ValueError(f"omega: must be nonnegative, got {self.omega}")
         if len(self.diff) != 3 or any(di < 0.0 for di in self.diff):
             raise ValueError(f"diff: need three nonnegative coefficients, got {self.diff}")
-        object.__setattr__(self, "diff_column", np.array(self.diff, dtype=float)[:, None])  # scales (..., 3, nx) rows
+        for name, value in {
+            "emwh": math.exp(-self.omega * self.h_max),
+            "burst_delta": self.burst_n * self.delta,
+            "loss": np.array((self.d, self.delta, self.c), dtype=float)[:, None],
+            "diff_column": np.array(self.diff, dtype=float)[:, None],
+            "diffusing": tuple(i for i, di in enumerate(self.diff) if di),
+        }.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

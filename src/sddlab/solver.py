@@ -8,6 +8,11 @@ a continuous extension of the history, not just more stages on a frozen
 delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003).  A component with d_i == 0 gets no diffusion term at all.
 
+The step's constants are derived once per parameter set, in ``ModelParams``
+(at the stream's start and at each jump); ``rhs`` writes into the store's
+next row by the operations of ``tests/oracles.rhs_ref`` in their order, and
+``step`` scales that row by dt and adds the current row in place.
+
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
 (``history``).  ``run`` sizes that store once, from t_end, dt and the number
@@ -252,11 +257,10 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
     """Upper bounds of the invariant box; None when no mu is available."""
     if mu is None:
         return None
-    emwh = math.exp(-params.omega * params.h_max)
     return (
         params.lam / params.d,
-        params.lam * mu * emwh / (params.d * params.delta),
-        params.burst_n * params.lam * mu * emwh / (params.d * params.c),
+        params.lam * mu * params.emwh / (params.d * params.delta),
+        params.burst_n * params.lam * mu * params.emwh / (params.d * params.c),
     )
 
 
@@ -266,25 +270,32 @@ def rhs(
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reaction plus diffusion right-hand side of (..., 3, nx) rows T, T_star,
-    V; the delayed row feeds only the infected-cell production term."""
-    T, T_star, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
-    emwh = math.exp(-params.omega * params.h_max)
-    out = np.empty(state.shape)
-    np.subtract(params.lam - params.d * T, incidence_values(f, T, V), out=out[..., 0, :])
-    np.subtract(
-        emwh * incidence_values(f, delayed[..., 0, :], delayed[..., 2, :]), params.delta * T_star, out=out[..., 1, :]
-    )
-    np.subtract(params.burst_n * params.delta * T_star, params.c * V, out=out[..., 2, :])
-    if any(params.diff):
+    V, written into ``out`` (a new array by default), which must not overlap
+    either row; the delayed row feeds only the infected-cell production term.
+    Each entry is made by ``tests/oracles.rhs_ref``'s operations in their
+    order, so it has the oracle's bits."""
+    out = np.empty(state.shape) if out is None else out
+    dT, dT_star, dV = out[..., 0, :], out[..., 1, :], out[..., 2, :]
+    pair = np.array((state, delayed))  # f(T, V) of both rows in one evaluation
+    f_now, f_delayed = incidence_values(f, pair[..., 0, :], pair[..., 2, :])
+    # the gains, then the losses d T, delta T_star, c V of all three at once
+    dT.fill(params.lam)
+    np.multiply(f_delayed, params.emwh, out=dT_star)
+    np.multiply(state[..., 1, :], params.burst_delta, out=dV)
+    out -= np.multiply(state, params.loss)
+    dT -= f_now
+    if params.diffusing:
         lap = laplacian_neumann(grid, state)
         lap *= params.diff_column
-        if all(params.diff):
+        if len(params.diffusing) == 3:
             out += lap
         else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan
-            for i in [i for i, d in enumerate(params.diff) if d]:
-                out[..., i, :] += lap[..., i, :]
+            for i in params.diffusing:
+                row = out[..., i, :]
+                row += lap[..., i, :]
     return out
 
 
@@ -311,12 +322,14 @@ def step(
     # any row view taken before it
     row = seg.next_row()
     lag = evaluate_eta(df, seg)
-    delayed = delayed_state(seg, lag)
+    delayed = delayed_state(seg, df.eta_const if df.kind == "constant" else lag)
     u = seg.fields[-1]
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add(u, np.multiply(dt_step, rhs(u, delayed, params, f, grid), out=row), out=row)
+        rhs(u, delayed, params, f, grid, out=row)
+        row *= dt_step
+        row += u
     clipped = 0
     if cfg.clip_negative:
         clipped = np.count_nonzero(row < 0.0, axis=(-2, -1))
@@ -440,6 +453,8 @@ class RunStream:
             self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
         else:
             segs = [build_initial_segment(i, grid, params.h_max, cfg.dt) for i in initial]
+            if not segs:
+                raise ValueError("RunStream: no members")
             fields = np.stack([seg.fields for seg in segs], axis=1)
             self.history = HistorySegment(params.h_max, cfg.dt, segs[0].times, fields)
         self.compat_residual = compatibility_residual(self.history, params, f, df, grid)

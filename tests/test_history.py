@@ -17,6 +17,7 @@ from sddlab import (
 from sddlab.config import load_config
 from sddlab.history import BAND, smooth_clamp
 
+from .helpers import push_state
 from .oracles import fine_trapezoid, smooth_clamp_scalar, snapshot_interp, snapshot_window_trapezoid
 
 
@@ -55,7 +56,7 @@ class TestHistorySegment:
         grid = Grid1D(0, 1, 3)
         seg = segment_with_v(grid, lambda t: 1.0, h_max=1.0, dt=0.1)
         for k in range(1, 100):
-            seg.push(k * 0.1, const_state(grid, 1, 1, 1))
+            push_state(seg, k * 0.1, const_state(grid, 1, 1, 1))
             assert seg.covers()
         assert len(seg) <= int(np.ceil(1.0 / 0.1)) + 2
 
@@ -71,7 +72,7 @@ class TestHistorySegment:
         grid = Grid1D(0, 1, 3)
         seg = segment_with_v(grid, lambda t: 1.0)
         with pytest.raises(ValueError):
-            seg.push(seg.t_now, const_state(grid, 1, 1, 1))
+            push_state(seg, seg.t_now, const_state(grid, 1, 1, 1))
 
 
 class TestEvaluateEta:
@@ -261,7 +262,7 @@ def pushed_histories(draw):
     t = 0.0
     for i in range(n_steps):
         t += dt * frac if i == short else dt
-        seg.push(t, random_state(t))
+        push_state(seg, t, random_state(t))
         covered.append(seg.covers())
     return grid, seg, times, snaps, covered
 
@@ -355,7 +356,7 @@ class TestSlidingStore:
         for i in range(n_steps):
             lo = seg._lo
             t += dt * frac if i == short else dt
-            seg.push(t, random_state(t))
+            push_state(seg, t, random_state(t))
             slides += seg._lo < lo
             assert seg.covers()
             got = evaluate_eta(integral_delay(h, xi_v), seg)
@@ -385,12 +386,12 @@ class TestSlidingStore:
         free = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
         for seg in (pinned, free):
             for i in range(1, 6):
-                seg.push(0.1 * i, state(0.1 * i))
+                push_state(seg, 0.1 * i, state(0.1 * i))
         old = pinned.view(0, len(pinned))
         old_times, old_fields = old.times.copy(), old.fields.copy()
         for i in range(6, 66):
             for seg in (pinned, free):
-                seg.push(0.1 * i, state(0.1 * i))
+                push_state(seg, 0.1 * i, state(0.1 * i))
         assert np.array_equal(old.times, old_times)
         assert np.array_equal(old.fields, old_fields)
         # every row since the view is still stored, in order

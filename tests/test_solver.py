@@ -16,6 +16,7 @@ from sddlab import (
     build_initial_segment,
     compatibility_residual,
     constant_delay,
+    delayed_state,
     equilibrium_norm,
     equilibrium_state,
     evaluate_eta,
@@ -30,6 +31,7 @@ from sddlab import (
 from sddlab.model import KINDS, incidence_values
 from sddlab.solver import InitialData, RunStream, _extremes, _upper_limits, _violations, apply_jump, validate_schedule
 
+from .helpers import push_state
 from .oracles import fixed_lag_euler, rhs_ref, saturated_closed_form
 
 
@@ -117,18 +119,68 @@ class TestRhsOracle:
         assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
     def test_run_rows_match_a_loop_over_the_oracle(self):
-        # d2 == 0 next to diffusing T and V; T_star starts at -0.0 wherever the
-        # narrow bump underflows to 0 (-0.0 + -1e-3 * 0.0)
+        # dt = 1/64 puts every step, jump and the lag 1/4 exactly on the step
+        # grid; the jumps give a new e^{-omega h}, a new N delta, and new
+        # diffusing rows (d2 from 0 to 0 and back).  Member 0's initial T_star
+        # holds -0.0 wherever the narrow bump underflows to 0 (-0.0 + -1e-3 *
+        # 0.0), and member 1 starts at T < 0, which clipping sets to 0.
+        dt, lag, n = 1.0 / 64.0, 16, 192
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(2e-3, 0.0, 4e-3))
-        f, grid, dt = IncidenceFn("saturated", k=0.1, k2=0.1), Grid1D(0.0, 1.0, 21), 0.01
-        initial = InitialData(preset="gaussian_bump", values=(50.0, -0.0, 10.0), bump_amp=(5.0, -1e-3, 1.0), bump_width=0.01)
-        traj = run(initial, params, f, constant_delay(0.5, 0.2), SolverConfig(dt=dt, t_end=300 * dt), grid)
-        assert len(traj) == 301 and not traj.aborted
-        assert np.signbit(traj.fields[0, 1]).any() and (traj.fields[0, 1] == 0.0).any()
-        rows = [traj.fields[0]]  # the initial segment is this row at every time up to 0
-        for k in range(300):
-            rows.append(rows[k] + dt * rhs_ref(rows[k], rows[max(k - 20, 0)], params, f, grid))
-        assert traj.fields.tobytes() == np.array(rows).tobytes()
+        grid = Grid1D(0.0, 1.0, 21)
+        schedule = [ParamJump(0.5, "omega", 0.3), ParamJump(1.0, "burst_n", 6.0)]
+        schedule += [ParamJump(1.5, "d2", 3e-3), ParamJump(2.0, "d2", 0.0), ParamJump(2.5, "d2", 2e-3)]
+        members = [
+            InitialData(preset="gaussian_bump", values=(50.0, -0.0, 10.0), bump_amp=(5.0, -1e-3, 1.0), bump_width=0.01),
+            InitialData(preset="uniform", values=(-5.0, 10.0, 10.0)),
+        ]
+        cfg = SolverConfig(dt=dt, t_end=n * dt, clip_negative=True)
+        for kind in KINDS:
+            f = IncidenceFn(kind, k=0.1, k1=0.05, k2=0.1)
+            stream = RunStream(members, params, f, constant_delay(0.5, lag * dt), cfg, grid, schedule)
+            got = np.array([s.row.copy() for s in stream])
+            assert len(got) == n + 1 and not any(stream.aborted) and stream.clip_events[1] > 0, kind
+            assert np.signbit(got[0, 0, 1]).any() and (got[0, 0, 1] == 0.0).any()
+            rows, p = [got[0]], params  # the initial segment is this row at every time up to 0
+            for k in range(n):
+                p = next((apply_jump(p, j) for j in schedule if j.t == k * dt), p)
+                new = rows[k] + dt * rhs_ref(rows[k], rows[max(k - lag, 0)], p, f, grid)
+                rows.append(np.maximum(new, 0.0))
+            want = np.array(rows)
+            # NaN signs aside, as in the test above
+            assert np.array_equal(got, want, equal_nan=True), kind
+            number = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[number]), np.signbit(want[number])), kind
+
+    def test_constant_lag_off_the_step_grid_matches_an_interpolating_loop(self, ref_params, saturated):
+        # the lag 0.234 falls between rows (23.4 steps of 0.01), and the jump at
+        # 0.505 shortens one step, so the delayed row is interpolated throughout
+        dt, lag, t_jump, t_end = 0.01, 0.234, 0.505, 1.0
+        grid = Grid1D(0.0, 1.0, 11)
+        members = [
+            InitialData(preset="gaussian_bump", values=(50.0, 10.0, 10.0), profile="linear_ramp"),
+            InitialData(preset="uniform", values=(40.0, 12.0, 7.0), profile="linear_ramp"),
+        ]
+        jump = ParamJump(t_jump, "burst_n", 6.0)
+        stream = RunStream(members, ref_params, saturated, constant_delay(1.0, lag), SolverConfig(dt=dt, t_end=t_end), grid, [jump])
+        got = [(s.t, s.row.copy()) for s in stream]
+        # the oracle loop: its own store, the stream's rule for step times, delayed_state's read
+        segs = [build_initial_segment(m, grid, 1.0, dt) for m in members]
+        seg = HistorySegment(1.0, dt, segs[0].times, np.stack([s.fields for s in segs], axis=1))
+        want, p, slack = [], ref_params, 1e-6 * dt
+        while seg.t_now < t_end - slack:
+            t = seg.t_now
+            if t >= t_jump - slack:
+                p = apply_jump(ref_params, jump)
+            dt_k = min(dt, t_end - t, t_jump - t) if t < t_jump - slack else min(dt, t_end - t)
+            u = seg.fields[-1].copy()
+            want.append((t, u))
+            push_state(seg, t + dt_k, u + dt_k * rhs_ref(u, delayed_state(seg, lag), p, saturated, grid))
+        want.append((seg.t_now, seg.fields[-1].copy()))
+        times = [t for t, _ in want]
+        # shortened: the step to the jump, and the last, to t_end
+        assert sum(b - a < 0.99 * dt for a, b in zip(times, times[1:])) == 2
+        assert [t for t, _ in got] == times
+        assert np.array([r for _, r in got]).tobytes() == np.array([r for _, r in want]).tobytes()
 
 
 @st.composite
@@ -221,7 +273,7 @@ class TestStep:
 
         seg = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
         for t in (0.1, 0.15, 0.25, 0.35):
-            seg.push(t, state(t))
+            push_state(seg, t, state(t))
         assert (seg._rows.n, len(seg._rows.times), seg._lo) == (8, 8, 3)
         now, lagged = seg.fields[-1].copy(), as_row(state(0.1))
         k = rhs(now, lagged, ref_params, saturated, grid3)
@@ -500,6 +552,10 @@ class TestDiagnostics:
 
 
 class TestRunStream:
+    def test_no_members_is_an_error(self, ref_params, saturated):
+        with pytest.raises(ValueError, match="RunStream: no members"):
+            RunStream([], ref_params, saturated, constant_delay(1.0, 0.4), SolverConfig(dt=0.01, t_end=1.0), Grid1D(0, 1, 5))
+
     def test_store_stays_within_two_windows_and_matches_run(self, ref_params, saturated):
         # h/dt = 20 steps, t_end/dt = 1200 steps: more than 50 windows, with
         # an integral delay (cached xi values) and one shortened step

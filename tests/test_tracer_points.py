@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import sddlab.cli  # noqa: F401  (loads every module the trace points name)
+import sddlab.solver as solver
+from sddlab import Grid1D, IncidenceFn, ModelParams, ParamJump, SolverConfig, constant_delay
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
@@ -52,3 +54,32 @@ def test_install_wraps_every_point_and_uninstall_leaves_no_wrapper(tracer):
         t.uninstall()
     assert tracer.leftover_wrappers() == []
     assert [resolve(point) for point in tracer.POINTS] == originals
+
+
+def test_the_stream_calls_step_and_rhs_through_their_solver_bindings(monkeypatch):
+    # the tracer's solver.step and solver.rhs counts read zero if the time loop
+    # stops looking these names up in sddlab.solver
+    calls = {"step": 0, "rhs": 0}
+
+    def counting(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counting("step")
+    counting("rhs")
+    params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(1e-3, 0.0, 2e-3))
+    members = [solver.InitialData(preset="gaussian_bump"), solver.InitialData(preset="uniform")]
+    cfg = SolverConfig(dt=0.01, t_end=0.5)
+    stream = solver.RunStream(
+        members, params, IncidenceFn("saturated", k=0.1, k2=0.1), constant_delay(0.5, 0.2), cfg, Grid1D(0.0, 1.0, 5),
+        [ParamJump(0.255, "burst_n", 5.0)],
+    )
+    assert calls == {"step": 0, "rhs": 1}  # the compatibility residual's
+    steps = sum(1 for _ in stream) - 1  # every sample but the initial one leaves a step behind it
+    assert steps == 51  # 50 steps of dt, one of them split by the jump
+    assert calls == {"step": steps, "rhs": steps + 1}
