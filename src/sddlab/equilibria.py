@@ -75,7 +75,7 @@ def h_f(params: ModelParams, f: IncidenceFn, s):
     ewh = math.exp(params.omega * params.h_max)
     T_arg = params.lam / params.d - (params.delta / params.d) * ewh * s_arr
     T_arg = np.maximum(T_arg, 0.0)  # clip fp dust at the bracket end
-    V_arg = (params.burst_n * params.delta / params.c) * s_arr
+    V_arg = (params.burst_delta / params.c) * s_arr
     out = incidence_values(f, T_arg, V_arg) - params.delta * ewh * s_arr
     return float(out) if np.ndim(out) == 0 else out
 
@@ -86,7 +86,7 @@ def stationary_residual(params: ModelParams, f: IncidenceFn, T: float, Ts: float
     fv = float(incidence_values(f, T, V))
     r1 = params.lam - params.d * T - fv
     r2 = fv / ewh - params.delta * Ts
-    r3 = params.burst_n * params.delta * Ts - params.c * V
+    r3 = params.burst_delta * Ts - params.c * V
     return max(abs(r1), abs(r2), abs(r3))
 
 
@@ -156,7 +156,7 @@ def assemble_equilibrium(params: ModelParams, f: IncidenceFn, s_root: float) -> 
     ewh = math.exp(params.omega * params.h_max)
     Ts = float(s_root)
     T = max((params.lam - params.delta * Ts * ewh) / params.d, 0.0)
-    V = params.burst_n * params.delta * Ts / params.c
+    V = params.burst_delta * Ts / params.c
     res = stationary_residual(params, f, T, Ts, V)
     if not res <= _RESIDUAL_TOL:
         raise ValueError(
