@@ -16,7 +16,6 @@ from .equilibria import (
 from .grid import Grid1D, integrate, laplacian_neumann, mean_value
 from .history import (
     DelayFunctional,
-    FieldState,
     HistorySegment,
     constant_delay,
     delayed_state,
@@ -55,12 +54,10 @@ from .solver import (
     Trajectory,
     build_initial_segment,
     compatibility_residual,
-    equilibrium_state,
     omega_lip_bounds,
     rhs,
     run,
     step,
-    uniform_state,
 )
 
 __version__ = "0.1.0"

@@ -74,9 +74,13 @@ class RunConfig:
     output: OutputConfig
 
 
-# ModelParams field name -> config key (for attaching line context to
-# invariant violations raised by the dataclass constructors)
-_FIELD_TO_KEY = {"lam": "lambda", "diff": "d1"}
+# InitialData's per-component triples -> their config keys, T, T_star, V
+_TRIPLE_KEYS = {"values": ("t0", "tstar0", "v0"), "bump_amp": ("bump_amp_t", "bump_amp_tstar", "bump_amp_v")}
+# ModelParams and InitialData field names -> config key (for attaching line
+# context to invariant violations raised by the dataclass constructors)
+_FIELD_TO_KEY = {"lam": "lambda", "diff": "d1"} | {
+    f"{field}[{i}]": key for field, keys in _TRIPLE_KEYS.items() for i, key in enumerate(keys)
+}
 
 DEFAULTS_DOC = """\
 [params]   lambda=10 d=0.1 delta=0.5 burst_n=10 c=5 omega=0 h_max=1 d1=0 d2=0 d3=0
@@ -341,15 +345,16 @@ def load_config(path: str | Path) -> RunConfig:
 
     s0 = parse("initial")
     eq_index, epsilon_rel = s0.pop("eq_index"), s0.pop("epsilon_rel")
-    values = (s0.pop("t0"), s0.pop("tstar0"), s0.pop("v0"))
-    bump_amp = (s0.pop("bump_amp_t"), s0.pop("bump_amp_tstar"), s0.pop("bump_amp_v"))
-    initial = build("initial", InitialData, values=values, bump_amp=bump_amp, **s0)
+    triples = {field: tuple(s0.pop(key) for key in keys) for field, keys in _TRIPLE_KEYS.items()}
+    initial = build("initial", InitialData, **triples, **s0)
     if initial is not None and initial.preset == "equilibrium_perturbation":
         # the equilibrium and the absolute epsilon are resolved at run time
         if eq_index < 0:
             fail("initial", "eq_index", f"must be nonnegative, got {eq_index}")
         if epsilon_rel < 0.0:
             fail("initial", "epsilon_rel", f"must be nonnegative, got {epsilon_rel}")
+        elif not epsilon_rel < math.inf:  # NaN too
+            fail("initial", "epsilon_rel", f"must be finite, got {epsilon_rel}")
 
     jumps: list[tuple[str, ParamJump]] = []
     for key, (value, _) in sorted(raw.get("schedule", {}).items(), key=lambda kv: int(kv[0][4:])):

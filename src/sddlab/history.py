@@ -48,7 +48,6 @@ import numpy as np
 from .grid import Grid1D, mean_value
 
 __all__ = [
-    "FieldState",
     "HistorySegment",
     "DelayFunctional",
     "constant_delay",
@@ -64,26 +63,6 @@ __all__ = [
 BAND = 0.01  # smooth_clamp's corner half-width, as a fraction of h_max
 
 Reducer = Callable[[np.ndarray], np.ndarray]  # xi: rows (..., 3, nx) -> values (...)
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """The three spatial fields at one instant, on a shared grid."""
-
-    T: np.ndarray
-    T_star: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-        object.__setattr__(self, "T_star", np.asarray(self.T_star, dtype=float))
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
-        if not (self.T.shape == self.T_star.shape == self.V.shape):
-            raise ValueError("FieldState: components must share one grid")
-
-    def __iter__(self):
-        """T, T_star, V: a FieldState unpacks like a (3, nx) row."""
-        return iter((self.T, self.T_star, self.V))
 
 
 class _Rows:
@@ -117,19 +96,20 @@ class HistorySegment:
 
     __slots__ = ("h_max", "dt", "_rows", "_lo", "_hi")
 
-    def __init__(self, h_max: float, dt: float, times: Sequence[float], states: Sequence[FieldState | np.ndarray]):
+    def __init__(self, h_max: float, dt: float, times: Sequence[float], fields: np.ndarray):
         if not h_max > 0.0:
             raise ValueError(f"h_max: must be positive, got {h_max}")
         if not dt > 0.0:
             raise ValueError(f"dt: must be positive, got {dt}")
-        if len(times) != len(states) or len(times) < 2:
-            raise ValueError("HistorySegment: need matching times/states with at least two snapshots")
+        if len(times) < 2:
+            raise ValueError("HistorySegment: need at least two snapshots")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("HistorySegment: times must be strictly increasing")
+        fields = np.array(fields, dtype=float, order="C")  # the store's own copy, row after row
+        if fields.ndim < 3 or fields.shape[0] != len(times) or fields.shape[-2] != 3:
+            raise ValueError(f"HistorySegment: fields of shape {fields.shape} are not ({len(times)}, *members, 3, nx)")
         self.h_max = float(h_max)
         self.dt = float(dt)
-        # a state is a FieldState or a (*members, 3, nx) row
-        fields = np.array([tuple(s) for s in states], dtype=float)
         self._rows = _Rows(np.array(times, dtype=float), fields)
         self._lo, self._hi = 0, len(times)
         if not self.covers():
@@ -137,15 +117,6 @@ class HistorySegment:
                 f"HistorySegment: snapshots span [{times[0]}, {times[-1]}], "
                 f"shorter than the delay window h_max={h_max}"
             )
-
-    @classmethod
-    def from_profile(cls, h_max: float, dt: float, t_now: float, profile: Callable[[float], FieldState]) -> "HistorySegment":
-        """Build an initial segment by sampling profile(t) on [t_now - h, t_now]."""
-        m = int(np.ceil(h_max / dt - 1e-9))
-        if m * dt < h_max:
-            m += 1
-        times = [t_now - (m - i) * dt for i in range(m + 1)]
-        return cls(h_max, dt, times, [profile(t) for t in times])
 
     def view(self, lo: int, hi: int) -> "HistorySegment":
         """The segment over rows lo..hi-1, counted from this segment's first

@@ -65,7 +65,7 @@ import numpy.random  # noqa: F401  every certify seeds a Generator; load it with
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
-from .history import DelayFunctional, FieldState, HistorySegment, window_starts
+from .history import DelayFunctional, HistorySegment, window_starts
 from .history import evaluate_eta  # noqa: F401  the benchmark's tracer wraps this binding (perfbench/selftest.py)
 from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
 from .solver import InitialData, RunStream, SolverConfig, Trajectory
@@ -200,39 +200,42 @@ def u_sdd_total(
     return integrate(grid, fields), ok
 
 
-def _ratio_arrays(state: FieldState, delayed: FieldState, eq: Equilibrium, f: IncidenceFn):
-    """Shared ingredients of the rate terms, for one field or a stack of
-    them, and per field whether no floor is hit."""
+def _ratio_arrays(state: np.ndarray, delayed: np.ndarray, eq: Equilibrium, f: IncidenceFn):
+    """Shared ingredients of the rate terms, for one (3, nx) row or a stack
+    of them, and per row whether no floor is hit."""
+    T, Ts, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
     f_hat = float(incidence_values(f, eq.T_hat, eq.V_hat))
-    fT = incidence_values(f, state.T, eq.V_hat)
-    fTV = incidence_values(f, state.T, state.V)
-    fdel = incidence_values(f, delayed.T, delayed.V)
+    fT = incidence_values(f, T, eq.V_hat)
+    fTV = incidence_values(f, T, V)
+    fdel = incidence_values(f, delayed[..., 0, :], delayed[..., 2, :])
     floors = (fT <= LOG_FLOOR) | (fTV <= LOG_FLOOR) | (fdel <= LOG_FLOOR)
-    floors |= (state.T_star <= LOG_FLOOR) | (state.V <= LOG_FLOOR)
+    floors |= (Ts <= LOG_FLOOR) | (V <= LOG_FLOOR)
     ok = ~np.any(floors, axis=-1) & (f_hat > LOG_FLOOR)
     return f_hat, fT, fTV, fdel, ok
 
 
-def _c1_algebraic(state: FieldState, eq: Equilibrium, parts) -> np.ndarray:
+def _c1_algebraic(state: np.ndarray, eq: Equilibrium, parts) -> np.ndarray:
     f_hat, fT, fTV, fdel, _ = parts
+    Ts, V = state[..., 1, :], state[..., 2, :]
     Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
     p1 = (1.0 - f_hat / fT) * (1.0 - fTV / f_hat)
-    p2 = (1.0 - Ts_hat / state.T_star) * (fdel / f_hat - state.T_star / Ts_hat)
-    p3 = (1.0 - V_hat / state.V) * (state.T_star / Ts_hat - state.V / V_hat)
+    p2 = (1.0 - Ts_hat / Ts) * (fdel / f_hat - Ts / Ts_hat)
+    p3 = (1.0 - V_hat / V) * (Ts / Ts_hat - V / V_hat)
     return p1 + p2 + p3
 
 
-def _c1_seven_v(state: FieldState, eq: Equilibrium, parts) -> tuple[np.ndarray, np.ndarray]:
-    """The seven-v form and per field whether every argument is above the floor."""
+def _c1_seven_v(state: np.ndarray, eq: Equilibrium, parts) -> tuple[np.ndarray, np.ndarray]:
+    """The seven-v form and per row whether every argument is above the floor."""
     f_hat, fT, fTV, fdel, _ = parts
+    Ts, V = state[..., 1, :], state[..., 2, :]
     Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
     a1 = fTV / fT
     a2 = fdel / f_hat
     a3 = f_hat / fT
     a4 = fTV / f_hat
-    a5 = fdel * Ts_hat / (f_hat * state.T_star)
-    a6 = state.T_star * V_hat / (Ts_hat * state.V)
-    a7 = state.V / V_hat
+    a5 = fdel * Ts_hat / (f_hat * Ts)
+    a6 = Ts * V_hat / (Ts_hat * V)
+    a7 = V / V_hat
     floors = (a1 <= LOG_FLOOR) | (a2 <= LOG_FLOOR) | (a3 <= LOG_FLOOR) | (a4 <= LOG_FLOOR)
     floors |= (a5 <= LOG_FLOOR) | (a6 <= LOG_FLOOR) | (a7 <= LOG_FLOOR)
     ok = ~np.any(floors, axis=-1)
@@ -298,39 +301,38 @@ def rate_decomposition(
     eta_rate = (traj.eta[ks + 1] - traj.eta[ks - 1]) / span
     dU = (U_p - U_m) / span
 
-    now = traj.fields[ks]
-    state = FieldState(now[:, 0], now[:, 1], now[:, 2])
+    state = traj.fields[ks]
+    T, Ts, V = state[:, 0], state[:, 1], state[:, 2]
     seg_k = [segs[i] for i in at]
     rows, off, start = window_starts(seg_k, t_k - eta_k)  # each k's delayed row, as delayed_state reads it
-    lagged = traj.fields[rows + [seg.offset(traj.history) for seg in seg_k]]
-    lagged[off] = start
-    delayed = FieldState(lagged[:, 0], lagged[:, 1], lagged[:, 2])
+    delayed = traj.fields[rows + [seg.offset(traj.history) for seg in seg_k]]
+    delayed[off] = start
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     emwh = params.emwh
     d1, d2, d3 = params.diff
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         parts = _ratio_arrays(state, delayed, eq, f)
         f_hat, fT, fTV, fdel, ok_parts = parts
-        A = params.d * T_hat * emwh * integrate(grid, (1.0 - state.T / T_hat) * (1.0 - f_hat / fT))
+        A = params.d * T_hat * emwh * integrate(grid, (1.0 - T / T_hat) * (1.0 - f_hat / fT))
         braces = (
             -_v(f_hat / fT)
-            - _v(fdel * Ts_hat / (f_hat * state.T_star))
-            - _v(state.T_star * V_hat / (Ts_hat * state.V))
-            - (_v(state.V / V_hat) - _v(fTV / fT))
+            - _v(fdel * Ts_hat / (f_hat * Ts))
+            - _v(Ts * V_hat / (Ts_hat * V))
+            - (_v(V / V_hat) - _v(fTV / fT))
         )
         B = f_hat * emwh * integrate(grid, braces)
 
         g1 = g2 = g3 = np.zeros(len(ks))
         if d1 != 0.0:
-            gradT = gradient_central(grid, state.T)
-            fp1 = incidence_dT(f, state.T, V_hat)
+            gradT = gradient_central(grid, T)
+            fp1 = incidence_dT(f, T, V_hat)
             g1 = -d1 * emwh * f_hat * integrate(grid, fp1 / (fT * fT) * gradT * gradT)
         if d2 != 0.0:
-            gradTs = gradient_central(grid, state.T_star)
-            g2 = -d2 * Ts_hat * integrate(grid, gradTs * gradTs / (state.T_star * state.T_star))
+            gradTs = gradient_central(grid, Ts)
+            g2 = -d2 * Ts_hat * integrate(grid, gradTs * gradTs / (Ts * Ts))
         if d3 != 0.0:
-            gradV = gradient_central(grid, state.V)
-            g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, gradV * gradV / (state.V * state.V))
+            gradV = gradient_central(grid, V)
+            g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, gradV * gradV / (V * V))
         Ddiff = g1 + g2 + g3
 
         dTs = params.delta * Ts_hat
@@ -431,13 +433,9 @@ def _monitor_members(
     return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row
 
 
-def distance_to_equilibrium(state: FieldState, eq: Equilibrium, grid: Grid1D) -> float:
-    """Root-mean-square distance of the triple from the equilibrium."""
-    dev = (
-        (state.T - eq.T_hat) ** 2
-        + (state.T_star - eq.T_star_hat) ** 2
-        + (state.V - eq.V_hat) ** 2
-    )
+def distance_to_equilibrium(row: np.ndarray, eq: Equilibrium, grid: Grid1D) -> float:
+    """Root-mean-square distance of a (3, nx) row T, T_star, V from the equilibrium."""
+    dev = (row[0] - eq.T_hat) ** 2 + (row[1] - eq.T_star_hat) ** 2 + (row[2] - eq.V_hat) ** 2
     return math.sqrt(max(integrate(grid, dev) / grid.length, 0.0))
 
 
@@ -542,8 +540,8 @@ def certify_local_stability(
                 frac_min = 0.0
                 all_contracted = False
                 continue
-            d0 = distance_to_equilibrium(FieldState(*row0), eq, grid)
-            d1 = distance_to_equilibrium(FieldState(*row1), eq, grid)
+            d0 = distance_to_equilibrium(row0, eq, grid)
+            d1 = distance_to_equilibrium(row1, eq, grid)
             valid = [s for s in samples if s.valid]
             n_samples += len(samples)
             n_valid += len(valid)

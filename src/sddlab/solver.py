@@ -57,7 +57,7 @@ import numpy as np
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, laplacian_neumann
-from .history import DelayFunctional, FieldState, HistorySegment, delayed_state, evaluate_eta
+from .history import DelayFunctional, HistorySegment, delayed_state, evaluate_eta
 from .model import IncidenceFn, ModelParams, incidence_mu, incidence_values
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "validate_schedule",
     "apply_jump",
     "InitialData",
-    "uniform_state",
-    "equilibrium_state",
     "build_initial_segment",
     "omega_lip_bounds",
     "rhs",
@@ -182,19 +180,15 @@ class InitialData:
             raise ValueError(f"direction: unknown perturbation direction {self.direction!r}")
         if not 0.0 <= self.ramp_depth < 1.0:
             raise ValueError(f"ramp_depth: must lie in [0, 1), got {self.ramp_depth}")
-
-
-def uniform_state(grid: Grid1D, values: tuple[float, float, float]) -> FieldState:
-    return FieldState(
-        np.full(grid.nx, float(values[0])),
-        np.full(grid.nx, float(values[1])),
-        np.full(grid.nx, float(values[2])),
-    )
-
-
-def equilibrium_state(grid: Grid1D, eq: Equilibrium) -> FieldState:
-    """Lift the spatially constant equilibrium onto the grid."""
-    return uniform_state(grid, (eq.T_hat, eq.T_star_hat, eq.V_hat))
+        # each entry of the triples, by name; written so that NaN fails each test
+        entries = {f"{n}[{i}]": v for n in ("values", "bump_amp", "weights") for i, v in enumerate(getattr(self, n) or ())}
+        for name, value in {**entries, "bump_center": self.bump_center, "epsilon": self.epsilon}.items():
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"{name}: must be finite, got {value}")
+        if self.weights is not None and not any(self.weights):
+            raise ValueError(f"weights: must not all be zero, got {self.weights}")
+        if self.bump_width is not None and not 0.0 < self.bump_width < math.inf:
+            raise ValueError(f"bump_width: must be positive and finite, got {self.bump_width}")
 
 
 def _bump_profile(grid: Grid1D, center: float | None, width: float | None) -> np.ndarray:
@@ -204,18 +198,19 @@ def _bump_profile(grid: Grid1D, center: float | None, width: float | None) -> np
     return np.exp(-(((x - c) / w) ** 2))
 
 
-def _target_state(initial: InitialData, grid: Grid1D) -> FieldState:
+def _column(values) -> np.ndarray:
+    """Three per-component values as a (3, 1) column, constant in space."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def _target_row(initial: InitialData, grid: Grid1D) -> np.ndarray:
+    """The (3, nx) row T, T_star, V that the preset reaches at the newest time."""
     if initial.preset == "uniform":
-        return uniform_state(grid, initial.values)
+        return np.repeat(_column(initial.values), grid.nx, axis=1)
+    bump = initial.preset == "gaussian_bump" or initial.direction == "gaussian_bump"
+    shape = _bump_profile(grid, initial.bump_center, initial.bump_width) if bump else np.ones(grid.nx)
     if initial.preset == "gaussian_bump":
-        shape = _bump_profile(grid, initial.bump_center, initial.bump_width)
-        base = initial.values
-        amp = initial.bump_amp
-        return FieldState(
-            base[0] + amp[0] * shape,
-            base[1] + amp[1] * shape,
-            base[2] + amp[2] * shape,
-        )
+        return _column(initial.values) + _column(initial.bump_amp) * shape
     eq = initial.equilibrium
     if eq is None:
         # resolved by the caller (the CLI looks it up by eq_index) before
@@ -223,34 +218,30 @@ def _target_state(initial: InitialData, grid: Grid1D) -> FieldState:
         raise ValueError("equilibrium: required for the equilibrium_perturbation preset")
     w = np.asarray(initial.weights if initial.weights is not None else (1.0, 1.0, 1.0), dtype=float)
     w = w / np.linalg.norm(w)
-    if initial.direction == "gaussian_bump":
-        shape = _bump_profile(grid, initial.bump_center, initial.bump_width)
-    else:
-        shape = np.ones(grid.nx)
-    return FieldState(
-        eq.T_hat + initial.epsilon * w[0] * shape,
-        eq.T_star_hat + initial.epsilon * w[1] * shape,
-        eq.V_hat + initial.epsilon * w[2] * shape,
-    )
+    return _column((eq.T_hat, eq.T_star_hat, eq.V_hat)) + initial.epsilon * w[:, None] * shape
 
 
-def build_initial_segment(initial: InitialData, grid: Grid1D, h_max: float, dt: float) -> HistorySegment:
-    """Materialize the preset as a history segment over [-h_max, 0]."""
-    target = _target_state(initial, grid)
-    if initial.profile == "constant_in_time":
-        return HistorySegment.from_profile(h_max, dt, 0.0, lambda t: target)
-    goal = np.array((target.T, target.T_star, target.V))
-    if initial.equilibrium is not None:
-        eq = equilibrium_state(grid, initial.equilibrium)
-        start = np.array((eq.T, eq.T_star, eq.V))
-    else:
-        start = (1.0 - initial.ramp_depth) * goal
-
-    def profile(t: float) -> FieldState:
-        a = min(max((t + h_max) / h_max, 0.0), 1.0)
-        return FieldState(*(start + a * (goal - start)))
-
-    return HistorySegment.from_profile(h_max, dt, 0.0, profile)
+def build_initial_segment(initial, grid: Grid1D, h_max: float, dt: float) -> HistorySegment:
+    """Materialize a preset, or a sequence of them (the members, stacked on
+    axis 1), as a history segment over [-h_max, 0]: rows every dt back
+    from 0, the oldest at or before -h_max."""
+    single = isinstance(initial, InitialData)
+    m = int(np.ceil(h_max / dt - 1e-9))
+    if m * dt < h_max:
+        m += 1
+    times = 0.0 - np.arange(m, -1, -1) * dt  # 0.0 - x, not -x: the newest time is +0.0
+    a = np.clip((times + h_max) / h_max, 0.0, 1.0)[:, None, None]  # the ramp's weight of the goal
+    rows = []
+    for one in [initial] if single else initial:
+        goal = _target_row(one, grid)
+        if one.profile == "constant_in_time":
+            rows.append(np.broadcast_to(goal, (len(times),) + goal.shape))
+            continue
+        eq = one.equilibrium  # the ramp starts there, else at the goal scaled by 1 - ramp_depth
+        start = (1.0 - one.ramp_depth) * goal if eq is None else _column((eq.T_hat, eq.T_star_hat, eq.V_hat))
+        rows.append(start + a * (goal - start))
+    fields = rows[0] if single else np.stack(rows, axis=1)
+    return HistorySegment(h_max, dt, times, fields)
 
 
 def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, float, float] | None:
@@ -449,14 +440,9 @@ class RunStream:
         schedule=(),
     ):
         self.jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
-        if isinstance(initial, InitialData):
-            self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
-        else:
-            segs = [build_initial_segment(i, grid, params.h_max, cfg.dt) for i in initial]
-            if not segs:
-                raise ValueError("RunStream: no members")
-            fields = np.stack([seg.fields for seg in segs], axis=1)
-            self.history = HistorySegment(params.h_max, cfg.dt, segs[0].times, fields)
+        if not isinstance(initial, InitialData) and not (initial := list(initial)):
+            raise ValueError("RunStream: no members")
+        self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
         self.compat_residual = compatibility_residual(self.history, params, f, df, grid)
         self._args = (params, f, df, cfg, grid)
         self._mu = incidence_mu(f)

@@ -17,7 +17,11 @@ package:
 - ``rhs_ref`` is the solver's right-hand side written out plainly (the
   package's ``incidence_values``, the Laplacian ``laplacian_neumann_ref``
   and a masked diffusion add), against which ``solver.rhs`` must agree bit
-  for bit.
+  for bit;
+- ``initial_segment_ref`` builds the initial history one time at a time,
+  one profile call per row and one segment per member stacked afterwards,
+  against which the one-broadcast ``solver.build_initial_segment`` must
+  agree bit for bit; it reads the grid's nodes from ``Grid1D.nodes``.
 """
 
 from __future__ import annotations
@@ -345,3 +349,53 @@ def delay_tails_per_window(segs, etas, f: IncidenceFn, f_hat: float, nx: int) ->
         tails[j] = np.add.reduce(0.5 * (w[:-1] + w[1:]) * np.diff(nodes)[:, None], axis=0)
         ok[j] = not floored
     return tails, ok
+
+
+def _target_ref(initial, grid: Grid1D) -> np.ndarray:
+    """The (3, nx) row an ``InitialData`` preset reaches at time 0, one component at a time."""
+    x = grid.nodes()
+
+    def bump():
+        c = initial.bump_center if initial.bump_center is not None else 0.5 * (grid.x_min + grid.x_max)
+        w = initial.bump_width if initial.bump_width is not None else 0.1 * grid.length
+        return np.exp(-(((x - c) / w) ** 2))
+
+    if initial.preset == "uniform":
+        return np.array([np.full(grid.nx, float(v)) for v in initial.values])
+    if initial.preset == "gaussian_bump":
+        shape = bump()
+        return np.array([base + amp * shape for base, amp in zip(initial.values, initial.bump_amp)])
+    eq = initial.equilibrium
+    w = np.asarray(initial.weights if initial.weights is not None else (1.0, 1.0, 1.0), dtype=float)
+    w = w / np.linalg.norm(w)
+    shape = bump() if initial.direction == "gaussian_bump" else np.ones(grid.nx)
+    levels = (eq.T_hat, eq.T_star_hat, eq.V_hat)
+    return np.array([level + initial.epsilon * w[c] * shape for c, level in enumerate(levels)])
+
+
+def initial_segment_ref(initial, grid: Grid1D, h_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, fields) of the initial history of one ``InitialData``, fields
+    (n, 3, nx), or of a list of them, fields (n, B, 3, nx): m steps of dt
+    back from 0 with m * dt >= h_max, and per member one profile call per
+    time, oldest first."""
+    if isinstance(initial, list):
+        segments = [initial_segment_ref(one, grid, h_max, dt) for one in initial]
+        return segments[0][0], np.stack([fields for _, fields in segments], axis=1)
+    m = int(np.ceil(h_max / dt - 1e-9))
+    if m * dt < h_max:
+        m += 1
+    times = [0.0 - (m - i) * dt for i in range(m + 1)]
+    goal = _target_ref(initial, grid)
+    if initial.profile == "constant_in_time":
+        return np.array(times), np.array([goal for _ in times])
+    eq = initial.equilibrium
+    if eq is None:
+        start = (1.0 - initial.ramp_depth) * goal
+    else:
+        start = np.array([np.full(grid.nx, level) for level in (eq.T_hat, eq.T_star_hat, eq.V_hat)])
+
+    def profile(t: float) -> np.ndarray:
+        a = min(max((t + h_max) / h_max, 0.0), 1.0)
+        return start + a * (goal - start)
+
+    return np.array(times), np.array([profile(t) for t in times])

@@ -158,6 +158,26 @@ class TestErrors:
             load_config(write(tmp_path, f"[grid]\nnx = 11\n\n[output]\n{key} = {value}\n"))
         assert info.value.errors == [f"line 5: [output] {key}: {problem}"]
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("t0 = nan", "t0: must be finite, got nan"),
+            ("v0 = -inf", "v0: must be finite, got -inf"),
+            ("bump_amp_tstar = inf", "bump_amp_tstar: must be finite, got inf"),
+            ("bump_center = inf", "bump_center: must be finite, got inf"),
+            ("bump_width = 0", "bump_width: must be positive and finite, got 0.0"),
+            ("bump_width = nan", "bump_width: must be positive and finite, got nan"),
+            ("epsilon_rel = nan", "epsilon_rel: must be finite, got nan"),
+            ("epsilon_rel = inf", "epsilon_rel: must be finite, got inf"),
+        ],
+    )
+    def test_nonfinite_initial_value_rejected_with_its_line(self, tmp_path, line, problem):
+        # each of these loaded, and simulate then aborted at t = 0
+        text = f"[grid]\nnx = 11\n\n[initial]\npreset = equilibrium_perturbation\n{line}\n"
+        with pytest.raises(ConfigError) as info:
+            load_config(write(tmp_path, text))
+        assert info.value.errors == [f"line 6: [initial] {problem}"]
+
     def test_output_floats_accept_auto_and_edge_values(self, tmp_path):
         text = "[output]\nwarmup = 0\ntol_decrease = -1e-8\nhyp_box_t = auto\nhyp_box_v = 1e-3\n"
         out = load_config(write(tmp_path, text)).output

@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sddlab import (
-    FieldState,
     Grid1D,
     HistorySegment,
     constant_delay,
@@ -17,26 +18,16 @@ from sddlab import (
 from sddlab.config import load_config
 from sddlab.history import BAND, smooth_clamp
 
-from .helpers import push_state
+from .helpers import push_state, segment_from_profile, uniform_row
 from .oracles import fine_trapezoid, smooth_clamp_scalar, snapshot_interp, snapshot_window_trapezoid
 
 
 def const_state(grid, t_val, ts_val, v_val):
-    return FieldState(
-        np.full(grid.nx, t_val), np.full(grid.nx, ts_val), np.full(grid.nx, v_val)
-    )
+    return uniform_row(grid, (t_val, ts_val, v_val))
 
 
 def segment_with_v(grid, v_of_t, h_max=1.0, dt=0.05, t_now=0.0):
-    return HistorySegment.from_profile(
-        h_max, dt, t_now, lambda t: const_state(grid, 10.0, 2.0, v_of_t(t))
-    )
-
-
-class TestFieldState:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FieldState(np.zeros(3), np.zeros(3), np.zeros(4))
+    return segment_from_profile(h_max, dt, t_now, lambda t: const_state(grid, 10.0, 2.0, v_of_t(t)))
 
 
 class TestHistorySegment:
@@ -44,13 +35,20 @@ class TestHistorySegment:
         grid = Grid1D(0, 1, 3)
         s = const_state(grid, 1, 1, 1)
         with pytest.raises(ValueError, match="shorter"):
-            HistorySegment(1.0, 0.1, [-0.5, -0.25, 0.0], [s, s, s])
+            HistorySegment(1.0, 0.1, [-0.5, -0.25, 0.0], np.array([s, s, s]))
 
     def test_times_must_increase(self):
         grid = Grid1D(0, 1, 3)
         s = const_state(grid, 1, 1, 1)
         with pytest.raises(ValueError, match="increasing"):
-            HistorySegment(0.2, 0.1, [-0.2, -0.2, 0.0], [s, s, s])
+            HistorySegment(0.2, 0.1, [-0.2, -0.2, 0.0], np.array([s, s, s]))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (3, 2, 4), (4, 3, 4), (3, 2, 2, 4)])
+    def test_fields_must_be_one_row_per_time(self, shape):
+        # a (n, nx) array used to pass here and fail at the first read of a component
+        with pytest.raises(ValueError, match=re.escape(f"fields of shape {shape} are not (3, *members, 3, nx)")):
+            HistorySegment(0.2, 0.1, [-0.2, -0.1, 0.0], np.ones(shape))
+        assert HistorySegment(0.2, 0.1, [-0.2, -0.1, 0.0], np.ones((3, 2, 3, 4))).members == (2,)
 
     def test_push_evicts_to_bounded_length(self):
         grid = Grid1D(0, 1, 3)
@@ -122,7 +120,7 @@ class TestEvaluateEta:
     @pytest.mark.parametrize("members", [(), (3,)])
     def test_negative_zero_eta_is_positive_zero(self, small_grid, members):
         # np.maximum(-0.0, 0.0) is +0.0, where Python's max(-0.0, 0.0) kept -0.0
-        seg = HistorySegment.from_profile(1.0, 0.1, 0.0, lambda t: np.ones(members + (3, small_grid.nx)))
+        seg = segment_from_profile(1.0, 0.1, 0.0, lambda t: np.ones(members + (3, small_grid.nx)))
         minus_zero_xi = lambda rows: np.full(rows.shape[:-2], -0.0)  # noqa: E731
         for df in (
             integral_delay(1.0, minus_zero_xi),
@@ -255,9 +253,9 @@ def pushed_histories(draw):
         snap = tuple(rng.uniform(0.5, 20.0, grid.nx) for _ in range(3))
         times.append(t)
         snaps.append(snap)
-        return FieldState(*snap)
+        return np.array(snap)
 
-    seg = HistorySegment.from_profile(h, dt, 0.0, random_state)
+    seg = segment_from_profile(h, dt, 0.0, random_state)
     covered = [seg.covers()]
     t = 0.0
     for i in range(n_steps):
@@ -346,9 +344,9 @@ class TestSlidingStore:
             snap = tuple(rng.uniform(0.5, 20.0, grid.nx) for _ in range(3))
             times.append(t)
             snaps.append(snap)
-            return FieldState(*snap)
+            return np.array(snap)
 
-        seg = HistorySegment.from_profile(h, dt, 0.0, random_state)
+        seg = segment_from_profile(h, dt, 0.0, random_state)
         xi_v = state_mean_reducer(grid, "V", 0.3 / h)
         xi_t = state_mean_reducer(grid, "T", 0.1 / h)
         kappa = lambda th: 2.0 * (1.0 + th / h)  # noqa: E731
@@ -382,8 +380,8 @@ class TestSlidingStore:
         def state(t):
             return const_state(small_grid, 10.0 + t, 2.0 * t, 5.0 - t)
 
-        pinned = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
-        free = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
+        pinned = segment_from_profile(0.3, 0.1, 0.0, state)
+        free = segment_from_profile(0.3, 0.1, 0.0, state)
         for seg in (pinned, free):
             for i in range(1, 6):
                 push_state(seg, 0.1 * i, state(0.1 * i))

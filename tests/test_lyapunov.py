@@ -9,9 +9,7 @@ from scipy.integrate import quad
 
 from sddlab import (
     Equilibrium,
-    FieldState,
     Grid1D,
-    HistorySegment,
     IncidenceFn,
     ModelParams,
     ParamJump,
@@ -20,7 +18,6 @@ from sddlab import (
     constant_delay,
     distance_to_equilibrium,
     equilibrium_norm,
-    equilibrium_state,
     integral_delay,
     monitor,
     rate_decomposition,
@@ -34,6 +31,7 @@ from sddlab.lyapunov import _delay_tails, _v, u_sdd_fields
 from sddlab.model import incidence_values
 from sddlab.solver import InitialData, RunStream, Trajectory
 
+from .helpers import eq_row, segment_from_profile
 from .oracles import delay_tails_per_window, saturated_closed_form, snapshot_window_trapezoid
 from .test_history import pushed_histories
 
@@ -45,8 +43,8 @@ def grid5():
 
 def eq_segment(grid, eq, h_max=1.0, dt=0.1, now=None):
     """Equilibrium history over [-h_max, 0]; its newest row is ``now`` when given."""
-    base = equilibrium_state(grid, eq)
-    return HistorySegment.from_profile(h_max, dt, 0.0, lambda t: now if now is not None and t == 0.0 else base)
+    base = eq_row(grid, eq)
+    return segment_from_profile(h_max, dt, 0.0, lambda t: now if now is not None and t == 0.0 else base)
 
 
 class TestVolterra:
@@ -89,18 +87,16 @@ class TestUsdd:
 
     def test_doubled_v_gives_third_term_only(self, ref_params, saturated, grid5, sat_equilibrium):
         # eta = 0: the tail would also see the doubled V of the newest row
-        base = equilibrium_state(grid5, sat_equilibrium)
-        seg = eq_segment(grid5, sat_equilibrium, now=FieldState(base.T, base.T_star, 2.0 * base.V))
+        base = eq_row(grid5, sat_equilibrium)
+        seg = eq_segment(grid5, sat_equilibrium, now=base * [[1.0], [1.0], [2.0]])
         got = u_sdd_fields([seg], [0.0], sat_equilibrium, ref_params, saturated, grid5)[0][0, 1]
         expected = (sat_equilibrium.V_hat / ref_params.burst_n) * _v(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_zero_lag_drops_history_term(self, ref_params, saturated, grid5, sat_equilibrium):
         # make the history deviate so the tail integral would not vanish
-        dev = equilibrium_state(grid5, sat_equilibrium)
-        seg = HistorySegment.from_profile(
-            1.0, 0.1, 0.0, lambda t: FieldState(dev.T, dev.T_star, dev.V * (1.0 + 0.2 * (t + 1.0)))
-        )
+        dev = eq_row(grid5, sat_equilibrium)
+        seg = segment_from_profile(1.0, 0.1, 0.0, lambda t: (dev[0], dev[1], dev[2] * (1.0 + 0.2 * (t + 1.0))))
         (with_lag, no_lag), ok = u_sdd_total([seg, seg], [0.4, 0.0], sat_equilibrium, ref_params, saturated, grid5)
         assert ok.all()
         assert with_lag > no_lag  # the eta > 0 tail adds a positive term
@@ -142,7 +138,7 @@ class TestUsdd:
         f_hat = float(incidence_values(f, t_hat, v_hat))
 
         def first_piece(T_values):
-            seg = eq_segment(grid, eq, now=FieldState(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat)))
+            seg = eq_segment(grid, eq, now=(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat)))
             fields, ok = u_sdd_fields([seg], [0.0], eq, params, f, grid)
             return fields[0], ok[0]
 
@@ -157,8 +153,8 @@ class TestUsdd:
             assert not ok and np.isnan(fields).all()
 
     def test_invalid_on_nonpositive_state(self, ref_params, saturated, grid5, sat_equilibrium):
-        base = equilibrium_state(grid5, sat_equilibrium)
-        seg = eq_segment(grid5, sat_equilibrium, now=FieldState(base.T, 0.0 * base.T_star, base.V))
+        base = eq_row(grid5, sat_equilibrium)
+        seg = eq_segment(grid5, sat_equilibrium, now=base * [[1.0], [0.0], [1.0]])
         fields, ok = u_sdd_fields([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)
         assert not ok[0] and np.isnan(fields).all()
 
@@ -546,7 +542,7 @@ class TestCertify:
 
     def test_distance_metric(self, sat_equilibrium):
         grid = Grid1D(0.0, 1.0, 5)
-        state = equilibrium_state(grid, sat_equilibrium)
+        state = eq_row(grid, sat_equilibrium)
         assert distance_to_equilibrium(state, sat_equilibrium, grid) == 0.0
-        shifted = FieldState(state.T + 3.0, state.T_star, state.V)
+        shifted = state + [[3.0], [0.0], [0.0]]
         assert distance_to_equilibrium(shifted, sat_equilibrium, grid) == pytest.approx(3.0, rel=1e-12)

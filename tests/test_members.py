@@ -44,6 +44,7 @@ from sddlab.config import load_config
 from sddlab.lyapunov import MONITOR_BLOCK
 from sddlab.solver import InitialData, RunStream
 
+from .helpers import segment_from_profile
 from .test_cli import ABORT_CONFIG, JUMP_CONFIG
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -255,7 +256,7 @@ class TestAbortedMembers:
     def test_step_keeps_a_frozen_members_row(self):
         # two members at (50, 10, 10) + t: the frozen one keeps its row, the other moves
         grid = Grid1D(0, 1, 3)
-        seg = HistorySegment.from_profile(0.5, 0.1, 0.0, lambda t: np.full((2, 3, 3), [[50.0], [10.0], [10.0]]) + t)
+        seg = segment_from_profile(0.5, 0.1, 0.0, lambda t: np.full((2, 3, 3), [[50.0], [10.0], [10.0]]) + t)
         before = seg.fields[-1].copy()
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5)
         _, _, finite, _ = step(seg, params, IncidenceFn("saturated", k=0.1, k2=0.1), constant_delay(0.5, 0.2),
@@ -293,7 +294,7 @@ def member_histories(draw):
     def random_rows(t):
         return rng.uniform(0.5, 20.0, (members, 3, grid.nx))
 
-    seg = HistorySegment.from_profile(h, dt, 0.0, random_rows)
+    seg = segment_from_profile(h, dt, 0.0, random_rows)
     t = 0.0
     for i in range(n_steps):
         t += dt * frac if i == short else dt
@@ -309,7 +310,7 @@ def member_histories(draw):
 def pushed_history(members=4, nx=5, h=0.1, dt=0.01, steps=60) -> HistorySegment:
     """A store that no view pins, as certify's: random rows pushed at k*dt."""
     rng = np.random.default_rng(7)
-    seg = HistorySegment.from_profile(h, dt, 0.0, lambda t: rng.uniform(0.5, 20.0, (members, 3, nx)))
+    seg = segment_from_profile(h, dt, 0.0, lambda t: rng.uniform(0.5, 20.0, (members, 3, nx)))
     for k in range(1, steps):
         seg.next_row()[...] = rng.uniform(0.5, 20.0, (members, 3, nx))
         seg.push(k * dt)
@@ -385,7 +386,7 @@ class TestMemberQueries:
             return stored[-1]
 
         # h = 2 dt: every window starts on a stored row, so xi sees only stored rows
-        seg = HistorySegment.from_profile(0.2, 0.1, 0.0, row)
+        seg = segment_from_profile(0.2, 0.1, 0.0, row)
         df = integral_delay(0.2, xi)
         for k in range(1, 5):
             assert evaluate_eta(df, seg).shape == (2,)

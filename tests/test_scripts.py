@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 
 def run_script(args):
@@ -25,3 +27,11 @@ def test_eta_rate_sweep_runs():
     proc = run_script(["scripts/eta_rate_sweep.py", "--eps-fractions", "0.05", "--t-end", "4"])
     assert proc.returncode == 0, proc.stderr
     assert "stable_evidence" in proc.stdout
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Library code block as written; its comment claims the printed rate is <= 0
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    exec(re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1), {})
+    (printed,) = capsys.readouterr().out.split()
+    assert float(printed) <= 0.0

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddlab import (
-    FieldState,
+    Equilibrium,
     Grid1D,
-    HistorySegment,
     IncidenceFn,
     ModelParams,
     ParamJump,
@@ -18,7 +17,6 @@ from sddlab import (
     constant_delay,
     delayed_state,
     equilibrium_norm,
-    equilibrium_state,
     evaluate_eta,
     integral_delay,
     omega_lip_bounds,
@@ -26,13 +24,12 @@ from sddlab import (
     run,
     state_mean_reducer,
     step,
-    uniform_state,
 )
 from sddlab.model import KINDS, incidence_values
 from sddlab.solver import InitialData, RunStream, _extremes, _upper_limits, _violations, apply_jump, validate_schedule
 
-from .helpers import push_state
-from .oracles import fixed_lag_euler, rhs_ref, saturated_closed_form
+from .helpers import eq_row, push_state, segment_from_profile, uniform_row
+from .oracles import fixed_lag_euler, initial_segment_ref, rhs_ref, saturated_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -40,29 +37,25 @@ def grid3():
     return Grid1D(0.0, 1.0, 3)
 
 
-def as_row(state: FieldState | np.ndarray) -> np.ndarray:
-    return np.array(tuple(state))
-
-
-def max_state_dev(a: FieldState | np.ndarray, b: FieldState | np.ndarray) -> float:
-    """Largest nodewise difference of two states, each a FieldState or a (3, nx) row."""
-    return float(np.max(np.abs(as_row(a) - as_row(b))))
+def max_state_dev(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest nodewise difference of two (3, nx) rows."""
+    return float(np.max(np.abs(a - b)))
 
 
 class TestRhs:
     def test_zero_at_interior_equilibrium(self, ref_params, saturated, grid3, sat_equilibrium):
-        state = as_row(equilibrium_state(grid3, sat_equilibrium))
+        state = eq_row(grid3, sat_equilibrium)
         out = rhs(state, state, ref_params, saturated, grid3)
         assert float(np.max(np.abs(out))) <= 1e-10
 
     def test_zero_at_trivial_equilibrium(self, ref_params, saturated, grid3):
-        state = as_row(uniform_state(grid3, (100.0, 0.0, 0.0)))
+        state = uniform_row(grid3, (100.0, 0.0, 0.0))
         out = rhs(state, state, ref_params, saturated, grid3)
         assert float(np.max(np.abs(out))) <= 1e-12
 
     def test_matches_hand_ode_without_diffusion(self, ref_params, saturated, grid3):
-        state = as_row(uniform_state(grid3, (40.0, 12.0, 7.0)))
-        delayed = as_row(uniform_state(grid3, (35.0, 11.0, 6.0)))
+        state = uniform_row(grid3, (40.0, 12.0, 7.0))
+        delayed = uniform_row(grid3, (35.0, 11.0, 6.0))
         dT, dTs, dV = rhs(state, delayed, ref_params, saturated, grid3)
         f_now = incidence_values(saturated, 40.0, 7.0)
         f_del = incidence_values(saturated, 35.0, 6.0)
@@ -164,8 +157,7 @@ class TestRhsOracle:
         stream = RunStream(members, ref_params, saturated, constant_delay(1.0, lag), SolverConfig(dt=dt, t_end=t_end), grid, [jump])
         got = [(s.t, s.row.copy()) for s in stream]
         # the oracle loop: its own store, the stream's rule for step times, delayed_state's read
-        segs = [build_initial_segment(m, grid, 1.0, dt) for m in members]
-        seg = HistorySegment(1.0, dt, segs[0].times, np.stack([s.fields for s in segs], axis=1))
+        seg = build_initial_segment(members, grid, 1.0, dt)
         want, p, slack = [], ref_params, 1e-6 * dt
         while seg.t_now < t_end - slack:
             t = seg.t_now
@@ -220,7 +212,7 @@ class TestBoxPass:
         frozen = np.array(data.draw(st.lists(st.booleans(), min_size=members[0], max_size=members[0]))) if members else None
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(1e-3, 0.0, 2e-3))
         f, grid = IncidenceFn("saturated", k=0.1, k2=0.1), Grid1D(0.0, 1.0, row.shape[-1])
-        seg = HistorySegment.from_profile(0.5, 0.1, 0.0, lambda t: row)
+        seg = segment_from_profile(0.5, 0.1, 0.0, lambda t: row)
         with np.errstate(all="ignore"):
             new = row + 0.1 * rhs_ref(row, row, params, f, grid)
         cfg = SolverConfig(dt=0.1, t_end=1.0, invariance_tol=tol)
@@ -240,7 +232,7 @@ class TestStep:
     def test_equilibrium_is_fixed_point(self, ref_params, saturated, grid3, sat_equilibrium):
         df = constant_delay(1.0, 0.4)
         cfg = SolverConfig(dt=0.01, t_end=1.0)
-        eq_state = equilibrium_state(grid3, sat_equilibrium)
+        eq_state = eq_row(grid3, sat_equilibrium)
         seg = build_initial_segment(
             InitialData(preset="equilibrium_perturbation", epsilon=0.0, equilibrium=sat_equilibrium),
             grid3,
@@ -269,13 +261,13 @@ class TestStep:
         # next step's row slides the five live rows over the old slots; the
         # lag 0.25 lands on the stored row at t = 0.1
         def state(t):
-            return uniform_state(grid3, (10.0 + 10.0 * t, 2.0 + 10.0 * t, 5.0 + 10.0 * t))
+            return uniform_row(grid3, (10.0 + 10.0 * t, 2.0 + 10.0 * t, 5.0 + 10.0 * t))
 
-        seg = HistorySegment.from_profile(0.3, 0.1, 0.0, state)
+        seg = segment_from_profile(0.3, 0.1, 0.0, state)
         for t in (0.1, 0.15, 0.25, 0.35):
             push_state(seg, t, state(t))
         assert (seg._rows.n, len(seg._rows.times), seg._lo) == (8, 8, 3)
-        now, lagged = seg.fields[-1].copy(), as_row(state(0.1))
+        now, lagged = seg.fields[-1].copy(), state(0.1)
         k = rhs(now, lagged, ref_params, saturated, grid3)
         eta, _, _, _ = step(seg, ref_params, saturated, constant_delay(0.3, 0.25), SolverConfig(dt=0.1, t_end=1.0), grid3)
         assert seg._rows.n == 6 and eta == 0.25  # slid: 5 live rows + the new one
@@ -433,6 +425,50 @@ class TestRun:
         assert np.all(np.diff(traj.eta) / np.diff(traj.times) == 0.0)
 
 
+LEVEL = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def initial_data(draw, equilibrium):
+    """One ``InitialData`` of any preset and profile; the equilibrium preset
+    always has one, the others have one when drawn."""
+    preset = draw(st.sampled_from(["uniform", "gaussian_bump", "equilibrium_perturbation"]))
+    if preset != "equilibrium_perturbation" and draw(st.booleans()):
+        equilibrium = None
+    triple = st.tuples(LEVEL, LEVEL, LEVEL)
+    return InitialData(
+        preset=preset,
+        values=draw(triple),
+        bump_amp=draw(triple),
+        bump_center=draw(st.none() | st.floats(-1.0, 2.0)),
+        bump_width=draw(st.none() | st.floats(1e-3, 2.0)),
+        epsilon=draw(st.floats(-10.0, 10.0)),
+        direction=draw(st.sampled_from(["constant", "gaussian_bump"])),
+        weights=draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda w: max(map(abs, w)) > 1e-3)),
+        equilibrium=equilibrium,
+        profile=draw(st.sampled_from(["constant_in_time", "linear_ramp"])),
+        ramp_depth=draw(st.floats(0.0, 0.99)),
+    )
+
+
+@st.composite
+def initial_cases(draw):
+    """(initial, grid, h_max, dt): one ``InitialData`` or a list of 1 to 6,
+    with a dt that divides h_max or, mostly, does not; at (0.9, 0.3) the
+    rounded m * dt falls one ulp short of h_max, so the m rule adds a row."""
+    level = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e3)
+    eq = Equilibrium(draw(level), draw(level), draw(level), "interior", 0.0)
+    if draw(st.booleans()):
+        initial = draw(initial_data(eq))
+    else:
+        initial = draw(st.lists(initial_data(eq), min_size=1, max_size=6))
+    x_min = draw(st.floats(-1.0, 1.0))
+    grid = Grid1D(x_min, x_min + draw(st.floats(0.1, 3.0)), draw(st.integers(3, 12)))
+    steps = st.sampled_from([(1.0, 0.01), (1.0, 0.03), (0.5, 0.1), (1.0, 0.3), (0.9, 0.3)])
+    h_max, dt = draw(steps | st.tuples(st.floats(0.05, 2.0), st.floats(0.01, 0.5)))
+    return initial, grid, h_max, dt
+
+
 class TestInitialData:
     def test_uniform_profile(self, grid3):
         seg = build_initial_segment(InitialData(preset="uniform", values=(1.0, 2.0, 3.0)), grid3, 1.0, 0.1)
@@ -464,12 +500,42 @@ class TestInitialData:
             for i in range(len(seg) - 1)
         ]
         assert max(quotients) <= eps / 1.0 * 1.01  # ramp slope = |u0 - eq| / h
-        assert max_state_dev(seg.fields[0], equilibrium_state(grid3, sat_equilibrium)) <= 1e-12
+        assert max_state_dev(seg.fields[0], eq_row(grid3, sat_equilibrium)) <= 1e-12
 
     def test_perturbation_requires_equilibrium_at_build_time(self, grid3):
         bare = InitialData(preset="equilibrium_perturbation", epsilon=0.1)
         with pytest.raises(ValueError, match="equilibrium"):
             build_initial_segment(bare, grid3, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"values": (math.nan, 10.0, 10.0)}, "values[0]: must be finite, got nan"),
+            ({"values": (50.0, 10.0, math.inf)}, "values[2]: must be finite, got inf"),
+            ({"bump_amp": (5.0, -math.inf, 1.0)}, "bump_amp[1]: must be finite, got -inf"),
+            ({"bump_center": math.inf}, "bump_center: must be finite, got inf"),
+            ({"bump_width": 0.0}, "bump_width: must be positive and finite, got 0.0"),
+            ({"bump_width": -0.1}, "bump_width: must be positive and finite, got -0.1"),
+            ({"bump_width": math.nan}, "bump_width: must be positive and finite, got nan"),
+            ({"epsilon": math.nan}, "epsilon: must be finite, got nan"),
+            ({"weights": (1.0, math.nan, 0.0)}, "weights[1]: must be finite, got nan"),
+            ({"weights": (0.0, 0.0, 0.0)}, "weights: must not all be zero, got (0.0, 0.0, 0.0)"),
+        ],
+    )
+    def test_nonfinite_data_rejected(self, kwargs, message):
+        # weights (0, 0, 0) built an all-NaN segment; the others aborted the run at t = 0
+        with pytest.raises(ValueError) as info:
+            InitialData(preset="equilibrium_perturbation", **kwargs)
+        assert str(info.value) == message
+
+    @settings(max_examples=200)
+    @given(case=initial_cases())
+    def test_segment_matches_the_per_time_oracle_bit_for_bit(self, case):
+        initial, grid, h_max, dt = case
+        seg = build_initial_segment(initial, grid, h_max, dt)
+        times, fields = initial_segment_ref(initial, grid, h_max, dt)
+        assert seg.times.tobytes() == times.tobytes()
+        assert seg.fields.shape == fields.shape and seg.fields.tobytes() == fields.tobytes()
 
 
 class TestScheduleValidation:
