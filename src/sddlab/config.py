@@ -2,10 +2,10 @@
 
 Every section is optional; omitted keys take the documented defaults, so
 the minimal valid config is an empty file (the defaults reproduce the
-saturated-incidence reference scenario).  Loading validates everything it
-can and reports ALL problems at once, each with its line number and, for
-misspelled keys, sections or choices, a nearest-name suggestion.  Unknown
-keys are rejected rather than ignored.
+saturated-incidence reference scenario).  Loading reports every line and
+parse problem at once, with its line number and, for misspelled keys,
+sections or choices, a nearest-name suggestion; a section's dataclass adds
+only the first invariant it rejects.  Unknown keys are rejected.
 
 One table, ``_SCHEMA``, states each key once: its section, its default and
 the parser of its value.  ``_parse_lines`` checks the file's sections and
@@ -38,7 +38,7 @@ __all__ = ["ConfigError", "OutputConfig", "RunConfig", "load_config", "DEFAULTS_
 
 
 class ConfigError(Exception):
-    """Carries every problem found in a config file, not just the first."""
+    """Carries the problems found in a config file (see ``load_config``)."""
 
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
@@ -300,8 +300,8 @@ def _delay(h: float, grid: Grid1D, kind, eta_const, xi_component, xi_scale, kapp
 def load_config(path: str | Path) -> RunConfig:
     """Parse and fully validate a config file.
 
-    Raises ConfigError carrying the complete list of problems; on success
-    every referenced module invariant has already been re-validated.
+    Raises ConfigError with every line and parse problem, plus the first
+    invariant each section's dataclass rejects (it stops at its first).
     """
     raw, errors = _parse_lines(Path(path).read_text(encoding="utf-8"))
 

@@ -351,7 +351,7 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
     """
     members = seg.members
     if df.kind == "constant":
-        return np.full(members, df.eta_const) if members else df.eta_const
+        return np.broadcast_to(df.eta_const, members) if members else df.eta_const  # read-only
     t_now = seg.t_now
     nodes, i, start = seg.window(t_now - seg.h_max)
     g = seg.xi_values(df.xi)[i:]

@@ -39,11 +39,11 @@ Every run monitors the invariant-box bounds
     0 <= V  <= N lam mu e^{-omega h} / (d c),
 
 (upper bounds only when f admits the linear-bound constant mu) and counts
-excursions beyond ``invariance_tol``.  One pass reduces each new row to its
-per-component min and max, which tell whether a member is finite; a side is
-counted entry by entry only when they leave the box.  Negative clipping is
-off by default: the exact dynamics preserve positivity, so violations
-indicate step-size trouble and are surfaced rather than silently fixed.
+excursions beyond ``invariance_tol``: one test of each new row's min and
+max against the box widened by it passes finite rows inside, and only a
+row that fails is counted entry by entry.  Negative clipping is off by
+default: the exact dynamics preserve positivity, so violations indicate
+step-size trouble and are surfaced rather than silently fixed.
 """
 
 from __future__ import annotations
@@ -299,25 +299,29 @@ def step(
     grid: Grid1D,
     dt: float | None = None,
     frozen: np.ndarray | None = None,
+    band: np.ndarray | None = None,
+    lag: float | np.ndarray | None = None,
 ):
-    """Advance one explicit Euler step; the lag is taken at the step start.
-    Returns eta, clipped and finite (per member with a member axis) and the committed row's ``_extremes``.
+    """Advance one explicit Euler step with the lag at the step start, or the
+    given one (a constant delay's).  Returns eta, clipped, finite (per member
+    with a member axis) and the committed row's ``_extremes``.
 
-    The new row is written straight into the segment's next row.  A member
-    whose new row is nonfinite (by its extremes), or that is ``frozen``,
-    keeps its last good row; the row is committed unless every member kept
-    its old one, so a blow-up leaves a one-run segment at the last good state.
+    The new row is written straight into the segment's next row.  If its
+    extremes lie in the stream's ``_band`` and no member is ``frozen``, it is
+    committed at once and finite is ``True``.  Otherwise a nonfinite or
+    ``frozen`` member keeps its last good row, and the row is committed unless
+    every member kept its old one: a blow-up leaves the last good state.
     """
     dt_step = cfg.dt if dt is None else dt
     # (*members, 3, nx); taken first, because it may slide the store under
     # any row view taken before it
     row = seg.next_row()
-    lag = evaluate_eta(df, seg)
+    lag = evaluate_eta(df, seg) if lag is None else lag
     delayed = delayed_state(seg, df.eta_const if df.kind == "constant" else lag)
     u = seg.fields[-1]
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         rhs(u, delayed, params, f, grid, out=row)
         row *= dt_step
         row += u
@@ -326,6 +330,10 @@ def step(
         clipped = np.count_nonzero(row < 0.0, axis=(-2, -1))
         np.maximum(row, 0.0, out=row)
     extremes = _extremes(row)
+    if band is not None and frozen is None:  # one test: every member finite, no excursion to count
+        if np.count_nonzero((band[0] <= extremes[0]) & (extremes[1] <= band[1])) == extremes[0].size:
+            seg.push(seg.t_now + dt_step)
+            return lag, clipped, True, extremes
     finite = np.isfinite(extremes).all(axis=(0, -1))
     keep = ~finite if frozen is None else ~finite | frozen
     if (kept := np.count_nonzero(keep)) < keep.size:
@@ -376,9 +384,10 @@ class Trajectory:
         return self.history.view(j0, k + 1)
 
 
-def _upper_limits(bounds, tol: float) -> np.ndarray | None:
-    """The (3, 1) column a row must not exceed, or None without bounds."""
-    return None if bounds is None else np.array(bounds)[:, None] + tol
+def _band(bounds, tol: float) -> np.ndarray:
+    """The (2, 3) band [-tol, upper + tol] of a row's per-component (min, max); without bounds its top
+    is the largest float, so that NaN and +-inf fall outside it too."""
+    return np.array((np.full(3, -tol), np.full(3, np.finfo(float).max) if bounds is None else np.add(bounds, tol)))
 
 
 def _extremes(row: np.ndarray) -> np.ndarray:
@@ -386,13 +395,14 @@ def _extremes(row: np.ndarray) -> np.ndarray:
     return np.array((np.minimum.reduce(row, axis=-1), np.maximum.reduce(row, axis=-1)))
 
 
-def _violations(row: np.ndarray, extremes: np.ndarray, limits: np.ndarray | None, tol: float):
-    """Box excursions of a (*members, 3, nx) row, below 0 and above the limits: two ints, or two
-    lists of one int per member; a side that the row's ``_extremes`` keep inside counts 0 at once."""
+def _violations(row: np.ndarray, extremes: np.ndarray, band: np.ndarray, bounded: bool, inside: bool = False):
+    """Box excursions of a (*members, 3, nx) row outside the ``_band``, its top only if ``bounded``: two ints,
+    or two lists of one int per member; a side the ``_extremes`` keep inside (each if ``inside``) counts 0."""
     none = 0 if row.ndim == 2 else [0] * len(row)
-    lower = none if (extremes[0] >= -tol).all() else np.count_nonzero(row < -tol, axis=(-2, -1)).tolist()
-    inside = limits is None or (extremes[1] <= limits[:, 0]).all()
-    return lower, none if inside else np.count_nonzero(row > limits, axis=(-2, -1)).tolist()
+    low = inside or (extremes[0] >= band[0]).all()
+    high = inside or not bounded or (extremes[1] <= band[1]).all()
+    return (none if low else np.count_nonzero(row < band[0, :, None], axis=(-2, -1)).tolist(),
+            none if high else np.count_nonzero(row > band[1, :, None], axis=(-2, -1)).tolist())
 
 
 class Sample(NamedTuple):
@@ -470,37 +480,39 @@ class RunStream:
         seg, jumps, tol = self.history, self.jumps, cfg.invariance_tol
         t0 = seg.t_now
         t_final = t0 + cfg.t_end
-        limits = _upper_limits(self.bounds, tol)
+        bounded, band = self.bounds is not None, _band(self.bounds, tol)
+        lag = evaluate_eta(df, seg) if df.kind == "constant" else None  # the same (read-only) lag every step
         extremes = _extremes(seg.fields[-1])
-        box = (*_violations(seg.fields[-1], extremes, limits, tol), extremes)
-        ji = 0
+        box = (*_violations(seg.fields[-1], extremes, band, bounded), extremes)
+        ji, frozen = 0, None  # the next jump; the aborted mask, once a member aborted
         t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
         while seg.t_now < t_final - t_slack:
             t = seg.t_now
             while ji < len(jumps) and t >= (t0 + jumps[ji].t) - t_slack:
                 params = apply_jump(params, jumps[ji])
                 self.bounds = omega_lip_bounds(params, self._mu)
-                limits = _upper_limits(self.bounds, tol)
+                band = _band(self.bounds, tol)
                 log.info("applied jump at t=%.6g: %s -> %.6g", t, jumps[ji].name, jumps[ji].value)
                 ji += 1
             dt_step = min(cfg.dt, t_final - t)
             if ji < len(jumps):
                 dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt=dt_step, frozen=self._aborted)
+            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt_step, frozen, band, lag)
             if cfg.clip_negative:
                 self._clips += clipped * ~self._aborted
-            if not finite.all():
+            if finite is not True and not finite.all():
                 new = ~(finite | self._aborted)
                 self._abort_time[new] = t
                 self._aborted |= new
+                frozen = self._aborted
                 for m in np.flatnonzero(new).tolist():
                     log.error("solver abort: nonfinite state after t=%.6g%s", t, f" (member {m})" if seg.members else "")
                 if self._aborted.all():
                     yield Sample(t, seg.fields[-1], eta, *box)
                     return
             yield Sample(t, seg.fields[-2], eta, *box)
-            box = (*_violations(seg.fields[-1], extremes, limits, tol), extremes)
-        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), *box)
+            box = (*_violations(seg.fields[-1], extremes, band, bounded, finite is True), extremes)
+        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg) if lag is None else lag, *box)
 
 
 def run(

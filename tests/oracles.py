@@ -21,7 +21,13 @@ package:
 - ``initial_segment_ref`` builds the initial history one time at a time,
   one profile call per row and one segment per member stacked afterwards,
   against which the one-broadcast ``solver.build_initial_segment`` must
-  agree bit for bit; it reads the grid's nodes from ``Grid1D.nodes``.
+  agree bit for bit; it reads the grid's nodes from ``Grid1D.nodes``;
+- ``stream_box_ref`` drains a ``RunStream``'s history by the time loop as
+  it was before the step's band test: every step goes through
+  ``solver.step`` with no band, with the lag evaluated and the member mask
+  passed each time, and every committed row's box counts come from its own
+  min/max, ``isfinite`` and entry counts, against which the stream's
+  samples and abort diagnostics must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from typing import Callable
 import numpy as np
 
 from sddlab.grid import Grid1D, gradient_central, integrate, laplacian_neumann
+from sddlab.history import evaluate_eta
+from sddlab.solver import apply_jump, omega_lip_bounds, step
 from sddlab.lyapunov import LOG_FLOOR, _v
 from sddlab.model import (
     FAILS,
@@ -43,6 +51,7 @@ from sddlab.model import (
     _as_callable,
     _nnls2,
     _validate_box,
+    incidence_mu,
     incidence_values,
 )
 
@@ -399,3 +408,68 @@ def initial_segment_ref(initial, grid: Grid1D, h_max: float, dt: float) -> tuple
         return start + a * (goal - start)
 
     return np.array(times), np.array([profile(t) for t in times])
+
+
+def _extremes_ref(row: np.ndarray) -> np.ndarray:
+    """Per-component (min, max) of a (*members, 3, nx) row, NaN propagating."""
+    return np.array((np.minimum.reduce(row, axis=-1), np.maximum.reduce(row, axis=-1)))
+
+
+def _violations_ref(row: np.ndarray, extremes: np.ndarray, limits, tol: float):
+    """Entries below -tol and above the (3, 1) limits (None: no upper count), per member."""
+    none = 0 if row.ndim == 2 else [0] * len(row)
+    lower = none if (extremes[0] >= -tol).all() else np.count_nonzero(row < -tol, axis=(-2, -1)).tolist()
+    inside = limits is None or (extremes[1] <= limits[:, 0]).all()
+    return lower, none if inside else np.count_nonzero(row > limits, axis=(-2, -1)).tolist()
+
+
+def stream_box_ref(stream, params, f, df, cfg, grid):
+    """Drain ``stream.history`` to t_end, applying ``stream.jumps``, by the
+    time loop of a ``RunStream`` before the band test, without iterating
+    the stream: (samples, clips, aborted, abort_time), each sample (t, row
+    copy, eta copy, lower, upper, extremes) and the rest per member as the
+    stream reports them."""
+    seg, jumps, tol = stream.history, stream.jumps, cfg.invariance_tol
+    mu = incidence_mu(f)
+    members = seg.members
+    clips, aborted, abort_time = np.zeros(members, dtype=int), np.zeros(members, dtype=bool), np.full(members, math.nan)
+    samples = []
+
+    def sample(t, row, eta, box):
+        samples.append((t, row.copy(), np.array(eta), *box[:2], box[2].copy()))
+
+    def limits_of(params):
+        bounds = omega_lip_bounds(params, mu)
+        return None if bounds is None else np.array(bounds)[:, None] + tol
+
+    t0 = seg.t_now
+    t_final = t0 + cfg.t_end
+    limits = limits_of(params)
+    extremes = _extremes_ref(seg.fields[-1])
+    box = (*_violations_ref(seg.fields[-1], extremes, limits, tol), extremes)
+    ji = 0
+    t_slack = 1e-6 * cfg.dt
+    while seg.t_now < t_final - t_slack:
+        t = seg.t_now
+        while ji < len(jumps) and t >= (t0 + jumps[ji].t) - t_slack:
+            params = apply_jump(params, jumps[ji])
+            limits = limits_of(params)
+            ji += 1
+        dt_step = min(cfg.dt, t_final - t)
+        if ji < len(jumps):
+            dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
+        eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt=dt_step, frozen=aborted)
+        if cfg.clip_negative:
+            clips += clipped * ~aborted
+        if not finite.all():
+            new = ~(finite | aborted)
+            abort_time[new] = t
+            aborted |= new
+            if aborted.all():
+                sample(t, seg.fields[-1], eta, box)
+                break
+        sample(t, seg.fields[-2], eta, box)
+        box = (*_violations_ref(seg.fields[-1], extremes, limits, tol), extremes)
+    else:
+        sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), box)
+    return samples, clips.tolist(), aborted.tolist(), np.where(aborted, abort_time, None).tolist()

@@ -84,6 +84,17 @@ class TestErrors:
             load_config(path)
         assert len(info.value.errors) >= 3
 
+    def test_each_dataclass_reports_its_first_invariant(self, tmp_path):
+        # every parse problem is reported, but a dataclass stops at its first
+        # failed check: two bad [params] and two bad [initial] values give two
+        path = write(tmp_path, "[params]\nlambda = -1\nd = -1\n[initial]\nt0 = nan\nbump_width = 0\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert info.value.errors == [
+            "line 2: [params] lambda: must be positive, got -1.0",
+            "line 5: [initial] t0: must be finite, got nan",
+        ]
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write(tmp_path, "[params]\nlambda = 1\nlambda = 2\n")
         with pytest.raises(ConfigError, match="duplicate"):
