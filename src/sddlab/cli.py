@@ -199,6 +199,9 @@ def cmd_check_hypotheses(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig, out: Path) -> int:
+    if cfg.schedule:  # certify_local_stability takes no schedule
+        jumps = ", ".join(f"{j.name} -> {j.value:g} at t={j.t:g}" for j in cfg.schedule)
+        log.warning("certify ignores [schedule] (%s): it certifies at the initial parameters", jumps)
     report, interior = _hypothesis_report(cfg)
     if not report.all_hold:
         failing = [

@@ -27,7 +27,8 @@ those rows and one expression interpolates the members that fall between
 rows.
 
 When ``push`` finds the buffers full, a store that has never handed out a
-``view`` slides its live rows (the segment's window, and the older rows a
+``view`` (one over ``members``, as ``certify``'s monitor reads, does not
+count) slides its live rows (the segment's window, and the older rows a
 reader ``hold``s: ``certify``'s pending monitor block), and their cached xi
 values, to the front of the buffers, doubling them only while the live rows
 fill more than two thirds; a store that has (``run`` keeps its whole
@@ -118,26 +119,22 @@ class HistorySegment:
                 f"shorter than the delay window h_max={h_max}"
             )
 
-    def view(self, lo: int, hi: int) -> "HistorySegment":
+    def view(self, lo: int, hi: int, members=None) -> "HistorySegment":
         """The segment over rows lo..hi-1, counted from this segment's first
         row (a negative lo reaches the stored rows before it) up to the
-        newest stored row; copies nothing."""
+        newest stored row; copies nothing and pins the store.  Given
+        ``members`` (an index of the member axis: ``slice(None)``, a list
+        that gathers, an int that drops the axis), it reads those rows from a
+        record of its own, pinned instead: valid until the next push; read only."""
         if not -self._lo <= lo < hi <= self._rows.n - self._lo:
             raise ValueError(f"view: rows [{lo}, {hi}) outside the stored history")
-        self._rows.pinned = True
         seg = object.__new__(HistorySegment)
         seg.h_max, seg.dt, seg._rows = self.h_max, self.dt, self._rows
         seg._lo, seg._hi = self._lo + lo, self._lo + hi
-        return seg
-
-    def member(self, m: int) -> "HistorySegment":
-        """This segment over member m's rows of a store with a member axis,
-        reading the stored fields without a copy; for reading only."""
-        rows = self._rows
-        one = _Rows(rows.times[: rows.n].copy(), rows.fields[: rows.n, m])
-        one.pinned = True
-        seg = object.__new__(HistorySegment)
-        seg.h_max, seg.dt, seg._rows, seg._lo, seg._hi = self.h_max, self.dt, one, self._lo, self._hi
+        if members is not None:
+            seg._rows = _Rows(self._rows.times[seg._lo : seg._hi], self._rows.fields[seg._lo : seg._hi, members])
+            seg._lo, seg._hi = 0, hi - lo
+        seg._rows.pinned = True
         return seg
 
     @property
@@ -424,24 +421,30 @@ def _lagged_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: floa
 def window_starts(segs: Sequence[HistorySegment], t_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``HistorySegment.window`` of each segment at its t_lo, for segments
     over one store, with one search over the stored row times: (i, off,
-    start).  i[k] is segment k's window row i, off[k] whether t_lo[k] falls
-    between rows, and start the interpolated (*members, 3, nx) rows of the
-    windows that do, stacked in order; the range check and the arithmetic
-    are the window's."""
+    start).  With a member axis, t_lo is (len(segs), B), one window per
+    segment and member.  i is each window's row i, off whether its t_lo
+    falls between rows, and start the interpolated (3, nx) rows of the
+    windows that do, stacked in (segment, member) order; the range check
+    and the arithmetic are the window's."""
     rows, t_lo = segs[0]._rows, np.asarray(t_lo, dtype=float)
     if any(seg._rows is not rows for seg in segs):
         raise ValueError("window_starts: the segments are over different stores")
-    lo, hi = np.array([seg._lo for seg in segs]), np.array([seg._hi for seg in segs])
+    col = (slice(None),) + (None,) * (t_lo.ndim - 1)  # a segment's value against its windows
+    lo, hi = np.array([seg._lo for seg in segs])[col], np.array([seg._hi for seg in segs])[col]
     times, fields = rows.times, rows.fields
     slack = 1e-9 * segs[0].dt
-    first, last = times[lo], times[hi - 1]
+    first, last = np.broadcast_to(times[lo], t_lo.shape), np.broadcast_to(times[hi - 1], t_lo.shape)
     outside = ~((first - slack <= t_lo) & (t_lo <= last + slack))
     if outside.any():
-        k = np.flatnonzero(outside)[0]
-        raise ValueError(f"history: time {t_lo[k]} outside the covered window [{first[k]}, {last[k]}]")
+        k = np.argmax(outside)
+        raise ValueError(f"history: time {t_lo.flat[k]} outside the covered window [{first.flat[k]}, {last.flat[k]}]")
     j = np.clip(np.searchsorted(times[: rows.n], t_lo - slack), lo, hi)  # the first stored row at or after each
     t_j = times[j]
     off = t_j > t_lo + slack
     jo, t_prev = j[off], times[j[off] - 1]
-    w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[(slice(None),) + (None,) * (fields.ndim - 1)]
-    return j - lo, off, (1.0 - w) * fields[jo - 1] + w * fields[jo]
+    _, *member = np.nonzero(off)  # the member of each window off the rows, if any
+    w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[:, None, None]
+    start, end = fields[(jo - 1, *member)], fields[(jo, *member)]
+    start *= 1.0 - w  # (1 - w) * row j - 1 + w * row j, in the two gathered arrays
+    end *= w
+    return j - lo, off, np.add(start, end, out=start)

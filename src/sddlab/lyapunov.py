@@ -34,18 +34,19 @@ directly evaluated functional and from the decomposition; their mismatch is
 reported as a discretization health metric.
 
 The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of
-fields (one row per sample) integrated row by row.  In the last piece,
-v(f/f_hat) is computed once per stored history row of the block, and the
+fields (one row per sample and member) integrated row by row.  In the last
+piece, v(f/f_hat) is computed once per stored row of the block, and the
 trapezoid term between two consecutive rows once per pair.  Every window of
-the block then sums into one (windows, nx) accumulator, stepped over row
-offsets: first the window's own term from t - eta, then its pair terms in
-row order, a window that has ended masked out.  Each window so adds its
-terms left to right from 0, as one window alone would, and a block gives
-the same bits as one sample at a time.  A difference of one running
-trapezoid sum would be cheaper, but near the equilibrium the small window
-integral would cancel against the large running sum.  ``certify`` hands
-``monitor`` each block as its batched stream yields the block's rows, so
-it stores about MONITOR_BLOCK * stride + h/dt rows, however long the run.
+the block, one per sample and member, then sums into one accumulator,
+stepped over row offsets: first the window's own term from t - eta, then its
+pair terms in row order, a window that has ended masked out.  Each window so
+adds its terms left to right from 0, as one window alone would, and each
+member gets the bits of its solo run, one sample at a time.  A difference of
+one running trapezoid sum would be cheaper, but near the equilibrium the
+small window integral would cancel against the large running sum.
+``certify`` hands ``monitor`` each block of all its live members at once, as
+its stream yields the rows, so it stores about MONITOR_BLOCK * stride + h/dt
+rows, however long the run.
 
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
 instead of producing infinities; clamping would silently corrupt the
@@ -85,7 +86,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-30
-MONITOR_BLOCK = 32
+MONITOR_BLOCK = 16  # samples a block decomposes, for every live member at once; sets the peak memory
 
 
 def _v(arr: np.ndarray) -> np.ndarray:
@@ -95,107 +96,107 @@ def _v(arr: np.ndarray) -> np.ndarray:
 
 def _delay_tails(
     segs: Sequence[HistorySegment],
-    etas: Sequence[float],
+    etas,
     f: IncidenceFn,
     f_hat: float,
     nx: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t] for each
-    segment, (len(segs), nx), and whether no ratio hit the floor.
+    segment and member, etas (len(segs), *members) and tails (*etas.shape,
+    nx), and whether no ratio hit the floor; no positive eta, no tail.
 
-    v and its floor flag are computed once per stored row that a window
-    touches, and the trapezoid term between two consecutive rows once per
-    pair.  A window's first node sits at t - eta exactly, also where a
+    v and its floor flag are computed once per stored row of the block the
+    windows touch, and the trapezoid term between two consecutive rows once
+    per pair.  A window's first node sits at t - eta exactly, also where a
     stored row stands for it, so its first term is its own; the rest are
     pair terms, summed left to right in one accumulator for all windows.
     """
-    tails = np.zeros((len(segs), nx))
-    ok = np.ones(len(segs), dtype=bool)
     etas = np.asarray(etas, dtype=float)
-    live = np.flatnonzero(etas > 0.0)
-    if not live.size:
-        return tails, ok
-    segs = [segs[j] for j in live]
-    t_lo = np.array([seg.t_now for seg in segs]) - etas[live]
+    live = etas > 0.0
+    col = (slice(None),) + (None,) * (etas.ndim - 1)  # a segment's value against its windows
+    t_now = np.array([seg.t_now for seg in segs])[col]
+    t_lo = np.where(live, t_now - etas, t_now)
     i, off, start = window_starts(segs, t_lo)
-    offsets = np.array([seg.offset(segs[0]) for seg in segs])
-    first, end = offsets + i, offsets + np.array([len(seg) for seg in segs])  # counted from segs[0]
-    j0 = int(np.argmin(first))
-    lo = first[j0]
-    block = segs[j0].view(lo - offsets[j0], end.max() - offsets[j0])
+    # the arrays over every window, or every stored row, of all members set the peak memory: hold few at once
+    r0 = incidence_values(f, start[:, 0], start[:, 2]) / f_hat  # the ratio at each interpolated start
+    del start
+    offsets = np.array([seg.offset(segs[0]) for seg in segs])[col]
+    first, end = offsets + i, offsets + np.array([len(seg) for seg in segs])[col]  # counted from segs[0]
+    lo = first.min()
+    block = segs[0].view(lo, end.max())
     times, rows = block.times, block.fields
-    ratio = incidence_values(f, rows[:, 0], rows[:, 2]) / f_hat
-    low = np.concatenate(([0], np.cumsum(np.any(ratio <= LOG_FLOOR, axis=1))))
+    ratio = incidence_values(f, rows[..., 0, :], rows[..., 2, :]) / f_hat
+    floors = np.any(ratio <= LOG_FLOOR, axis=-1)
+    low = np.cumsum(np.concatenate((np.zeros_like(floors[:1]), floors)), axis=0)
     w_rows = _v(ratio)
-    pairs = 0.5 * (w_rows[:-1] + w_rows[1:]) * np.diff(times)[:, None]
+    del ratio
 
     # window rows [a, e) of the block; the first term runs from t - eta to
     # row b: from the interpolated start to row a, or from row a to row a + 1
+    member = tuple(np.indices(etas.shape[1:]))  # a window's member, to gather its rows
     a, e = first - lo, end - lo
     b = a + ~off
     terms = e - b  # the first term, then pairs b, b+1, ..., e-2
-    r0 = incidence_values(f, start[:, 0], start[:, 2]) / f_hat
-    left = w_rows[a]
-    left[off] = _v(r0)
+    floored = low[(e, *member)] > low[(a, *member)]
+    floored[off] |= np.any(r0 <= LOG_FLOOR, axis=-1)
+    first_term = w_rows[(a, *member)]
+    first_term[off] = _v(r0)
     right = np.minimum(b, len(times) - 1)  # a one-row window has no term
-    acc = np.zeros((len(segs), nx))
-    np.add(acc, 0.5 * (left + w_rows[right]) * (times[right] - t_lo)[:, None], out=acc, where=(terms > 0)[:, None])
+    first_term += w_rows[(right, *member)]
+    pairs = 0.5 * (w_rows[:-1] + w_rows[1:]) * np.diff(times)[(slice(None),) + (None,) * etas.ndim]
+    del w_rows
+    acc = np.zeros(etas.shape + (nx,))
+    np.add(acc, first_term * 0.5 * (times[right] - t_lo)[..., None], out=acc, where=(terms > 0)[..., None])
     for k in range(1, terms.max()):
-        np.add(acc, pairs[np.minimum(b + k - 1, len(pairs) - 1)], out=acc, where=(k < terms)[:, None])
-    tails[live] = acc
-    floored = low[e] > low[a]
-    floored[off] |= np.any(r0 <= LOG_FLOOR, axis=1)
-    ok[live] = ~floored
-    return tails, ok
+        np.add(acc, pairs[(np.minimum(b + k - 1, len(pairs) - 1), *member)], out=acc, where=(k < terms)[..., None])
+    return acc, ~(live & floored)
 
 
 def u_sdd_fields(
     segs: Sequence[HistorySegment],
-    etas: Sequence[float],
+    etas,
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise functional at the newest row of each segment, with the
-    delay eta of that segment: (len(segs), nx) fields and a validity mask.
+    delay eta of that segment (and member: etas (len(segs), *members)):
+    (*etas.shape, nx) fields and a validity mask.
 
     The segments must be over one store (``Trajectory.segment_at`` gives
     them).  A segment whose logarithm argument falls at or below the floor,
     at its newest row or in its delay window, is invalid and its row is NaN
     (invalidated, not clamped).
     """
-    fields = np.full((len(segs), grid.nx), math.nan)
+    etas = np.asarray(etas, dtype=float)
+    fields = np.full(etas.shape + (grid.nx,), math.nan)
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     f_hat = float(incidence_values(f, T_hat, V_hat))
     if min(T_hat, Ts_hat, V_hat) <= 0.0 or f_hat <= 0.0:
-        return fields, np.zeros(len(segs), dtype=bool)
-    now = np.array([seg.fields[-1] for seg in segs])
-    r1 = now[:, 0] / T_hat
-    r2 = now[:, 1] / Ts_hat
-    r3 = now[:, 2] / V_hat
+        return fields, np.zeros(etas.shape, dtype=bool)
     a, b = incidence_ab(f, V_hat)
-    emwh = params.emwh
+    weights = (params.emwh * (a * T_hat / (a + b * T_hat)), Ts_hat, V_hat / params.burst_n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = emwh * (a * T_hat / (a + b * T_hat)) * _v(r1)
-        term2 = Ts_hat * _v(r2)
-        term3 = (V_hat / params.burst_n) * _v(r3)
-        tail, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)
-    ok &= ~np.any((r1 <= LOG_FLOOR) | (r2 <= LOG_FLOOR) | (r3 <= LOG_FLOOR), axis=1)
-    fields[ok] = (term1 + term2 + term3 + params.delta * Ts_hat * tail)[ok]
+        tail, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)  # first, as it holds the most memory
+        for c, (hat, weight) in enumerate(zip((T_hat, Ts_hat, V_hat), weights)):  # T, T*, V, one at a time
+            r = np.array([seg.fields[-1][..., c, :] for seg in segs]) / hat
+            ok &= ~np.any(r <= LOG_FLOOR, axis=-1)
+            total = weight * _v(r) if c == 0 else total + weight * _v(r)
+    fields[ok] = (total + params.delta * Ts_hat * tail)[ok]
     return fields, ok
 
 
 def u_sdd_total(
     segs: Sequence[HistorySegment],
-    etas: Sequence[float],
+    etas,
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Domain integral of the pointwise functional of each segment (NaN
-    where invalid) and the validity mask."""
+    """Domain integral of the pointwise functional of each segment (and
+    member; NaN where invalid) and the validity mask."""
     fields, ok = u_sdd_fields(segs, etas, eq, params, f, grid)
     return integrate(grid, fields), ok
 
@@ -229,17 +230,10 @@ def _c1_seven_v(state: np.ndarray, eq: Equilibrium, parts) -> tuple[np.ndarray, 
     f_hat, fT, fTV, fdel, _ = parts
     Ts, V = state[..., 1, :], state[..., 2, :]
     Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
-    a1 = fTV / fT
-    a2 = fdel / f_hat
-    a3 = f_hat / fT
-    a4 = fTV / f_hat
-    a5 = fdel * Ts_hat / (f_hat * Ts)
-    a6 = Ts * V_hat / (Ts_hat * V)
-    a7 = V / V_hat
-    floors = (a1 <= LOG_FLOOR) | (a2 <= LOG_FLOOR) | (a3 <= LOG_FLOOR) | (a4 <= LOG_FLOOR)
-    floors |= (a5 <= LOG_FLOOR) | (a6 <= LOG_FLOOR) | (a7 <= LOG_FLOOR)
-    ok = ~np.any(floors, axis=-1)
-    return _v(a1) + _v(a2) - _v(a3) - _v(a4) - _v(a5) - _v(a6) - _v(a7), ok
+    args = (fTV / fT, fdel / f_hat, f_hat / fT, fTV / f_hat)
+    args += (fdel * Ts_hat / (f_hat * Ts), Ts * V_hat / (Ts_hat * V), V / V_hat)
+    ok = ~np.any(np.logical_or.reduce([arg <= LOG_FLOOR for arg in args]), axis=-1)
+    return _v(args[0]) + _v(args[1]) - _v(args[2]) - _v(args[3]) - _v(args[4]) - _v(args[5]) - _v(args[6]), ok
 
 
 @dataclass(frozen=True)
@@ -262,11 +256,6 @@ class LyapunovSample:
     valid: bool
 
 
-def _invalid_sample(t: float, eta: float = math.nan, eta_rate: float = math.nan) -> LyapunovSample:
-    nan = math.nan
-    return LyapunovSample(t, nan, nan, nan, nan, nan, (nan, nan, nan), nan, nan, nan, nan, eta, eta_rate, False)
-
-
 def rate_decomposition(
     traj: Trajectory,
     ks: Sequence[int],
@@ -276,7 +265,8 @@ def rate_decomposition(
     grid: Grid1D,
 ) -> list[LyapunovSample]:
     """Central-difference rate of the functional at each sample k of ks plus
-    its split, one ``LyapunovSample`` per k, computed for all of ks at once.
+    its split, one ``LyapunovSample`` per k (and member, member after
+    member), computed for all of ks at once.
 
     Needs the two neighboring samples of each k for the central differences
     of U and of eta; the delay values are the ones the run recorded in
@@ -295,17 +285,19 @@ def rate_decomposition(
     U_m, U_k, U_p = U[at - 1], U[at], U[at + 1]
     ok = ok[at - 1] & ok[at] & ok[at + 1]
 
-    t_k = traj.times[ks]
-    span = traj.times[ks + 1] - traj.times[ks - 1]
+    col = (slice(None),) + (None,) * len(traj.history.members)  # a sample's value against its members
+    t_k = traj.times[ks][col]
+    span = (traj.times[ks + 1] - traj.times[ks - 1])[col]
     eta_k = traj.eta[ks]
     eta_rate = (traj.eta[ks + 1] - traj.eta[ks - 1]) / span
     dU = (U_p - U_m) / span
 
     state = traj.fields[ks]
-    T, Ts, V = state[:, 0], state[:, 1], state[:, 2]
+    T, Ts, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
     seg_k = [segs[i] for i in at]
     rows, off, start = window_starts(seg_k, t_k - eta_k)  # each k's delayed row, as delayed_state reads it
-    delayed = traj.fields[rows + [seg.offset(traj.history) for seg in seg_k]]
+    rows += np.array([seg.offset(traj.history) for seg in seg_k])[col]
+    delayed = traj.fields[(rows, *np.indices(traj.history.members))]
     delayed[off] = start
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     emwh = params.emwh
@@ -322,7 +314,7 @@ def rate_decomposition(
         )
         B = f_hat * emwh * integrate(grid, braces)
 
-        g1 = g2 = g3 = np.zeros(len(ks))
+        g1 = g2 = g3 = np.zeros(eta_k.shape)
         if d1 != 0.0:
             gradT = gradient_central(grid, T)
             fp1 = incidence_dT(f, T, V_hat)
@@ -348,12 +340,13 @@ def rate_decomposition(
     ok &= ok_parts & ok_seven
 
     columns = (t_k, U_k, dU, S_int, D_int, Ddiff, g1, g2, g3, C1_int, c1_abs_dev, c1_scale, residual, eta_k, eta_rate)
+    table = np.column_stack([np.broadcast_to(c, ok.shape).T.ravel() for c in columns])  # member after member
+    valid = ok.T.ravel()
+    table[~valid, 1:13] = math.nan  # an invalid sample keeps its t, eta and eta_rate
     return [
-        LyapunovSample(t, U, dU, S, D, Dd, (g1, g2, g3), C1, dev, scale, res, eta, rate, True)
-        if good
-        else _invalid_sample(t, eta, rate)
+        LyapunovSample(t, U, dU, S, D, Dd, (g1, g2, g3), C1, dev, scale, res, eta, rate, good)
         for good, (t, U, dU, S, D, Dd, g1, g2, g3, C1, dev, scale, res, eta, rate) in zip(
-            ok.tolist(), np.column_stack(columns).tolist()
+            valid.tolist(), table.tolist()
         )
     ]
 
@@ -372,7 +365,8 @@ def monitor(
     The warmup (default 2*h_max) skips the initial transient where the
     history is still the prescribed initial segment.  The samples are
     decomposed in blocks of ``MONITOR_BLOCK``, which bounds the memory of a
-    block's per-row arrays.
+    block's per-row arrays, for all members at once when eta is (n, B); the
+    list is flat, member after member.
     """
     if len(traj) < 3:
         return []
@@ -382,23 +376,21 @@ def monitor(
     # neighbors k-1 need a full trailing window of their own
     earliest = int(np.searchsorted(traj.times, t0 + params.h_max + traj.dt * (1.0 - 1e-9))) + 1
     start = max(int(np.searchsorted(traj.times, t0 + warmup)), earliest)
-    ks = range(start, len(traj) - 1, max(stride, 1))
-    return [
-        sample
-        for b in range(0, len(ks), MONITOR_BLOCK)
-        for sample in rate_decomposition(traj, ks[b : b + MONITOR_BLOCK], eq, params, f, grid)
-    ]
+    ks, args = range(start, len(traj) - 1, max(stride, 1)), (eq, params, f, grid)
+    blocks = [rate_decomposition(traj, ks[b : b + MONITOR_BLOCK], *args) for b in range(0, len(ks), MONITOR_BLOCK)]
+    n = math.prod(traj.history.members)
+    return [sample for m in range(n) for got in blocks for sample in got[m * len(got) // n : (m + 1) * len(got) // n]]
 
 
 def _monitor_members(
     stream: RunStream, eq: Equilibrium, params: ModelParams, f: IncidenceFn, grid: Grid1D, stride: int, warmup: float | None
 ):
-    """``monitor`` of each member's trajectory, drained from one batched
-    stream: per member its samples (None if it aborted or the run has fewer
-    than three samples), and the rows of the first and the last sample.
-    Each block goes to ``monitor`` once the stream yields the sample after
-    its last k; the store holds the rows from h_max + 3 dt before the
-    block's sample k - 1 (or the newest) on, as a step is at most dt."""
+    """``monitor`` of every member, drained from one batched stream: per
+    member its samples (None if it aborted or the run has fewer than three
+    samples), and the rows of the first and the last sample.  Each block of
+    the live members goes to one ``monitor`` call once the stream yields the
+    sample after its last k; the store holds the rows from h_max + 3 dt before
+    the block's sample k - 1 (or the newest) on, as a step is at most dt."""
     seg, h, dt = stream.history, params.h_max, stream.history.dt
     warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
     samples = [[] for _ in range(seg.members[0])]
@@ -420,10 +412,12 @@ def _monitor_members(
             # a warmup to halfway from sample k - 1 to k makes k monitor's first sample, also
             # where a shortened step leaves no window start w0 whose earliest sample is k
             mid = 0.5 * (times[k - 1 - base] + times[k - base])
-            for m in [m for m, gone in enumerate(stream.aborted) if not gone]:
-                rows = seg.member(m).view(end - 1 - s + w0, end)
-                traj = Trajectory(rows, lags[:, m])
-                samples[m] += monitor(traj, eq, params, f, grid, stride, mid - rows.times[0])
+            live = [m for m, gone in enumerate(stream.aborted) if not gone]
+            if live:  # the rows of every live member, gathered only once one is frozen
+                rows = seg.view(end - 1 - s + w0, end, live if len(live) < len(samples) else slice(None))
+                got = monitor(Trajectory(rows, lags[:, live]), eq, params, f, grid, stride, mid - rows.times[0])
+                for i, m in enumerate(live):
+                    samples[m] += got[i * len(got) // len(live) : (i + 1) * len(got) // len(live)]
             k += MONITOR_BLOCK * stride
         held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt
         seg.hold(held)
@@ -474,8 +468,8 @@ def certify_local_stability(
 
     Per epsilon the equilibrium is displaced along every configured
     direction shape; all these runs advance as one ``RunStream`` over a
-    member axis, and each member's trajectory is monitored on its own, a
-    block at a time as the stream yields it, from a bounded store.  The
+    member axis, monitored in one pass per block of samples for all live
+    members, as the stream yields the block, from a bounded store.  The
     verdict aggregates the worst direction.  The stable_evidence verdict
     requires a decrease fraction of at least 0.99 on valid samples and a
     terminal distance below the initial one (the 0.99 gate is an

@@ -27,20 +27,28 @@ package:
   ``solver.step`` with no band, with the lag evaluated and the member mask
   passed each time, and every committed row's box counts come from its own
   min/max, ``isfinite`` and entry counts, against which the stream's
-  samples and abort diagnostics must agree bit for bit.
+  samples and abort diagnostics must agree bit for bit;
+- ``monitor_members_ref`` drains a ``RunStream`` by ``certify``'s block
+  loop as it was before the monitor took a member axis: each block's rows
+  are copied member by member into a segment of their own and each
+  member's solo trajectory goes to ``lyapunov.monitor`` alone, against
+  which the one pass per block over every live member must agree bit for
+  bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
 
+from sddlab import lyapunov
 from sddlab.grid import Grid1D, gradient_central, integrate, laplacian_neumann
-from sddlab.history import evaluate_eta
-from sddlab.solver import apply_jump, omega_lip_bounds, step
+from sddlab.history import HistorySegment, evaluate_eta
+from sddlab.solver import Trajectory, apply_jump, omega_lip_bounds, step
 from sddlab.lyapunov import LOG_FLOOR, _v
 from sddlab.model import (
     FAILS,
@@ -473,3 +481,42 @@ def stream_box_ref(stream, params, f, df, cfg, grid):
     else:
         sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg), box)
     return samples, clips.tolist(), aborted.tolist(), np.where(aborted, abort_time, None).tolist()
+
+
+def monitor_members_ref(stream, eq, params, f, grid, stride: int, warmup):
+    """``lyapunov._monitor_members`` with one ``monitor`` call per live
+    member and block: (per member its samples or None, first row, last
+    row).  The block loop, its row range and warmup are the batched
+    loop's; each member's rows of the block are copied into a segment of
+    their own, so the store is neither pinned nor read through a view."""
+    seg, h, dt = stream.history, params.h_max, stream.history.dt
+    warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
+    size = lyapunov.MONITOR_BLOCK
+    samples = [[] for _ in range(seg.members[0])]
+    times, etas, base, k = [], [], 0, None
+    for s, sample in enumerate(stream):
+        times.append(sample.t)
+        etas.append(sample.eta)
+        if s == 0:
+            t0, first = sample.t, sample.row.copy()
+            ready = t0 + h + dt * (1.0 - 1e-9)
+        if k is None and sample.t >= max(t0 + warmup, ready):
+            k = s + (times[-2] < ready)
+        last = sample.t == seg.t_now
+        if k is not None and (s == k + (size - 1) * stride + 1 or last and k < s):
+            x = np.array(times) + h + dt * (1.0 - 1e-9)
+            w0 = base + int(np.searchsorted(x, times[k - 1 - base], side="right")) - 1
+            lags = np.array(etas[w0 - base :])
+            end = len(seg) - 1 + last
+            mid = 0.5 * (times[k - 1 - base] + times[k - base])
+            store, lo = seg._rows, seg._lo + end - 1 - s + w0
+            for m in [m for m, gone in enumerate(stream.aborted) if not gone]:
+                one = HistorySegment(h, dt, store.times[lo : seg._lo + end], store.fields[lo : seg._lo + end, m])
+                samples[m] += lyapunov.monitor(Trajectory(one, lags[:, m]), eq, params, f, grid, stride, mid - one.times[0])
+            k += size * stride
+        held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt
+        seg.hold(held)
+        cut = bisect_left(times, held)
+        del times[:cut], etas[:cut]
+        base += cut
+    return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row

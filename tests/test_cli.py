@@ -291,6 +291,24 @@ class TestCertifyCommand:
         assert "solver abort: equilibrium 0 eps=1.10034 direction constant at t=10.14" in printed
 
 
+    def test_a_schedule_is_named_as_ignored_and_changes_nothing(self, caplog, tmp_path):
+        # certify runs at the initial parameters: one warning names the jumps, the verdicts stay
+        text = "[grid]\nnx = 5\n[time]\ndt = 0.02\nt_end = 4\n[output]\neps_fractions = 0.05\ndirections = constant\n"
+        written, warned = [], []
+        for name, schedule in (("plain", ""), ("jumps", "[schedule]\njump1 = 2 burst_n 5\njump2 = 3.5 c 4\n")):
+            caplog.clear()
+            cfg = write_cfg(tmp_path, text + schedule, f"{name}.ini")
+            assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "certify.csv").read_bytes())
+            warned.append([(r.levelname, r.getMessage()) for r in caplog.records if "schedule" in r.getMessage()])
+        assert written[0] == written[1]
+        assert warned == [
+            [],
+            [("WARNING", "certify ignores [schedule] (burst_n -> 5 at t=2, c -> 4 at t=3.5): "
+                         "it certifies at the initial parameters")],
+        ]
+
+
 class TestUsageAndErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["equilibria", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 1

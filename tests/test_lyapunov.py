@@ -412,7 +412,7 @@ def member_trajectories(sat_equilibrium, saturated):
     stream = RunStream(members, *args)
     origin = stream.history.view(len(stream.history) - 1, len(stream.history))  # pins the store's rows
     etas = np.array([sample.eta for sample in stream])
-    trajs = [Trajectory(origin.member(m).view(0, len(etas)), etas[:, m]) for m in range(len(members))]
+    trajs = [Trajectory(origin.view(0, len(etas), m), etas[:, m]) for m in range(len(members))]
     for initial, traj in zip(members, trajs):
         solo = run(initial, *args)
         assert traj.fields.strides != solo.fields.strides

@@ -13,6 +13,7 @@ import re
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,9 +43,10 @@ from sddlab import (
 )
 from sddlab.config import load_config
 from sddlab.lyapunov import MONITOR_BLOCK
-from sddlab.solver import InitialData, RunStream
+from sddlab.solver import InitialData, ParamJump, RunStream
 
 from .helpers import segment_from_profile
+from .oracles import monitor_members_ref
 from .test_cli import ABORT_CONFIG, JUMP_CONFIG
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -338,10 +340,10 @@ class TestMemberQueries:
         h, t_now, times = seg.h_max, seg.t_now, seg.times.tolist()
         solo = [HistorySegment(h, seg.dt, times, seg.fields[:, m].copy()) for m in range(4)]
 
-        def no_member_copies(self, m):
-            raise AssertionError("delayed_state read a member through HistorySegment.member")
+        def no_member_copies(self, lo, hi, members=None):
+            raise AssertionError("delayed_state read its rows through HistorySegment.view")
 
-        monkeypatch.setattr(HistorySegment, "member", no_member_copies)
+        monkeypatch.setattr(HistorySegment, "view", no_member_copies)
         lags = np.array([0.0, h, t_now - times[3], 0.37 * h])  # lag 0, h_max, on a row, between rows
         got = delayed_state(seg, lags)
         for m, one in enumerate(solo):
@@ -398,3 +400,73 @@ class TestMemberQueries:
         cached = seg.xi_values(xi)
         assert cached.shape == (len(seg), 2) and np.shares_memory(cached, seg.xi_values(xi))
         assert bits(cached) == bits(xi(seg.fields))
+
+
+BLOWUP = dict(  # bilinear with burst_n = 1e12: a trace of infection overflows, the infection-free state stays
+    params=ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=1e12, c=5.0, omega=0.0, h_max=0.5),
+    f=IncidenceFn("bilinear", k=10.0), eq=Equilibrium(50.0, 10.0, 10.0, "interior", 0.0),
+)
+
+
+@st.composite
+def monitored_runs(draw, sat_eq):
+    """The arguments of ``_monitor_members``, with a function that builds its
+    stream afresh: 1-6 members perturbed around the saturated equilibrium
+    under a constant lag (on a row or between rows), an integral or a wrapped
+    delay, maybe a jump off the step grid; or 2-5 members of which some blow
+    up mid-run while an infection-free one runs on.  Stride 1-10, warmup 0,
+    None or any, and the block size."""
+    if draw(st.booleans()):
+        nx, dt = draw(st.integers(3, 6)), draw(st.sampled_from([0.05, 0.07, 0.1]))
+        grid = Grid1D(0.0, 1.0, nx)
+        params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0,
+                             diff=draw(st.sampled_from([(0.0, 0.0, 0.0), (1e-3, 1e-3, 2e-3)])))
+        xi = state_mean_reducer(grid, "V", draw(st.floats(0.2, 0.9)) / sat_eq.V_hat)
+        df = draw(st.sampled_from([
+            constant_delay(1.0, draw(st.integers(1, int(1.0 / dt))) * dt),  # windows start on rows
+            constant_delay(1.0, draw(st.floats(0.01, 1.0))),
+            integral_delay(1.0, xi),
+            wrapped_delay(1.0, xi, kappa=lambda th: 2.0 * (1.0 + th)),
+        ]))
+        norm = equilibrium_norm(sat_eq)
+        members = [
+            InitialData(preset="equilibrium_perturbation", epsilon=draw(st.floats(0.01, 0.3)) * norm,
+                        equilibrium=sat_eq, direction=draw(st.sampled_from(["constant", "gaussian_bump"])),
+                        weights=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(2)) + (0.5,),
+                        bump_center=draw(st.floats(0.2, 0.8)), bump_width=draw(st.floats(0.05, 0.3)),
+                        profile=draw(st.sampled_from(["constant_in_time", "linear_ramp"])))
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+        t_end = draw(st.floats(2.2, 4.0))
+        jump = (draw(st.integers(1, int(t_end / dt) - 1)) + draw(st.floats(0.1, 0.9))) * dt  # a shortened step
+        schedule = draw(st.sampled_from([(), (ParamJump(jump, "burst_n", 5.0),), (ParamJump(jump, "c", 4.0),)]))
+        args = (params, IncidenceFn("saturated", k=0.1, k2=0.1), df, SolverConfig(dt=dt, t_end=t_end), grid, schedule)
+        eq, strides, sizes = sat_eq, st.integers(1, 10), st.sampled_from([1, 2, 3, MONITOR_BLOCK, 32])
+    else:
+        values = draw(st.lists(st.sampled_from([(50.0, 10.0, 10.0), (100.0, 0.0, 1e-200), (100.0, 1e-300, 0.0)]),
+                               min_size=1, max_size=4))
+        values.insert(draw(st.integers(0, len(values))), (100.0, 0.0, 0.0))
+        members = [InitialData(preset="uniform", values=v) for v in values]
+        args = (BLOWUP["params"], BLOWUP["f"], constant_delay(0.5, 0.1), SolverConfig(dt=0.5, t_end=40.0),
+                Grid1D(0.0, 1.0, 3), ())
+        eq, strides, sizes = BLOWUP["eq"], st.integers(1, 3), st.integers(1, 4)
+    warmup = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, args[3].t_end)))
+    return (lambda: RunStream(members, *args)), eq, args, draw(strides), warmup, draw(sizes)
+
+
+class TestMonitorOnePass:
+    """One monitor pass per block over every live member gives each member
+    the bits of the per-member loop it replaced."""
+
+    @given(data=st.data())
+    def test_one_pass_per_block_equals_one_monitor_per_member(self, sat_equilibrium, data):
+        stream_of, eq, (params, f, _, _, grid, _), stride, warmup, size = data.draw(monitored_runs(sat_equilibrium))
+        stream = stream_of()
+        with mock.patch.object(lyapunov, "MONITOR_BLOCK", size):
+            samples, first, last = lyapunov._monitor_members(stream, eq, params, f, grid, stride, warmup)
+            want, want_first, want_last = monitor_members_ref(stream_of(), eq, params, f, grid, stride, warmup)
+        assert [None if got is None else sample_bits(got) for got in samples] == [
+            None if got is None else sample_bits(got) for got in want
+        ]
+        assert bits(first) == bits(want_first) and bits(last) == bits(want_last)
+        assert not all(stream.aborted)

@@ -8,16 +8,23 @@ that without running the benchmark.
 
 import importlib
 import importlib.util
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import sddlab.cli  # noqa: F401  (loads every module the trace points name)
+import sddlab.lyapunov as lyapunov
 import sddlab.solver as solver
-from sddlab import Grid1D, IncidenceFn, ModelParams, ParamJump, SolverConfig, constant_delay
+from sddlab import (
+    Grid1D, IncidenceFn, ModelParams, ParamJump, SolverConfig, constant_delay, equilibrium_norm, find_equilibria,
+)
+from sddlab.config import load_config
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +90,30 @@ def test_the_stream_calls_step_and_rhs_through_their_solver_bindings(monkeypatch
     steps = sum(1 for _ in stream) - 1  # every sample but the initial one leaves a step behind it
     assert steps == 51  # 50 steps of dt, one of them split by the jump
     assert calls == {"step": steps, "rhs": steps + 1}
+
+
+def test_a_traced_certify_counts_every_members_samples_and_one_decomposition_per_block(tracer):
+    # the monitor's samples are one flat list over the members, which the
+    # tracer counts; each block of every member is decomposed in one call
+    cfg = load_config(CONFIGS / "saturated_integral_delay.ini")
+    (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
+    eps = [frac * equilibrium_norm(eq) for frac in cfg.output.eps_fractions]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        verdicts = lyapunov.certify_local_stability(
+            eq, eps, cfg.params, cfg.incidence, cfg.delay, replace(cfg.solver, t_end=4.0), cfg.grid,
+            directions=cfg.output.directions, stride=cfg.output.monitor_stride,
+        )
+    finally:
+        t.uninstall()
+    assert tracer.leftover_wrappers() == []
+    members = len(eps) * len(cfg.output.directions)
+    total = sum(v.n_samples for v in verdicts)
+    assert members == 6 and all(v.abort is None for v in verdicts) and total % members == 0
+    assert t.samples == [sum(v.n_valid for v in verdicts), total]
+    blocks = math.ceil(total // members / lyapunov.MONITOR_BLOCK)
+    calls = t.metrics()
+    assert blocks > 1
+    assert calls["lyapunov.monitor.calls"] == calls["lyapunov.rate_decomposition.calls"] == blocks
+    assert calls["lyapunov.u_sdd_total.calls"] == blocks
