@@ -22,9 +22,9 @@ row's xi value is computed once and cached beside it, in a float buffer
 keyed by the xi callable: xi must be a pure function of each row it is
 given.  With a member axis, eta and the delayed field are per member, each
 with the bits of that member alone: the members share their row times, so
-one search over them finds every member's delayed row, one gather reads
-those rows and one expression interpolates the members that fall between
-rows.
+``window_starts`` finds the row at t_k - lag of every member, for the
+step's newest row or every sample of a monitored block, with one search,
+and interpolates the windows that start between rows in one expression.
 
 When ``push`` finds the buffers full, a store that has never handed out a
 ``view`` (one over ``members``, as ``certify``'s monitor reads, does not
@@ -141,13 +141,6 @@ class HistorySegment:
     def members(self) -> tuple[int, ...]:
         """The member shape: () for one run, (B,) for B runs stored as one."""
         return self._rows.fields.shape[1:-2]
-
-    def offset(self, base: "HistorySegment") -> int:
-        """Rows from base's first row to this segment's first row; both must
-        be segments over one store."""
-        if self._rows is not base._rows:
-            raise ValueError("offset: the segments are over different stores")
-        return self._lo - base._lo
 
     def reserve(self, rows: int) -> None:
         """Make room for ``rows`` more pushes, so that none reallocates.  A
@@ -367,84 +360,56 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
 
 def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     """The (3, nx) fields T, T_star, V at time t - lag; on a stored row, a
-    view of that row.  With a member axis, ``lag`` holds one lag per member
-    (or one float for all, read without a lag array) and the result is
-    (B, 3, nx), each member read as it would be alone: distinct lags take
-    one search over the shared row times, one gather of every member's row
-    at or after its time, and one interpolation of the members whose time
-    falls between rows."""
-    if seg.members and not isinstance(lag, float):
+    view of that row.  With a member axis, ``lag`` is one float for all
+    members, read by ``HistorySegment.window``, or one lag per member, of
+    shape ``seg.members``: the (B, 3, nx) result is then ``window_starts``
+    of the newest row and one gather, each member with its solo read's bits."""
+    if not isinstance(lag, float):
         lags = np.asarray(lag, dtype=float)
         if lags.shape:
-            least, most = lags.min().item(), lags.max().item()
-            if least != most:  # NaN included
-                return _lagged_rows(seg, lags, least, most)
-            lag = least  # one lag: the members share its row and weights
-    return _lagged_row(seg, lag)
-
-
-def _lagged_row(seg: HistorySegment, lag: float) -> np.ndarray:
-    """The window's (*members, 3, nx) row at t - lag, one float lag for all."""
+            if lags.shape != seg.members:
+                raise ValueError(f"delayed_state: lags of shape {lags.shape} for members {seg.members}")
+            j, off, start = window_starts(seg, len(seg) - 1, lags)
+            out = seg.fields[j, np.arange(len(j))]
+            out[off] = start
+            return out
+        lag = lags.item()
     if not 0.0 <= lag <= seg.h_max * (1.0 + 1e-12):
         raise ValueError(f"delayed_state: lag {lag} outside [0, {seg.h_max}]")
     _, i, start = seg.window(seg.t_now - lag)
     return seg._rows.fields[seg._lo + i] if start is None else start
 
 
-def _lagged_rows(seg: HistorySegment, lags: np.ndarray, least: float, most: float) -> np.ndarray:
-    """Member b's (3, nx) row at t - lags[b], for a (B,) array of lags whose
-    extremes are least and most; the range checks and the arithmetic are
-    ``_lagged_row``'s, so each member gets the bits of its solo read."""
-    bound = seg.h_max * (1.0 + 1e-12)
-    if not (0.0 <= least and most <= bound):  # NaN fails too
-        bad = next(lag for lag in lags.tolist() if not 0.0 <= lag <= bound)
+def window_starts(seg: HistorySegment, k, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``HistorySegment.window`` at t_k - lag, for sample rows k of the segment
+    (counted from its first row: an int, or (n,)) and lags (*k.shape, *members),
+    with one search over the row times: (j, off, start).  j is each window's
+    first row at or after t_k - lag, counted as k is, off whether t_k - lag
+    falls between rows j - 1 and j, and start the interpolated (3, nx) rows
+    where it does, in (sample, member) order.  Each lag must lie in [0, h_max]
+    and each t_k - lag at or after the first row, as the window checks."""
+    bound, most = seg.h_max * (1.0 + 1e-12), np.maximum.reduce(lags, None)
+    if not (0.0 <= np.minimum.reduce(lags, None) and most <= bound):  # NaN fails too
+        bad = next(lag for lag in lags.ravel().tolist() if not 0.0 <= lag <= bound)
         raise ValueError(f"delayed_state: lag {bad} outside [0, {seg.h_max}]")
-    rows, lo = seg._rows, seg._lo
-    times = rows.times[lo : seg._hi]
-    slack = 1e-9 * seg.dt
-    first, t_now = times.item(0), times.item(-1)
-    if not first - slack <= t_now - most:  # the earliest time; none is after t_now
-        raise ValueError(f"history: time {t_now - most} outside the covered window [{first}, {t_now}]")
-    t_lo = t_now - lags
-    j = times.searchsorted(t_lo - slack)  # each member's first window row at or after its time
-    t_j = times[j]
-    out = rows.fields[lo + j, np.arange(len(lags))]
-    (m,) = (t_j > t_lo + slack).nonzero()  # the members whose time falls between rows j - 1 and j
-    if len(m):
-        jm = j[m]
-        t_prev = times[jm - 1]
-        w = ((t_lo[m] - t_prev) / (t_j[m] - t_prev))[:, None, None]
-        out[m] = (1.0 - w) * rows.fields[lo + jm - 1, m] + w * out[m]
-    return out
-
-
-def window_starts(segs: Sequence[HistorySegment], t_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``HistorySegment.window`` of each segment at its t_lo, for segments
-    over one store, with one search over the stored row times: (i, off,
-    start).  With a member axis, t_lo is (len(segs), B), one window per
-    segment and member.  i is each window's row i, off whether its t_lo
-    falls between rows, and start the interpolated (3, nx) rows of the
-    windows that do, stacked in (segment, member) order; the range check
-    and the arithmetic are the window's."""
-    rows, t_lo = segs[0]._rows, np.asarray(t_lo, dtype=float)
-    if any(seg._rows is not rows for seg in segs):
-        raise ValueError("window_starts: the segments are over different stores")
-    col = (slice(None),) + (None,) * (t_lo.ndim - 1)  # a segment's value against its windows
-    lo, hi = np.array([seg._lo for seg in segs])[col], np.array([seg._hi for seg in segs])[col]
-    times, fields = rows.times, rows.fields
-    slack = 1e-9 * segs[0].dt
-    first, last = np.broadcast_to(times[lo], t_lo.shape), np.broadcast_to(times[hi - 1], t_lo.shape)
-    outside = ~((first - slack <= t_lo) & (t_lo <= last + slack))
-    if outside.any():
-        k = np.argmax(outside)
-        raise ValueError(f"history: time {t_lo.flat[k]} outside the covered window [{first.flat[k]}, {last.flat[k]}]")
-    j = np.clip(np.searchsorted(times[: rows.n], t_lo - slack), lo, hi)  # the first stored row at or after each
+    times, fields, slack = seg.times, seg.fields, 1e-9 * seg.dt
+    members = fields.ndim - 3  # fields (len, *members, 3, nx)
+    t_k = times[k]
+    if t_k.ndim:  # samples (n,): a sample's time against its members
+        t_k = t_k[(...,) + (None,) * members]
+    t_lo = t_k - lags
+    first, earliest = times.item(0), np.minimum.reduce(t_lo, None) if t_k.ndim else t_k - most
+    if not first - slack <= earliest:
+        last = np.broadcast_to(t_k, t_lo.shape).flat[t_lo.argmin()]
+        raise ValueError(f"history: time {earliest} outside the covered window [{first}, {last}]")
+    j = times.searchsorted(t_lo - slack)  # the first stored row at or after each time
     t_j = times[j]
     off = t_j > t_lo + slack
-    jo, t_prev = j[off], times[j[off] - 1]
-    _, *member = np.nonzero(off)  # the member of each window off the rows, if any
+    jo = j[off]
+    t_prev = times[jo - 1]
     w = ((t_lo[off] - t_prev) / (t_j[off] - t_prev))[:, None, None]
+    member = off.nonzero()[off.ndim - members :] if off.ndim else ()  # the member of each window off the rows
     start, end = fields[(jo - 1, *member)], fields[(jo, *member)]
     start *= 1.0 - w  # (1 - w) * row j - 1 + w * row j, in the two gathered arrays
     end *= w
-    return j - lo, off, np.add(start, end, out=start)
+    return j, off, np.add(start, end, out=start)

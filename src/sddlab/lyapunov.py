@@ -33,19 +33,19 @@ The monitor computes the rate both ways: by central differences of the
 directly evaluated functional and from the decomposition; their mismatch is
 reported as a discretization health metric.
 
-The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of
-fields (one row per sample and member) integrated row by row.  In the last
-piece, v(f/f_hat) is computed once per stored row of the block, and the
-trapezoid term between two consecutive rows once per pair.  Every window of
-the block, one per sample and member, then sums into one accumulator,
-stepped over row offsets: first the window's own term from t - eta, then its
-pair terms in row order, a window that has ended masked out.  Each window so
-adds its terms left to right from 0, as one window alone would, and each
-member gets the bits of its solo run, one sample at a time.  A difference of
-one running trapezoid sum would be cheaper, but near the equilibrium the
-small window integral would cancel against the large running sum.
-``certify`` hands ``monitor`` each block of all its live members at once, as
-its stream yields the rows, so it stores about MONITOR_BLOCK * stride + h/dt
+The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of fields
+(one row per sample and member) read by row index and integrated row by row;
+one ``window_starts`` search starts every window.  In the last piece,
+v(f/f_hat) is computed once per stored row of the block, and the trapezoid
+term between two consecutive rows once per pair.  Every window of the block,
+one per sample and member, then sums into one accumulator, stepped over row
+offsets: first the window's own term from t - eta, then its pair terms in row
+order, a window that has ended masked out.  Each window so adds its terms left
+to right from 0, as one window alone would, and each member gets the bits of
+its solo run.  A difference of one running trapezoid sum would be cheaper, but
+near the equilibrium the small window integral would cancel against the large
+running sum.  ``certify`` hands ``monitor`` each block of all its live members
+as its stream yields the rows, so it stores about MONITOR_BLOCK * stride + h/dt
 rows, however long the run.
 
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
@@ -66,7 +66,7 @@ import numpy.random  # noqa: F401  every certify seeds a Generator; load it with
 
 from .equilibria import Equilibrium
 from .grid import Grid1D, gradient_central, integrate
-from .history import DelayFunctional, HistorySegment, window_starts
+from .history import DelayFunctional, window_starts
 from .history import evaluate_eta  # noqa: F401  the benchmark's tracer wraps this binding (perfbench/selftest.py)
 from .model import IncidenceFn, ModelParams, incidence_ab, incidence_dT, incidence_values
 from .solver import InitialData, RunStream, SolverConfig, Trajectory
@@ -95,15 +95,12 @@ def _v(arr: np.ndarray) -> np.ndarray:
 
 
 def _delay_tails(
-    segs: Sequence[HistorySegment],
-    etas,
-    f: IncidenceFn,
-    f_hat: float,
-    nx: int,
+    traj: Trajectory, ks: np.ndarray, f: IncidenceFn, f_hat: float, nx: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node trapezoid of v(f(T,V)/f_hat) over [t - eta, t] for each
-    segment and member, etas (len(segs), *members) and tails (*etas.shape,
-    nx), and whether no ratio hit the floor; no positive eta, no tail.
+    """Per-node trapezoid of v(f(T,V)/f_hat) over [t_k - eta_k, t_k] for each
+    sample k of ks and member, with the lag the run recorded in ``traj.eta``:
+    tails (*eta.shape, nx), eta (len(ks), *members), and whether no ratio hit
+    the floor; no positive eta, no tail.
 
     v and its floor flag are computed once per stored row of the block the
     windows touch, and the trapezoid term between two consecutive rows once
@@ -111,20 +108,17 @@ def _delay_tails(
     stored row stands for it, so its first term is its own; the rest are
     pair terms, summed left to right in one accumulator for all windows.
     """
-    etas = np.asarray(etas, dtype=float)
+    etas = traj.eta[ks]
     live = etas > 0.0
-    col = (slice(None),) + (None,) * (etas.ndim - 1)  # a segment's value against its windows
-    t_now = np.array([seg.t_now for seg in segs])[col]
-    t_lo = np.where(live, t_now - etas, t_now)
-    i, off, start = window_starts(segs, t_lo)
+    lags = np.where(live, etas, 0.0)
+    col = (slice(None),) + (None,) * (etas.ndim - 1)  # a sample's value against its members
+    t_lo = traj.times[ks][col] - lags
+    first, off, start = window_starts(traj.history, ks, lags)
     # the arrays over every window, or every stored row, of all members set the peak memory: hold few at once
     r0 = incidence_values(f, start[:, 0], start[:, 2]) / f_hat  # the ratio at each interpolated start
     del start
-    offsets = np.array([seg.offset(segs[0]) for seg in segs])[col]
-    first, end = offsets + i, offsets + np.array([len(seg) for seg in segs])[col]  # counted from segs[0]
     lo = first.min()
-    block = segs[0].view(lo, end.max())
-    times, rows = block.times, block.fields
+    times, rows = traj.times[lo : ks.max() + 1], traj.fields[lo : ks.max() + 1]
     ratio = incidence_values(f, rows[..., 0, :], rows[..., 2, :]) / f_hat
     floors = np.any(ratio <= LOG_FLOOR, axis=-1)
     low = np.cumsum(np.concatenate((np.zeros_like(floors[:1]), floors)), axis=0)
@@ -134,7 +128,7 @@ def _delay_tails(
     # window rows [a, e) of the block; the first term runs from t - eta to
     # row b: from the interpolated start to row a, or from row a to row a + 1
     member = tuple(np.indices(etas.shape[1:]))  # a window's member, to gather its rows
-    a, e = first - lo, end - lo
+    a, e = first - lo, (ks + 1 - lo)[col]
     b = a + ~off
     terms = e - b  # the first term, then pairs b, b+1, ..., e-2
     floored = low[(e, *member)] > low[(a, *member)]
@@ -153,34 +147,36 @@ def _delay_tails(
 
 
 def u_sdd_fields(
-    segs: Sequence[HistorySegment],
-    etas,
+    traj: Trajectory,
+    ks,
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise functional at the newest row of each segment, with the
-    delay eta of that segment (and member: etas (len(segs), *members)):
-    (*etas.shape, nx) fields and a validity mask.
+    """Pointwise functional at each sample k of ks (and member), with the
+    delay the run recorded in ``traj.eta``: (*traj.eta[ks].shape, nx) fields
+    and a validity mask.
 
-    The segments must be over one store (``Trajectory.segment_at`` gives
-    them).  A segment whose logarithm argument falls at or below the floor,
-    at its newest row or in its delay window, is invalid and its row is NaN
-    (invalidated, not clamped).
+    The delay window of a sample is read from the trajectory's own rows.  A
+    sample whose logarithm argument falls at or below the floor, at its row
+    or in its delay window, is invalid and its row is NaN (invalidated, not
+    clamped).
     """
-    etas = np.asarray(etas, dtype=float)
-    fields = np.full(etas.shape + (grid.nx,), math.nan)
+    ks = np.asarray(ks, dtype=int)
+    shape = traj.eta[ks].shape
+    fields = np.full(shape + (grid.nx,), math.nan)
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     f_hat = float(incidence_values(f, T_hat, V_hat))
     if min(T_hat, Ts_hat, V_hat) <= 0.0 or f_hat <= 0.0:
-        return fields, np.zeros(etas.shape, dtype=bool)
+        return fields, np.zeros(shape, dtype=bool)
     a, b = incidence_ab(f, V_hat)
     weights = (params.emwh * (a * T_hat / (a + b * T_hat)), Ts_hat, V_hat / params.burst_n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)  # first, as it holds the most memory
+        tail, ok = _delay_tails(traj, ks, f, f_hat, grid.nx)  # first, as it holds the most memory
+        rows = traj.fields[ks]
         for c, (hat, weight) in enumerate(zip((T_hat, Ts_hat, V_hat), weights)):  # T, T*, V, one at a time
-            r = np.array([seg.fields[-1][..., c, :] for seg in segs]) / hat
+            r = rows[..., c, :] / hat
             ok &= ~np.any(r <= LOG_FLOOR, axis=-1)
             total = weight * _v(r) if c == 0 else total + weight * _v(r)
     fields[ok] = (total + params.delta * Ts_hat * tail)[ok]
@@ -188,16 +184,16 @@ def u_sdd_fields(
 
 
 def u_sdd_total(
-    segs: Sequence[HistorySegment],
-    etas,
+    traj: Trajectory,
+    ks,
     eq: Equilibrium,
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Domain integral of the pointwise functional of each segment (and
-    member; NaN where invalid) and the validity mask."""
-    fields, ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+    """Domain integral of the pointwise functional at each sample k of ks
+    (and member; NaN where invalid) and the validity mask."""
+    fields, ok = u_sdd_fields(traj, ks, eq, params, f, grid)
     return integrate(grid, fields), ok
 
 
@@ -279,9 +275,10 @@ def rate_decomposition(
         raise ValueError(f"rate_decomposition: need samples {ks.min() - 1}..{ks.max() + 1} in the trajectory")
     # U at every sample next to or at a k, each once
     ms = np.array(sorted(set(np.concatenate((ks - 1, ks, ks + 1)).tolist())))  # np.unique would import numpy.ma
+    if (t_first := traj.times.item(ms[0])) - traj.h_max + 1e-9 * traj.dt < traj.times.item(0):  # segment_at's test
+        raise ValueError(f"rate_decomposition: sample {ms[0]} (t={t_first}) lacks {traj.h_max} of trailing history")
     at = np.searchsorted(ms, ks)
-    segs = [traj.segment_at(m) for m in ms]
-    U, ok = u_sdd_total(segs, traj.eta[ms], eq, params, f, grid)
+    U, ok = u_sdd_total(traj, ms, eq, params, f, grid)
     U_m, U_k, U_p = U[at - 1], U[at], U[at + 1]
     ok = ok[at - 1] & ok[at] & ok[at + 1]
 
@@ -294,9 +291,7 @@ def rate_decomposition(
 
     state = traj.fields[ks]
     T, Ts, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
-    seg_k = [segs[i] for i in at]
-    rows, off, start = window_starts(seg_k, t_k - eta_k)  # each k's delayed row, as delayed_state reads it
-    rows += np.array([seg.offset(traj.history) for seg in seg_k])[col]
+    rows, off, start = window_starts(traj.history, ks, eta_k)  # each k's delayed row, as delayed_state reads it
     delayed = traj.fields[(rows, *np.indices(traj.history.members))]
     delayed[off] = start
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat

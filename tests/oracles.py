@@ -337,24 +337,32 @@ def check_hf4_loop(f, v_hat: float, box, n: int = 50) -> Verdict:
     )
 
 
-def delay_tails_per_window(segs, etas, f: IncidenceFn, f_hat: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """``lyapunov._delay_tails`` one window at a time: v of each row the
-    block's windows touch, then per window its own nodes and one
+def delay_tails_per_window(traj, ks, f: IncidenceFn, f_hat: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lyapunov._delay_tails`` one window at a time, for a trajectory
+    without a member axis: each sample's window read by
+    ``HistorySegment.window`` on the sample's own ``segment_at`` segment (or
+    on the rows from the first, where less than h_max lies behind it), v of
+    each row the windows touch, then per window its own nodes and one
     ``np.add.reduce`` of its trapezoid terms."""
-    tails = np.zeros((len(segs), nx))
-    ok = np.ones(len(segs), dtype=bool)
-    offsets = [seg.offset(segs[0]) for seg in segs]
-    windows = []  # (j, nodes, first row, end row, interpolated start), rows counted from segs[0]
-    for j, (seg, eta) in enumerate(zip(segs, etas)):
+    tails = np.zeros((len(ks), nx))
+    ok = np.ones(len(ks), dtype=bool)
+    windows = []  # (j, nodes, first row, end row, interpolated start), rows counted from the trajectory's first
+    for j, k in enumerate(ks):
+        eta = traj.eta[k]
         if eta > 0.0:
+            try:
+                seg = traj.segment_at(k)
+            except ValueError:
+                seg = traj.history.view(0, k + 1)
+            offset = k + 1 - len(seg)
             t_lo = seg.t_now - eta
             nodes, i, start = seg.window(t_lo)
-            windows.append((j, np.concatenate(([t_lo], nodes[1:])), offsets[j] + i, offsets[j] + len(seg), start))
+            windows.append((j, np.concatenate(([t_lo], nodes[1:])), offset + i, k + 1, start))
     if not windows:
         return tails, ok
-    j0, _, lo, _, _ = min(windows, key=lambda w: w[2])
+    lo = min(w[2] for w in windows)
     hi = max(w[3] for w in windows)
-    rows = segs[j0].view(lo - offsets[j0], hi - offsets[j0]).fields
+    rows = traj.history.view(lo, hi).fields
     ratio = incidence_values(f, rows[:, 0], rows[:, 2]) / f_hat
     low = np.any(ratio <= LOG_FLOOR, axis=1)
     w_rows = _v(ratio)

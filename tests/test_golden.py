@@ -10,9 +10,11 @@ to rel 1e-9 / abs 1e-12, text columns (``kind``, ``verdict``) exactly.  A
 change that moves an output beyond this tolerance re-records the goldens
 and says why.
 
-The two saturated configs also keep ``monitor.csv``: every field of every
-``LyapunovSample`` of the monitor along the config's first eps, in both
-directions.  ``certify.csv`` only reports verdicts, which a wrong ``U``
+The three saturated configs also keep ``monitor.csv``: every field of
+every ``LyapunovSample`` of the monitor along the config's first eps, in
+both directions.  The wrapped config's recency ``kappa`` and smooth ``rho``
+put its lags off the stored rows, so its series pins the interpolated
+window starts most.  ``certify.csv`` only reports verdicts, which a wrong ``U``
 can leave unchanged; this series pins the functional itself.  Numbers are
 compared with the same tolerance, ``direction`` and ``valid`` exactly.
 Re-record with ``PYTHONPATH=src python -m tests.test_golden``.
@@ -89,7 +91,7 @@ def test_check_hypotheses_output_matches_golden(capsys, config):
 # depend on the generator
 BUMP_WEIGHTS = (0.18881711923692265, -0.19839032737660414, 0.9617636786063786)
 BUMP_CENTER = 0.25826381776426455
-MONITOR_CONFIGS = ("saturated_constant_delay", "saturated_integral_delay")
+MONITOR_CONFIGS = ("saturated_constant_delay", "saturated_integral_delay", "saturated_wrapped_delay")
 MONITOR_HEADER = [
     "direction", "t", "U", "dU_dt_fd", "S_int", "D_int", "Ddiff", "Ddiff_1", "Ddiff_2", "Ddiff_3",
     "C1_int", "c1_abs_dev", "c1_scale", "residual", "eta", "eta_rate", "valid",

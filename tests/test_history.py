@@ -58,14 +58,6 @@ class TestHistorySegment:
             assert seg.covers()
         assert len(seg) <= int(np.ceil(1.0 / 0.1)) + 2
 
-    def test_offset_counts_rows_between_views_of_one_store(self):
-        grid = Grid1D(0, 1, 3)
-        seg = segment_with_v(grid, lambda t: 1.0, h_max=1.0, dt=0.1)
-        assert seg.view(3, 7).offset(seg.view(1, 5)) == 2
-        assert seg.offset(seg.view(4, 6)) == -4
-        with pytest.raises(ValueError, match="different stores"):
-            seg.offset(segment_with_v(grid, lambda t: 1.0, h_max=1.0, dt=0.1))
-
     def test_push_requires_advancing_time(self):
         grid = Grid1D(0, 1, 3)
         seg = segment_with_v(grid, lambda t: 1.0)
@@ -393,7 +385,7 @@ class TestSlidingStore:
         assert np.array_equal(old.times, old_times)
         assert np.array_equal(old.fields, old_fields)
         # every row since the view is still stored, in order
-        since = old.view(0, pinned.offset(old) + len(pinned)).times
+        since = old.view(0, len(old_times) + 60).times
         assert np.array_equal(since[: len(old_times)], old_times)
         assert np.array_equal(since[len(old_times) :], 0.1 * np.arange(6, 66))
         # both windows read the same rows; only the unpinned store slid

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,11 @@ def eq_segment(grid, eq, h_max=1.0, dt=0.1, now=None):
     return segment_from_profile(h_max, dt, 0.0, lambda t: now if now is not None and t == 0.0 else base)
 
 
+def newest(seg, eta):
+    """The segment's rows as a trajectory with delay eta at every sample, and its newest sample."""
+    return Trajectory(seg, np.full(len(seg), eta)), [len(seg) - 1]
+
+
 class TestVolterra:
     def test_zero_at_one(self):
         assert _v(1.0) == 0.0
@@ -80,16 +86,16 @@ class TestVolterra:
 class TestUsdd:
     def test_zero_at_equilibrium(self, ref_params, saturated, grid5, sat_equilibrium):
         seg = eq_segment(grid5, sat_equilibrium)
-        total, ok = u_sdd_total([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)
+        total, ok = u_sdd_total(*newest(seg, 0.4), sat_equilibrium, ref_params, saturated, grid5)
         assert ok[0]
         assert abs(total[0]) <= 1e-10
-        assert u_sdd_fields([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)[0][0, 2] == 0.0
+        assert u_sdd_fields(*newest(seg, 0.4), sat_equilibrium, ref_params, saturated, grid5)[0][0, 2] == 0.0
 
     def test_doubled_v_gives_third_term_only(self, ref_params, saturated, grid5, sat_equilibrium):
         # eta = 0: the tail would also see the doubled V of the newest row
         base = eq_row(grid5, sat_equilibrium)
         seg = eq_segment(grid5, sat_equilibrium, now=base * [[1.0], [1.0], [2.0]])
-        got = u_sdd_fields([seg], [0.0], sat_equilibrium, ref_params, saturated, grid5)[0][0, 1]
+        got = u_sdd_fields(*newest(seg, 0.0), sat_equilibrium, ref_params, saturated, grid5)[0][0, 1]
         expected = (sat_equilibrium.V_hat / ref_params.burst_n) * _v(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -97,8 +103,9 @@ class TestUsdd:
         # make the history deviate so the tail integral would not vanish
         dev = eq_row(grid5, sat_equilibrium)
         seg = segment_from_profile(1.0, 0.1, 0.0, lambda t: (dev[0], dev[1], dev[2] * (1.0 + 0.2 * (t + 1.0))))
-        (with_lag, no_lag), ok = u_sdd_total([seg, seg], [0.4, 0.0], sat_equilibrium, ref_params, saturated, grid5)
-        assert ok.all()
+        (with_lag,), ok = u_sdd_total(*newest(seg, 0.4), sat_equilibrium, ref_params, saturated, grid5)
+        (no_lag,), ok_no_lag = u_sdd_total(*newest(seg, 0.0), sat_equilibrium, ref_params, saturated, grid5)
+        assert ok.all() and ok_no_lag.all()
         assert with_lag > no_lag  # the eta > 0 tail adds a positive term
 
     @given(hist=pushed_histories(), frac=st.floats(0.01, 1.0))
@@ -106,7 +113,8 @@ class TestUsdd:
         # the last piece, delta T*_hat int_{t-eta}^t v(f(T,V)/f_hat), over a history that moves
         grid, seg, times, snaps, _ = hist
         eq, eta, scale = sat_equilibrium, frac * seg.h_max, ref_params.delta * sat_equilibrium.T_star_hat
-        with_tail, without = u_sdd_fields([seg, seg], [eta, 0.0], eq, ref_params, saturated, grid)[0]
+        (with_tail,) = u_sdd_fields(*newest(seg, eta), eq, ref_params, saturated, grid)[0]
+        (without,) = u_sdd_fields(*newest(seg, 0.0), eq, ref_params, saturated, grid)[0]
         fsat = saturated_closed_form(0.1, 0.1)
         f_hat = fsat(eq.T_hat, eq.V_hat)
 
@@ -139,7 +147,7 @@ class TestUsdd:
 
         def first_piece(T_values):
             seg = eq_segment(grid, eq, now=(T_values, np.full(T.size, 3.0), np.full(T.size, v_hat)))
-            fields, ok = u_sdd_fields([seg], [0.0], eq, params, f, grid)
+            fields, ok = u_sdd_fields(*newest(seg, 0.0), eq, params, f, grid)
             return fields[0], ok[0]
 
         got, ok = first_piece(T)
@@ -155,7 +163,7 @@ class TestUsdd:
     def test_invalid_on_nonpositive_state(self, ref_params, saturated, grid5, sat_equilibrium):
         base = eq_row(grid5, sat_equilibrium)
         seg = eq_segment(grid5, sat_equilibrium, now=base * [[1.0], [0.0], [1.0]])
-        fields, ok = u_sdd_fields([seg], [0.4], sat_equilibrium, ref_params, saturated, grid5)
+        fields, ok = u_sdd_fields(*newest(seg, 0.4), sat_equilibrium, ref_params, saturated, grid5)
         assert not ok[0] and np.isnan(fields).all()
 
     def test_nonnegative_along_perturbed_run(self, ref_params, saturated, grid5, sat_equilibrium):
@@ -166,8 +174,8 @@ class TestUsdd:
             equilibrium=sat_equilibrium,
         )
         traj = run(initial, ref_params, saturated, df, SolverConfig(dt=0.05, t_end=4.0), grid5)
-        segs = [traj.segment_at(k) for k in range(25, len(traj), 10)]
-        totals, ok = u_sdd_total(segs, [0.4] * len(segs), sat_equilibrium, ref_params, saturated, grid5)
+        assert np.all(traj.eta == 0.4)
+        totals, ok = u_sdd_total(traj, range(25, len(traj), 10), sat_equilibrium, ref_params, saturated, grid5)
         assert ok.all()
         assert np.all(totals >= 0.0)
         assert totals[0] > 0.0
@@ -268,6 +276,15 @@ class TestRateDecomposition:
         with pytest.raises(ValueError):
             rate_decomposition(traj, [5, len(traj) - 1], sat_equilibrium, params, saturated, grid)
 
+    def test_needs_trailing_history_behind_the_earliest_sample(self, perturbed_traj, sat_equilibrium, saturated):
+        # rows 0.01 apart from t = 0 and h_max = 1: sample 100 is the first with a full window behind it
+        params, df, grid, traj = perturbed_traj
+        assert traj.times[100] == pytest.approx(1.0) and traj.times[0] == 0.0
+        with pytest.raises(ValueError, match=re.escape("rate_decomposition: sample 99 (t=0.99")):
+            rate_decomposition(traj, [100, 300], sat_equilibrium, params, saturated, grid)
+        (sample,) = rate_decomposition(traj, [101], sat_equilibrium, params, saturated, grid)
+        assert sample.valid
+
 
 def monitored_ks(traj, samples):
     return [int(np.searchsorted(traj.times, s.t)) for s in samples]
@@ -360,37 +377,37 @@ class TestBlocks:
 
 
 @st.composite
-def windows_over(draw, candidates):
-    """Segments drawn from candidates (over one store), each with a lag that
-    starts its window between rows, on a stored row, below the 1e-9*dt
-    slack (a one-row window without a trapezoid term), or nowhere (0)."""
-    segs, etas = [], []
-    for _ in range(draw(st.integers(1, 6))):
-        seg = draw(st.sampled_from(candidates))
-        times = seg.times.tolist()
+def windows_over(draw, history, ks):
+    """A trajectory over the history's rows and 1-6 of its samples ks (one
+    may repeat), each with a lag that starts its window between rows, on a
+    stored row, below the 1e-9*dt slack (a one-row window without a
+    trapezoid term), or nowhere (0); no lag passes h_max or the first row."""
+    times = history.times.tolist()
+    eta = np.zeros(len(times))
+    drawn = draw(st.lists(st.sampled_from(ks), min_size=1, max_size=6))
+    for k in sorted(set(drawn)):
         kind = draw(st.sampled_from(["between", "row", "slack", "zero"]))
         if kind == "between":
-            eta = draw(st.floats(0.0, 1.0)) * (times[-1] - times[0])
+            eta[k] = draw(st.floats(0.0, 1.0)) * min(history.h_max, times[k] - times[0])
         elif kind == "row":
-            eta = times[-1] - draw(st.sampled_from(times))
+            eta[k] = times[k] - draw(st.sampled_from([t for t in times[: k + 1] if times[k] - t <= history.h_max]))
         else:
-            eta = 0.5e-9 * seg.dt if kind == "slack" else 0.0
-        segs.append(seg)
-        etas.append(eta)
-    return segs, etas
+            eta[k] = 0.5e-9 * history.dt if kind == "slack" else 0.0
+    return Trajectory(history, eta), drawn
 
 
-def assert_tails_match_oracle(segs, etas, eq, params, f, grid):
+def assert_tails_match_oracle(traj, ks, eq, params, f, grid):
     """The window sums, and the functional built on them, have the bits of
     the per-window oracle."""
     f_hat = float(incidence_values(f, eq.T_hat, eq.V_hat))
+    ks = np.asarray(ks)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tails, ok = _delay_tails(segs, etas, f, f_hat, grid.nx)
-        want_tails, want_ok = delay_tails_per_window(segs, etas, f, f_hat, grid.nx)
+        tails, ok = _delay_tails(traj, ks, f, f_hat, grid.nx)
+        want_tails, want_ok = delay_tails_per_window(traj, ks, f, f_hat, grid.nx)
     assert tails.tobytes() == want_tails.tobytes() and ok.tolist() == want_ok.tolist()
-    fields, ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+    fields, ok = u_sdd_fields(traj, ks, eq, params, f, grid)
     with mock.patch.object(lyapunov, "_delay_tails", delay_tails_per_window):
-        want_fields, want_ok = u_sdd_fields(segs, etas, eq, params, f, grid)
+        want_fields, want_ok = u_sdd_fields(traj, ks, eq, params, f, grid)
     assert fields.tobytes() == want_fields.tobytes() and ok.tolist() == want_ok.tolist()
     return ok
 
@@ -428,20 +445,20 @@ class TestWindowSums:
     @given(data=st.data(), floor=st.booleans())
     def test_moving_histories(self, ref_params, saturated, sat_equilibrium, data, floor):
         grid, seg, *_ = data.draw(pushed_histories())
-        segs, etas = data.draw(windows_over([seg.view(0, hi) for hi in range(1, len(seg) + 1)]))
+        traj, ks = data.draw(windows_over(seg, range(len(seg))))
         if floor:  # T = 0 at one node of one row: every window over that row hits the floor
             seg.fields[data.draw(st.integers(0, len(seg) - 1)), 0, data.draw(st.integers(0, grid.nx - 1))] = 0.0
-        assert_tails_match_oracle(segs, etas, sat_equilibrium, ref_params, saturated, grid)
+        assert_tails_match_oracle(traj, ks, sat_equilibrium, ref_params, saturated, grid)
 
     @given(data=st.data())
     def test_member_trajectories(self, member_trajectories, sat_equilibrium, saturated, data):
         params, grid, trajs = member_trajectories
         traj = data.draw(st.sampled_from(trajs))
         ks = range(21, len(traj))  # rows 0.05 apart: a segment needs 1.0 of history behind it
-        segs, etas = data.draw(windows_over([traj.segment_at(k) for k in ks]))
-        if data.draw(st.booleans()):  # the lags the run recorded
-            etas = [float(traj.eta[np.searchsorted(traj.times, seg.t_now)]) for seg in segs]
-        assert assert_tails_match_oracle(segs, etas, sat_equilibrium, params, saturated, grid).all()
+        drawn, ks = data.draw(windows_over(traj.history, ks))
+        if data.draw(st.booleans()):  # else the lags the run recorded
+            traj = drawn
+        assert assert_tails_match_oracle(traj, ks, sat_equilibrium, params, saturated, grid).all()
 
     def test_floors_and_one_row_window(self, ref_params, saturated, sat_equilibrium):
         # rows 0..10 at t = -1.0, -0.9, ..., 0; V = 0 at a node of row 3, T < 0 at a node of row 8
@@ -459,9 +476,11 @@ class TestWindowSums:
             (5, 0.2, False),  # starts on row 2
             (3, 0.2, True),  # starts on row 0
         ]
-        segs = [seg.view(0, hi) for hi, _, _ in cases]
-        ok = assert_tails_match_oracle(segs, [eta for _, eta, _ in cases], sat_equilibrium, ref_params, saturated, grid)
-        assert ok.tolist() == [valid for *_, valid in cases]
+        ok = [
+            assert_tails_match_oracle(*newest(seg.view(0, hi), eta), sat_equilibrium, ref_params, saturated, grid)[0]
+            for hi, eta, _ in cases
+        ]
+        assert ok == [valid for *_, valid in cases]
 
 
 class TestCertify:

@@ -42,8 +42,9 @@ from sddlab import (
     wrapped_delay,
 )
 from sddlab.config import load_config
+from sddlab.history import window_starts
 from sddlab.lyapunov import MONITOR_BLOCK
-from sddlab.solver import InitialData, ParamJump, RunStream
+from sddlab.solver import InitialData, ParamJump, RunStream, Trajectory
 
 from .helpers import segment_from_profile
 from .oracles import monitor_members_ref
@@ -319,7 +320,72 @@ def pushed_history(members=4, nx=5, h=0.1, dt=0.01, steps=60) -> HistorySegment:
     return seg
 
 
+@st.composite
+def sampled_lags(draw):
+    """A trajectory over random rows, solo or with 1-6 members, one step
+    shortened, and 1-8 of its samples that have h_max of history behind
+    them, each with one lag per member: 0, h_max, exactly on a row, within
+    1e-9*dt of a row on either side, or any lag between."""
+    members = draw(st.integers(0, 6))
+    shape = (members,) if members else ()
+    h = draw(st.floats(0.05, 2.0))
+    dt = draw(st.floats(0.01, 0.5))
+    n_steps = math.ceil(h / dt) + draw(st.integers(1, 25))
+    short = draw(st.integers(0, n_steps - 1))
+    frac = draw(st.floats(0.01, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = [0.0]
+    for i in range(n_steps):
+        times.append(times[-1] + (dt * frac if i == short else dt))
+    history = HistorySegment(h, dt, times, rng.uniform(0.5, 20.0, (len(times),) + shape + (3, 4)))
+    ready = [k for k, t in enumerate(times) if times[0] <= t - h + 1e-9 * dt]
+    ks = draw(st.lists(st.sampled_from(ready), min_size=1, max_size=8, unique=True))
+    eta = np.zeros((len(times),) + shape)
+    for k in ks:
+        on_rows = [times[k] - t for t in times[: k + 1] if times[k] - t <= h]
+        near = st.tuples(st.sampled_from(on_rows), st.floats(-0.9e-9, 0.9e-9)).map(
+            lambda pair: min(max(pair[0] + pair[1] * dt, 0.0), h)
+        )
+        between = st.floats(0.0, 1.0).map(lambda f: f * h)
+        lag = st.one_of(st.just(0.0), st.just(h), st.sampled_from(on_rows), near, between)
+        eta[k] = draw(lag) if not members else draw(st.lists(lag, min_size=members, max_size=members))
+    return Trajectory(history, eta), ks
+
+
 class TestMemberQueries:
+    @given(case=sampled_lags())
+    def test_window_starts_reads_each_window_as_its_segment(self, case):
+        # one search over the trajectory's rows finds the row and the interpolated
+        # start that each sample's own segment_at segment finds in its window
+        traj, ks = case
+        members = traj.history.members
+        j, off, start = window_starts(traj.history, np.array(ks), traj.eta[ks])
+        assert j.shape == off.shape == (len(ks),) + members
+        wanted = []
+        for s, k in enumerate(ks):
+            seg = traj.segment_at(k)
+            for m in np.ndindex(members):
+                _, i, want = seg.window(traj.times[k] - traj.eta[(k, *m)])
+                assert j[(s, *m)] == k + 1 - len(seg) + i
+                assert off[(s, *m)] == (want is not None)
+                if want is not None:
+                    wanted.append(want[m])
+            one = window_starts(traj.history, k, traj.eta[k])  # an int k, as the step reads
+            assert one[0].tolist() == j[s].tolist() and one[1].tolist() == off[s].tolist()
+            assert bits(one[2]) == bits(start[off[: s].sum() : off[: s + 1].sum()])
+            if members:  # equal lags give the one float lag's bits
+                lag = float(traj.eta[(k,) + (0,) * len(members)])
+                assert bits(delayed_state(seg, np.full(members, lag))) == bits(delayed_state(seg, lag))
+        assert start.shape == (len(wanted), 3, 4) and bits(start) == bits(wanted)
+
+    @pytest.mark.parametrize("lags", [[0.01, 0.02, 0.03], [0.02] * 3, [0.01] * 7, [[0.01] * 6]])
+    def test_lags_of_another_shape_than_the_members_raise(self, lags):
+        # 3 distinct lags on 6 members used to return 3 rows, 3 equal lags 6, and 7 lags an IndexError
+        seg = pushed_history(members=6)
+        shape = np.shape(lags)
+        with pytest.raises(ValueError, match=re.escape(f"delayed_state: lags of shape {shape} for members (6,)")):
+            delayed_state(seg, np.array(lags))
+
     @given(hist=member_histories())
     def test_delayed_state_per_member_equals_each_alone(self, hist):
         _, seg, solo, lags = hist
