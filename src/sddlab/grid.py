@@ -63,21 +63,36 @@ def laplacian_neumann(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     Interior: (u[i-1] - 2 u[i] + u[i+1]) / dx^2.  Boundaries reflect the
     first interior node (u[-1] := u[1], u[nx] := u[nx-2]), so constants are
     annihilated exactly and the no-flux condition is built into the stencil.
-    Along the last axis, so a stack of fields is differenced row by row.
+    Along the last axis, so a stack of fields is differenced row by row, by a
+    one-off ``_bind_laplacian``; the solver's step plan binds its buffer once.
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
+    return _bind_laplacian(grid, u, np.empty(u.shape))()
+
+
+def _bind_laplacian(grid: Grid1D, u: np.ndarray, out: np.ndarray):
+    """A call that writes ``laplacian_neumann`` of what ``u`` then holds into
+    ``out``, the stencil's views and dx^2 taken once; ``u`` (else copied now)
+    and ``out`` are C-contiguous, of one shape, and do not overlap."""
     dx2 = grid.dx * grid.dx
     # (u[i-1] - 2 u[i] + u[i+1]) / dx2, summed in that order, in one pass
     # over the rows laid end to end; each row's two ends are then set apart
     flat = u.reshape(-1)
-    mid = np.multiply(flat[1:-1], -2.0, out=out.reshape(-1)[1:-1])
-    mid += flat[:-2]
-    mid += flat[2:]
-    mid /= dx2
+    centre, left, right, mid = flat[1:-1], flat[:-2], flat[2:], out.reshape(-1)[1:-1]
     n = u.shape[-1] - 1  # both ends of each row at once; with nx = 3, u[1] is the inner node of both
-    out[..., ::n] = 2.0 * (u[..., 1 : n : max(n - 2, 1)] - u[..., ::n]) / dx2
-    return out
+    inner, ends, out_ends = u[..., 1 : n : max(n - 2, 1)], u[..., ::n], out[..., ::n]
+
+    def apply() -> np.ndarray:
+        np.multiply(centre, -2.0, out=mid)
+        np.add(mid, left, out=mid)
+        np.add(mid, right, out=mid)
+        np.divide(mid, dx2, out=mid)
+        np.subtract(inner, ends, out=out_ends)  # 2 (u[1] - u[0]) / dx2, and its mirror
+        np.multiply(out_ends, 2.0, out=out_ends)
+        np.divide(out_ends, dx2, out=out_ends)
+        return out
+
+    return apply
 
 
 def gradient_central(grid: Grid1D, u: np.ndarray) -> np.ndarray:

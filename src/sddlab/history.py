@@ -363,13 +363,16 @@ def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     view of that row.  With a member axis, ``lag`` is one float for all
     members, read by ``HistorySegment.window``, or one lag per member, of
     shape ``seg.members``: the (B, 3, nx) result is then ``window_starts``
-    of the newest row and one gather, each member with its solo read's bits."""
+    of the newest row (and a gather, if a read is on a row), each member
+    with its solo read's bits."""
     if not isinstance(lag, float):
         lags = np.asarray(lag, dtype=float)
         if lags.shape:
             if lags.shape != seg.members:
                 raise ValueError(f"delayed_state: lags of shape {lags.shape} for members {seg.members}")
             j, off, start = window_starts(seg, len(seg) - 1, lags)
+            if off.all():  # start holds every member's row, in member order
+                return start
             out = seg.fields[j, np.arange(len(j))]
             out[off] = start
             return out

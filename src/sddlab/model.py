@@ -132,18 +132,20 @@ class IncidenceFn:
             raise ValueError(f"mu: must be positive when given, got {self.mu}")
 
 
-def incidence_values(f: IncidenceFn, T, V):
-    """Closed-form f(T, V), vectorized, no domain checks (solver hot path)."""
+def incidence_values(f: IncidenceFn, T, V, out=None):
+    """Closed-form f(T, V), vectorized, no domain checks (solver hot path): k T,
+    times V, over the kind's denominator, in place in ``out`` (the broadcast
+    shape, overlapping neither input) if given, with a new array's bits."""
     T = np.asarray(T, dtype=float)
     V = np.asarray(V, dtype=float)
-    if f.kind == "bilinear":
-        return f.k * T * V
+    out = np.multiply(np.multiply(f.k, T, out=out), V, out=out)
     if f.kind == "saturated":
-        return f.k * T * V / (1.0 + f.k2 * V)
-    if f.kind == "beddington_deangelis":
-        return f.k * T * V / (1.0 + f.k1 * T + f.k2 * V)
-    # crowley_martin
-    return f.k * T * V / ((1.0 + f.k1 * T) * (1.0 + f.k2 * V))
+        out /= 1.0 + f.k2 * V
+    elif f.kind == "beddington_deangelis":
+        out /= 1.0 + f.k1 * T + f.k2 * V
+    elif f.kind == "crowley_martin":
+        out /= (1.0 + f.k1 * T) * (1.0 + f.k2 * V)
+    return out
 
 
 def incidence_ab(f: IncidenceFn, v_hat: float) -> tuple[float, float]:

@@ -9,9 +9,11 @@ delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003).  A component with d_i == 0 gets no diffusion term at all.
 
 The step's constants are derived once per parameter set, in ``ModelParams``
-(at the stream's start and at each jump); ``rhs`` writes into the store's
-next row by the operations of ``tests/oracles.rhs_ref`` in their order, and
-``step`` scales that row by dt and adds the current row in place.
+(at the stream's start and at each jump), and its buffers and views once per
+stream, in a ``_StepPlan``.  ``rhs`` copies the current and delayed rows in
+and runs ``tests/oracles.rhs_ref``'s operations in their order, each into a
+bound buffer; ``step`` writes dt times that into the store's next row and
+adds the current row in place.
 
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
@@ -56,7 +58,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .equilibria import Equilibrium
-from .grid import Grid1D, laplacian_neumann
+from .grid import Grid1D, _bind_laplacian
 from .history import DelayFunctional, HistorySegment, delayed_state, evaluate_eta
 from .model import IncidenceFn, ModelParams, incidence_mu, incidence_values
 
@@ -255,53 +257,60 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
     )
 
 
-def rhs(
-    state: np.ndarray,
-    delayed: np.ndarray,
-    params: ModelParams,
-    f: IncidenceFn,
-    grid: Grid1D,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+class _StepPlan:
+    """``rhs`` for one stream's (*members, 3, nx) rows, f and grid, with every
+    buffer and view bound once: the pair of current and delayed rows (f(T, V)
+    of both in one evaluation), f(T, V), the result by component, and the
+    Laplacian, whose buffer also takes the loss product.  Nothing of
+    ``params`` is kept: a jump replaces them in the middle of a stream."""
+
+    def __init__(self, shape: tuple[int, ...], f: IncidenceFn, grid: Grid1D):
+        self.f, self.out, self.lap, pair = f, np.empty(shape), np.empty(shape), np.empty((2, *shape))
+        self.state, self.delayed = pair
+        self.T, self.V, self.T_star = pair[..., 0, :], pair[..., 2, :], self.state[..., 1, :]
+        self.f_now, self.f_delayed = self.fv = np.empty(self.T.shape)
+        self.parts, self.lap_parts = ([a[..., i, :] for i in range(3)] for a in (self.out, self.lap))
+        self.laplacian = _bind_laplacian(grid, self.state, self.lap)
+
+    def __call__(self, state, delayed, params: ModelParams) -> np.ndarray:
+        np.copyto(self.state, state)
+        np.copyto(self.delayed, delayed)
+        incidence_values(self.f, self.T, self.V, out=self.fv)
+        out, (dT, dT_star, dV) = self.out, self.parts
+        # the gains, then the losses d T, delta T_star, c V of all three at once
+        dT.fill(params.lam)
+        np.multiply(self.f_delayed, params.emwh, out=dT_star)
+        np.multiply(self.T_star, params.burst_delta, out=dV)
+        out -= np.multiply(self.state, params.loss, out=self.lap)
+        dT -= self.f_now
+        if params.diffusing:
+            lap = self.laplacian()
+            lap *= params.diff_column
+            if len(params.diffusing) == 3:
+                out += lap
+            else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan
+                for i in params.diffusing:
+                    np.add(self.parts[i], self.lap_parts[i], out=self.parts[i])
+        return out
+
+
+def rhs(state: np.ndarray, delayed: np.ndarray, params: ModelParams, f: IncidenceFn, grid: Grid1D,
+        out: np.ndarray | None = None, plan: _StepPlan | None = None) -> np.ndarray:
     """Reaction plus diffusion right-hand side of (..., 3, nx) rows T, T_star,
-    V, written into ``out`` (a new array by default), which must not overlap
-    either row; the delayed row feeds only the infected-cell production term.
-    Each entry is made by ``tests/oracles.rhs_ref``'s operations in their
-    order, so it has the oracle's bits."""
-    out = np.empty(state.shape) if out is None else out
-    dT, dT_star, dV = out[..., 0, :], out[..., 1, :], out[..., 2, :]
-    pair = np.array((state, delayed))  # f(T, V) of both rows in one evaluation
-    f_now, f_delayed = incidence_values(f, pair[..., 0, :], pair[..., 2, :])
-    # the gains, then the losses d T, delta T_star, c V of all three at once
-    dT.fill(params.lam)
-    np.multiply(f_delayed, params.emwh, out=dT_star)
-    np.multiply(state[..., 1, :], params.burst_delta, out=dV)
-    out -= np.multiply(state, params.loss)
-    dT -= f_now
-    if params.diffusing:
-        lap = laplacian_neumann(grid, state)
-        lap *= params.diff_column
-        if len(params.diffusing) == 3:
-            out += lap
-        else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan
-            for i in params.diffusing:
-                row = out[..., i, :]
-                row += lap[..., i, :]
-    return out
+    V; the delayed row feeds only the infected-cell production term.  Each
+    entry is made by ``tests/oracles.rhs_ref``'s operations in their order, so
+    it has the oracle's bits.  Computed by ``plan`` (built for this f, grid
+    and shape; its result buffer is returned, valid until its next call) or a
+    one-off plan, and copied into ``out`` if given."""
+    k = (plan or _StepPlan(np.shape(state), f, grid))(state, delayed, params)
+    if out is not None:
+        np.copyto(out, k)
+    return k if out is None else out
 
 
-def step(
-    seg: HistorySegment,
-    params: ModelParams,
-    f: IncidenceFn,
-    df: DelayFunctional,
-    cfg: SolverConfig,
-    grid: Grid1D,
-    dt: float | None = None,
-    frozen: np.ndarray | None = None,
-    band: np.ndarray | None = None,
-    lag: float | np.ndarray | None = None,
-):
+def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunctional, cfg: SolverConfig, grid: Grid1D,
+         dt: float | None = None, frozen: np.ndarray | None = None, band: np.ndarray | None = None,
+         lag: float | np.ndarray | None = None, plan: _StepPlan | None = None):
     """Advance one explicit Euler step with the lag at the step start, or the
     given one (a constant delay's).  Returns eta, clipped, finite (per member
     with a member axis) and the committed row's ``_extremes``.
@@ -311,6 +320,7 @@ def step(
     committed at once and finite is ``True``.  Otherwise a nonfinite or
     ``frozen`` member keeps its last good row, and the row is committed unless
     every member kept its old one: a blow-up leaves the last good state.
+    ``plan`` is the stream's ``_StepPlan``; without it, ``rhs`` builds one.
     """
     dt_step = cfg.dt if dt is None else dt
     # (*members, 3, nx); taken first, because it may slide the store under
@@ -322,8 +332,7 @@ def step(
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(all="ignore"):
-        rhs(u, delayed, params, f, grid, out=row)
-        row *= dt_step
+        np.multiply(rhs(u, delayed, params, f, grid, plan=plan), dt_step, out=row)
         row += u
     clipped = 0
     if cfg.clip_negative:
@@ -482,6 +491,7 @@ class RunStream:
         t_final = t0 + cfg.t_end
         bounded, band = self.bounds is not None, _band(self.bounds, tol)
         lag = evaluate_eta(df, seg) if df.kind == "constant" else None  # the same (read-only) lag every step
+        plan = _StepPlan(seg.fields.shape[1:], f, grid)
         extremes = _extremes(seg.fields[-1])
         box = (*_violations(seg.fields[-1], extremes, band, bounded), extremes)
         ji, frozen = 0, None  # the next jump; the aborted mask, once a member aborted
@@ -497,7 +507,7 @@ class RunStream:
             dt_step = min(cfg.dt, t_final - t)
             if ji < len(jumps):
                 dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt_step, frozen, band, lag)
+            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt_step, frozen, band, lag, plan)
             if cfg.clip_negative:
                 self._clips += clipped * ~self._aborted
             if finite is not True and not finite.all():

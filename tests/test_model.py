@@ -83,6 +83,22 @@ class TestEvalIncidence:
         out = incidence_values(f, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert out.shape == (2,)
 
+    @settings(max_examples=200)
+    @given(data=st.data(), f=st.sampled_from(ALL_KINDS), shape=st.sampled_from([(1,), (5,), (2, 4), (2, 3, 3)]))
+    def test_out_gives_the_allocating_forms_bits(self, data, f, shape):
+        # -1/k2 zeroes the saturated and Crowley-Martin denominators (and, with
+        # T = 0, Beddington-DeAngelis's); NaN, +-inf and -0.0 pass through
+        special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1.0 / f.k2 if f.k2 else -1.0])
+        n = math.prod(shape)
+        T, V = (np.array(data.draw(st.lists(st.floats(-50.0, 50.0) | special, min_size=n, max_size=n))).reshape(shape)
+                for _ in range(2))
+        out = np.full(shape, 7.0)  # whatever the buffer held before
+        with np.errstate(all="ignore"):
+            want = incidence_values(f, T, V)
+            got = incidence_values(f, T, V, out=out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMu:
     def test_explicit_mu_wins(self):

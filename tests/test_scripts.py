@@ -29,6 +29,16 @@ def test_eta_rate_sweep_runs():
     assert "stable_evidence" in proc.stdout
 
 
+def test_step_timing_prints_one_row_per_shape():
+    proc = run_script(["scripts/step_timing.py", "--repeat", "1", "--number", "2", "--streams", "1", "--steps", "2"])
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.strip().splitlines()
+    assert title == "min-of-N microseconds per call"
+    assert header.split() == ["shape", "rhs", "laplacian_neumann", "incidence_values", "delayed_state", "stream_step"]
+    assert [row.split()[0] for row in rows] == ["(2,3,101)", "(6,3,41)", "(3,1001)"]
+    assert all(len(row.split()) == 6 for row in rows)
+
+
 def test_readme_library_example_runs(capsys):
     # the README's Library code block as written; its comment claims the printed rate is <= 0
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -27,7 +27,9 @@ from sddlab import (
     step,
 )
 from sddlab.model import KINDS, incidence_mu, incidence_values
-from sddlab.solver import InitialData, RunStream, _band, _extremes, _violations, apply_jump, validate_schedule
+from sddlab.solver import (
+    InitialData, RunStream, _band, _extremes, _StepPlan, _violations, apply_jump, validate_schedule,
+)
 
 from .helpers import eq_row, push_state, segment_from_profile, uniform_row
 from .oracles import fixed_lag_euler, initial_segment_ref, rhs_ref, saturated_closed_form, stream_box_ref
@@ -100,17 +102,60 @@ def rhs_inputs(draw):
     return state, delayed, params, f, Grid1D(0.0, 1.0, nx)
 
 
+# jumps as a schedule makes them: each d_i to and from 0, omega (e^{-omega h}),
+# burst_n (N delta) and lambda
+PLAN_JUMPS = st.one_of(
+    st.tuples(st.sampled_from(["d1", "d2", "d3"]), st.sampled_from([0.0, 1e-3, 0.25])),
+    st.tuples(st.just("omega"), st.sampled_from([0.0, 0.3, 1.2])),
+    st.tuples(st.just("burst_n"), st.sampled_from([6.0, 10.0])),
+    st.tuples(st.just("lambda"), st.sampled_from([5.0, 10.0])),
+)
+
+
+@st.composite
+def plan_calls(draw):
+    """One step plan's calls: rows of one shape (solo or 1-4 members, nx
+    from 3) and one incidence kind, with the params changed between calls
+    the way jumps change them."""
+    nx = draw(st.integers(3, 7))
+    shape = (*draw(st.sampled_from([(), (1,), (2,), (4,)])), 3, nx)
+    diff = tuple(draw(st.sampled_from([0.0, 1e-3, 0.25])) for _ in range(3))
+    params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.3, h_max=1.0, diff=diff)
+    calls = []
+    for _ in range(draw(st.integers(2, 5))):
+        rows = [draw_rows(draw, shape, st.floats(-100.0, 100.0) | SPECIAL) for _ in range(2)]
+        calls.append((*rows, params))
+        params = apply_jump(params, ParamJump(1.0, *draw(PLAN_JUMPS)))
+    f = IncidenceFn(draw(st.sampled_from(KINDS)), k=0.1, k1=0.05, k2=0.1)
+    return shape, f, Grid1D(0.0, 1.0, nx), calls
+
+
+def assert_oracle_bits(got, want):
+    # a NaN's sign is not compared: NaN + NaN keeps either operand's, and
+    # numpy's masked add even picks differently within one call
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
 class TestRhsOracle:
     @settings(max_examples=200)
     @given(case=rhs_inputs())
     def test_bitwise_equal_to_the_oracle(self, case):
-        # a NaN's sign is not compared: NaN + NaN keeps either operand's, and
-        # numpy's masked add even picks differently within one call
         with np.errstate(all="ignore"):
             got, want = rhs(*case), rhs_ref(*case)
-        assert np.array_equal(got, want, equal_nan=True)
-        number = ~np.isnan(want)
-        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+        assert_oracle_bits(got, want)
+
+    @settings(max_examples=200)
+    @given(case=plan_calls())
+    def test_a_reused_plan_gives_the_oracle_bits_on_every_call(self, case):
+        shape, f, grid, calls = case
+        plan = _StepPlan(shape, f, grid)
+        for state, delayed, params in calls:
+            with np.errstate(all="ignore"):
+                got, want = rhs(state, delayed, params, f, grid, plan=plan), rhs_ref(state, delayed, params, f, grid)
+            assert got is plan.out
+            assert_oracle_bits(got, want)
 
     def test_run_rows_match_a_loop_over_the_oracle(self):
         # dt = 1/64 puts every step, jump and the lag 1/4 exactly on the step
