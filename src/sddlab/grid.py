@@ -75,8 +75,9 @@ def _bind_laplacian(grid: Grid1D, u: np.ndarray, out: np.ndarray):
     ``out``, the stencil's views and dx^2 taken once; ``u`` (else copied now)
     and ``out`` are C-contiguous, of one shape, and do not overlap."""
     dx2 = grid.dx * grid.dx
-    # (u[i-1] - 2 u[i] + u[i+1]) / dx2, summed in that order, in one pass
-    # over the rows laid end to end; each row's two ends are then set apart
+    # u[i-1] - 2 u[i] + u[i+1], summed in that order, in one pass over the
+    # rows laid end to end; each row's two ends are then set apart, and every
+    # entry is divided by dx2 once, at the end
     flat = u.reshape(-1)
     centre, left, right, mid = flat[1:-1], flat[:-2], flat[2:], out.reshape(-1)[1:-1]
     n = u.shape[-1] - 1  # both ends of each row at once; with nx = 3, u[1] is the inner node of both
@@ -86,11 +87,9 @@ def _bind_laplacian(grid: Grid1D, u: np.ndarray, out: np.ndarray):
         np.multiply(centre, -2.0, out=mid)
         np.add(mid, left, out=mid)
         np.add(mid, right, out=mid)
-        np.divide(mid, dx2, out=mid)
-        np.subtract(inner, ends, out=out_ends)  # 2 (u[1] - u[0]) / dx2, and its mirror
+        np.subtract(inner, ends, out=out_ends)  # 2 (u[1] - u[0]), and its mirror
         np.multiply(out_ends, 2.0, out=out_ends)
-        np.divide(out_ends, dx2, out=out_ends)
-        return out
+        return np.divide(out, dx2, out=out)
 
     return apply
 

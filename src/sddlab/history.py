@@ -182,9 +182,7 @@ class HistorySegment:
     def next_row(self) -> np.ndarray:
         """The (3, nx) row after the newest, to fill in place before
         ``push(t)`` commits it; until then it is not part of the history."""
-        rows = self._rows
-        if self._hi != rows.n:
-            raise ValueError("push: only a segment ending at the newest stored row can grow")
+        rows = self._growing_rows()
         if rows.n == len(rows.times):
             first = min(self._lo, bisect_left(rows.times, rows.hold, 0, rows.n))  # the oldest live row
             # sliding moves at most two rows per row it frees
@@ -193,6 +191,12 @@ class HistorySegment:
             else:
                 self.reserve(rows.n)
         return rows.fields[rows.n]
+
+    def _growing_rows(self) -> _Rows:
+        """The store, if this segment ends at its newest stored row: only such a segment can grow."""
+        if self._hi != self._rows.n:
+            raise ValueError("push: only a segment ending at the newest stored row can grow")
+        return self._rows
 
     def _slide(self, first: int) -> None:
         """Move rows first..n-1 and their cached xi values to the front."""
@@ -207,11 +211,13 @@ class HistorySegment:
         rows.n, self._lo, self._hi = live, self._lo - first, live
 
     def push(self, t: float) -> None:
-        """Commit the filled ``next_row()`` as the row at time t."""
-        self.next_row()
-        if t <= self.t_now:
-            raise ValueError(f"push: time must advance ({t} <= {self.t_now})")
-        rows = self._rows
+        """Commit the filled ``next_row()`` as the row at time t; ``next_row`` makes the room it needs, so
+        a full store means it was not called."""
+        rows = self._growing_rows()
+        if rows.n == len(rows.times):
+            raise ValueError("push: the store is full; fill the row next_row() gives first")
+        if t <= (now := rows.times.item(self._hi - 1)):
+            raise ValueError(f"push: time must advance ({t} <= {now})")
         rows.times[rows.n] = t
         rows.n += 1
         self._hi += 1

@@ -139,10 +139,15 @@ def _delay_tails(
     first_term += w_rows[(right, *member)]
     pairs = 0.5 * (w_rows[:-1] + w_rows[1:]) * np.diff(times)[(slice(None),) + (None,) * etas.ndim]
     del w_rows
-    acc = np.zeros(etas.shape + (nx,))
+    acc, term = np.zeros(etas.shape + (nx,)), np.empty(etas.shape + (nx,))
     np.add(acc, first_term * 0.5 * (times[right] - t_lo)[..., None], out=acc, where=(terms > 0)[..., None])
+    # pair b + k - 1 of each window, from the (pair, member) rows; masked once a window is past its last
+    flat, width, shortest = pairs.reshape(-1, nx), math.prod(etas.shape[1:]), terms.min()
+    row = b * width + np.arange(width).reshape(etas.shape[1:])
     for k in range(1, terms.max()):
-        np.add(acc, pairs[(np.minimum(b + k - 1, len(pairs) - 1), *member)], out=acc, where=(k < terms)[..., None])
+        np.take(flat, row, axis=0, out=term, mode="clip")
+        row += width
+        np.add(acc, term, out=acc, where=True if k < shortest else (k < terms)[..., None])
     return acc, ~(live & floored)
 
 

@@ -12,8 +12,8 @@ The step's constants are derived once per parameter set, in ``ModelParams``
 (at the stream's start and at each jump), and its buffers and views once per
 stream, in a ``_StepPlan``.  ``rhs`` copies the current and delayed rows in
 and runs ``tests/oracles.rhs_ref``'s operations in their order, each into a
-bound buffer; ``step`` writes dt times that into the store's next row and
-adds the current row in place.
+bound buffer; ``step`` writes dt times that into the store's next row, adds
+the current row in place and commits it at t + dt.
 
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
@@ -41,10 +41,11 @@ Every run monitors the invariant-box bounds
     0 <= V  <= N lam mu e^{-omega h} / (d c),
 
 (upper bounds only when f admits the linear-bound constant mu) and counts
-excursions beyond ``invariance_tol``: one test of each new row's min and
-max against the box widened by it passes finite rows inside, and only a
-row that fails is counted entry by entry.  Negative clipping is off by
-default: the exact dynamics preserve positivity, so violations indicate
+excursions beyond ``invariance_tol``: the plan's guard puts each new row's
+per-component min and max between the box's ends, widened by it (set at
+the start and at each jump), and one comparison passes finite rows inside;
+only a row that fails is counted entry by entry.  Negative clipping is off
+by default: the exact dynamics preserve positivity, so violations indicate
 step-size trouble and are surfaced rather than silently fixed.
 """
 
@@ -260,9 +261,10 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
 class _StepPlan:
     """``rhs`` for one stream's (*members, 3, nx) rows, f and grid, with every
     buffer and view bound once: the pair of current and delayed rows (f(T, V)
-    of both in one evaluation), f(T, V), the result by component, and the
-    Laplacian, whose buffer also takes the loss product.  Nothing of
-    ``params`` is kept: a jump replaces them in the middle of a stream."""
+    of both in one evaluation), f(T, V), the result by component, the
+    Laplacian, whose buffer also takes the loss product, and the box guard's buffers.
+    Nothing of ``params`` is kept: a jump replaces them in the middle of a
+    stream; the stream sets the guard's band itself."""
 
     def __init__(self, shape: tuple[int, ...], f: IncidenceFn, grid: Grid1D):
         self.f, self.out, self.lap, pair = f, np.empty(shape), np.empty(shape), np.empty((2, *shape))
@@ -271,6 +273,28 @@ class _StepPlan:
         self.f_now, self.f_delayed = self.fv = np.empty(self.T.shape)
         self.parts, self.lap_parts = ([a[..., i, :] for i in range(3)] for a in (self.out, self.lap))
         self.laplacian = _bind_laplacian(grid, self.state, self.lap)
+        # the guard's two (4, *members, 3) buffers [lo, min, max, hi], taken in turn, as a sample's extremes
+        # live until the next sample; lo and hi stay NaN, which fails every test, until ``set_band``
+        self.boxes = np.full((2, 4, *shape[:-1]), np.nan)
+        self._guards = [(E[1], E[2], E[1:3], E[0::2], E[1::2], np.empty((2, *shape[:-1]), bool)) for E in self.boxes]
+
+    def set_band(self, bounds, tol: float) -> None:
+        """The (2, 3) ``band`` [-tol, upper + tol] of a row's per-component (min, max), in both buffers too;
+        without bounds its top is the largest float, so that NaN and +-inf fall outside it too."""
+        top = np.full(3, np.finfo(float).max) if bounds is None else np.add(bounds, tol)
+        self.band = np.array((np.full(3, -tol), top))
+        self.boxes[:, 0], self.boxes[:, 3] = self.band
+
+    def guard(self, row: np.ndarray, again: bool = False) -> tuple[np.ndarray, bool]:
+        """Write the per-component (min, max) of a (*members, 3, nx) row, NaN propagating, into the next buffer
+        (the same one ``again``); return them and whether all lie in the band: one test [lo, max] <= [min, hi]."""
+        if not again:
+            self._guards.reverse()
+        low, high, extremes, left, right, ok = self._guards[0]
+        np.minimum.reduce(row, axis=-1, out=low)
+        np.maximum.reduce(row, axis=-1, out=high)
+        np.less_equal(left, right, out=ok)
+        return extremes, np.count_nonzero(ok) == ok.size
 
     def __call__(self, state, delayed, params: ModelParams) -> np.ndarray:
         np.copyto(self.state, state)
@@ -309,18 +333,19 @@ def rhs(state: np.ndarray, delayed: np.ndarray, params: ModelParams, f: Incidenc
 
 
 def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunctional, cfg: SolverConfig, grid: Grid1D,
-         dt: float | None = None, frozen: np.ndarray | None = None, band: np.ndarray | None = None,
-         lag: float | np.ndarray | None = None, plan: _StepPlan | None = None):
-    """Advance one explicit Euler step with the lag at the step start, or the
-    given one (a constant delay's).  Returns eta, clipped, finite (per member
-    with a member axis) and the committed row's ``_extremes``.
+         dt: float | None = None, frozen: np.ndarray | None = None, lag: float | np.ndarray | None = None,
+         plan: _StepPlan | None = None):
+    """Advance one explicit Euler step with the lag at the step start, or
+    the given one (a constant delay's).
+    Returns eta, clipped, finite (per member with a member axis) and the
+    committed row's per-component (min, max), in a buffer of ``plan``.
 
-    The new row is written straight into the segment's next row.  If its
-    extremes lie in the stream's ``_band`` and no member is ``frozen``, it is
-    committed at once and finite is ``True``.  Otherwise a nonfinite or
+    The new row is written straight into the segment's next row.  If the
+    guard of ``plan`` (the stream's; else a one-off one without a band,
+    which passes nothing) finds it in the band and no member is ``frozen``,
+    it is committed at once and finite is ``True``.  Otherwise a nonfinite or
     ``frozen`` member keeps its last good row, and the row is committed unless
     every member kept its old one: a blow-up leaves the last good state.
-    ``plan`` is the stream's ``_StepPlan``; without it, ``rhs`` builds one.
     """
     dt_step = cfg.dt if dt is None else dt
     # (*members, 3, nx); taken first, because it may slide the store under
@@ -328,7 +353,8 @@ def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunc
     row = seg.next_row()
     lag = evaluate_eta(df, seg) if lag is None else lag
     delayed = delayed_state(seg, df.eta_const if df.kind == "constant" else lag)
-    u = seg.fields[-1]
+    u, plan = seg.fields[-1], plan or _StepPlan(row.shape, f, grid)
+    t_next = seg.t_now + dt_step
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(all="ignore"):
@@ -338,18 +364,17 @@ def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunc
     if cfg.clip_negative:
         clipped = np.count_nonzero(row < 0.0, axis=(-2, -1))
         np.maximum(row, 0.0, out=row)
-    extremes = _extremes(row)
-    if band is not None and frozen is None:  # one test: every member finite, no excursion to count
-        if np.count_nonzero((band[0] <= extremes[0]) & (extremes[1] <= band[1])) == extremes[0].size:
-            seg.push(seg.t_now + dt_step)
-            return lag, clipped, True, extremes
+    extremes, inside = plan.guard(row)
+    if inside and frozen is None:  # every member finite, no excursion to count
+        seg.push(t_next)
+        return lag, clipped, True, extremes
     finite = np.isfinite(extremes).all(axis=(0, -1))
     keep = ~finite if frozen is None else ~finite | frozen
     if (kept := np.count_nonzero(keep)) < keep.size:
         if kept:
             row[keep] = u[keep]
-            extremes = _extremes(row)
-        seg.push(seg.t_now + dt_step)
+            extremes, _ = plan.guard(row, again=True)
+        seg.push(t_next)
     return lag, clipped, finite, extremes
 
 
@@ -393,20 +418,9 @@ class Trajectory:
         return self.history.view(j0, k + 1)
 
 
-def _band(bounds, tol: float) -> np.ndarray:
-    """The (2, 3) band [-tol, upper + tol] of a row's per-component (min, max); without bounds its top
-    is the largest float, so that NaN and +-inf fall outside it too."""
-    return np.array((np.full(3, -tol), np.full(3, np.finfo(float).max) if bounds is None else np.add(bounds, tol)))
-
-
-def _extremes(row: np.ndarray) -> np.ndarray:
-    """Per-component (min, max) of a (*members, 3, nx) row, as (2, *members, 3); NaN propagates."""
-    return np.array((np.minimum.reduce(row, axis=-1), np.maximum.reduce(row, axis=-1)))
-
-
 def _violations(row: np.ndarray, extremes: np.ndarray, band: np.ndarray, bounded: bool, inside: bool = False):
-    """Box excursions of a (*members, 3, nx) row outside the ``_band``, its top only if ``bounded``: two ints,
-    or two lists of one int per member; a side the ``_extremes`` keep inside (each if ``inside``) counts 0."""
+    """Box excursions of a (*members, 3, nx) row outside the plan's ``band``, its top only if ``bounded``: two ints,
+    or two lists of one int per member; a side the ``extremes`` keep inside (each if ``inside``) counts 0."""
     none = 0 if row.ndim == 2 else [0] * len(row)
     low = inside or (extremes[0] >= band[0]).all()
     high = inside or not bounded or (extremes[1] <= band[1]).all()
@@ -417,7 +431,9 @@ def _violations(row: np.ndarray, extremes: np.ndarray, band: np.ndarray, bounded
 class Sample(NamedTuple):
     """One committed sample: its time, its (*members, 3, nx) row, the lag
     eta the step leaving it used, its lower/upper box excursion counts,
-    each per member with a member axis, and the row's ``_extremes``."""
+    each per member with a member axis, and the row's per-component (min,
+    max), (2, *members, 3).  ``row`` and ``extremes`` are views into the
+    stream's buffers, valid until the next sample is asked for."""
 
     t: float
     row: np.ndarray
@@ -487,27 +503,26 @@ class RunStream:
     def __iter__(self) -> Iterator[Sample]:
         params, f, df, cfg, grid = self._args
         seg, jumps, tol = self.history, self.jumps, cfg.invariance_tol
-        t0 = seg.t_now
-        t_final = t0 + cfg.t_end
-        bounded, band = self.bounds is not None, _band(self.bounds, tol)
+        t = t0 = seg.t_now  # each step's start; push lands on the same float, t + dt_step
+        t_final, bounded = t0 + cfg.t_end, self.bounds is not None
         lag = evaluate_eta(df, seg) if df.kind == "constant" else None  # the same (read-only) lag every step
         plan = _StepPlan(seg.fields.shape[1:], f, grid)
-        extremes = _extremes(seg.fields[-1])
-        box = (*_violations(seg.fields[-1], extremes, band, bounded), extremes)
+        plan.set_band(self.bounds, tol)
+        extremes, _ = plan.guard(seg.fields[-1])
+        box = (*_violations(seg.fields[-1], extremes, plan.band, bounded), extremes)
         ji, frozen = 0, None  # the next jump; the aborted mask, once a member aborted
         t_slack = 1e-6 * cfg.dt  # absorbs accumulated float drift of t += dt
-        while seg.t_now < t_final - t_slack:
-            t = seg.t_now
+        while t < t_final - t_slack:
             while ji < len(jumps) and t >= (t0 + jumps[ji].t) - t_slack:
                 params = apply_jump(params, jumps[ji])
                 self.bounds = omega_lip_bounds(params, self._mu)
-                band = _band(self.bounds, tol)
+                plan.set_band(self.bounds, tol)
                 log.info("applied jump at t=%.6g: %s -> %.6g", t, jumps[ji].name, jumps[ji].value)
                 ji += 1
             dt_step = min(cfg.dt, t_final - t)
             if ji < len(jumps):
                 dt_step = min(dt_step, (t0 + jumps[ji].t) - t)
-            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt_step, frozen, band, lag, plan)
+            eta, clipped, finite, extremes = step(seg, params, f, df, cfg, grid, dt_step, frozen, lag, plan)
             if cfg.clip_negative:
                 self._clips += clipped * ~self._aborted
             if finite is not True and not finite.all():
@@ -521,8 +536,9 @@ class RunStream:
                     yield Sample(t, seg.fields[-1], eta, *box)
                     return
             yield Sample(t, seg.fields[-2], eta, *box)
-            box = (*_violations(seg.fields[-1], extremes, band, bounded, finite is True), extremes)
-        yield Sample(seg.t_now, seg.fields[-1], evaluate_eta(df, seg) if lag is None else lag, *box)
+            t += dt_step
+            box = (*_violations(seg.fields[-1], extremes, plan.band, bounded, finite is True), extremes)
+        yield Sample(t, seg.fields[-1], evaluate_eta(df, seg) if lag is None else lag, *box)
 
 
 def run(

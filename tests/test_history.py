@@ -64,6 +64,26 @@ class TestHistorySegment:
         with pytest.raises(ValueError):
             push_state(seg, seg.t_now, const_state(grid, 1, 1, 1))
 
+    def test_push_without_next_row_raises_on_a_full_store(self):
+        # a new segment's store holds exactly its rows: no row to commit
+        grid = Grid1D(0, 1, 3)
+        seg = segment_with_v(grid, lambda t: 1.0)
+        rows, t_now = seg.fields.copy(), seg.t_now
+        with pytest.raises(ValueError, match="next_row"):
+            seg.push(t_now + 0.05)
+        assert seg.t_now == t_now and np.array_equal(seg.fields, rows)
+        push_state(seg, t_now + 0.05, const_state(grid, 2, 2, 2))
+        assert seg.t_now == t_now + 0.05 and np.array_equal(seg.fields[-1], const_state(grid, 2, 2, 2))
+
+    def test_push_raises_on_a_view_short_of_the_newest_row(self):
+        grid = Grid1D(0, 1, 3)
+        seg = segment_with_v(grid, lambda t: 1.0)
+        seg.next_row()  # the store has room now, so only the view's end is wrong
+        view = seg.view(0, len(seg) - 1)
+        with pytest.raises(ValueError, match="newest stored row"):
+            view.push(seg.t_now + 0.05)
+        assert len(view) == len(seg) - 1 and seg.t_now == view.t_now + 0.05
+
 
 class TestEvaluateEta:
     def test_constant_kind(self, small_grid):

@@ -28,11 +28,11 @@ from sddlab import (
 )
 from sddlab.model import KINDS, incidence_mu, incidence_values
 from sddlab.solver import (
-    InitialData, RunStream, _band, _extremes, _StepPlan, _violations, apply_jump, validate_schedule,
+    InitialData, RunStream, _StepPlan, _violations, apply_jump, validate_schedule,
 )
 
 from .helpers import eq_row, push_state, segment_from_profile, uniform_row
-from .oracles import fixed_lag_euler, initial_segment_ref, rhs_ref, saturated_closed_form, stream_box_ref
+from .oracles import _extremes_ref, fixed_lag_euler, initial_segment_ref, rhs_ref, saturated_closed_form, stream_box_ref
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +294,15 @@ def assert_stream_matches_the_old_loop(initial, params, f, df, cfg, grid, schedu
     old.history.fields[...] = row
     with np.errstate(all="ignore"):
         want, clips, aborted, abort_time = stream_box_ref(old, params, f, df, cfg, grid)
-    got = [(s.t, s.row.copy(), np.array(s.eta), s.lower, s.upper, s.extremes.copy()) for s in stream]
+    got, held = [], None
+    for s in stream:
+        # a sample's extremes are its row's, held in the buffer the last
+        # sample's were not: the step that finds the next sample's extremes
+        # leaves them as they are until the next sample is asked for
+        assert s.extremes.tobytes() == _extremes_ref(s.row).tobytes()
+        assert held is None or not np.shares_memory(s.extremes, held)
+        held = s.extremes
+        got.append((s.t, s.row.copy(), np.array(s.eta), s.lower, s.upper, s.extremes.copy()))
     assert len(got) == len(want)
     for (t, r, eta, lower, upper, extremes), (t_, r_, eta_, lower_, upper_, extremes_) in zip(got, want):
         assert (t, lower, upper) == (t_, lower_, upper_)
@@ -339,42 +347,59 @@ class TestBandStream:
         assert self.drain_two(IncidenceFn("saturated", k=self.TINY, k2=1.0), schedule, row) == [False, True]
 
 
+def direct_counts(r, bounds, tol):
+    """Entries of a (*members, 3, nx) row below -tol and above bounds + tol, counted one by one."""
+    none = 0 * np.count_nonzero(r, axis=(-2, -1))
+    upper = np.count_nonzero(r > np.array(bounds)[:, None] + tol, axis=(-2, -1)) if bounds is not None else none
+    return np.count_nonzero(r < -tol, axis=(-2, -1)).tolist(), upper.tolist()
+
+
+def assert_guard_is_direct(plan, r, bounds, tol):
+    """The plan's one-comparison guard against the direct count: it passes
+    exactly the rows with every entry finite and none outside the band, and
+    its extremes are the row's.  Returns whether it passed."""
+    extremes, passed = plan.guard(r)
+    assert extremes.tobytes() == _extremes_ref(r).tobytes()
+    zero = np.zeros(r.shape[:-2], dtype=int).tolist()
+    assert passed == (np.isfinite(r).all() and direct_counts(r, bounds, tol) == (zero, zero))
+    return passed
+
+
 class TestBoxPass:
     @settings(max_examples=100)
-    @given(case=box_rows(), data=st.data())
-    def test_flags_and_counts_match_the_direct_forms(self, case, data):
+    @given(case=box_rows(), again=box_rows(), data=st.data())
+    def test_flags_and_counts_match_the_direct_forms(self, case, again, data):
         row, bounds, tol = case
-        band, bounded = _band(bounds, tol), bounds is not None
-
-        def direct(r):
-            none = 0 * np.count_nonzero(r, axis=(-2, -1))
-            upper = np.count_nonzero(r > np.array(bounds)[:, None] + tol, axis=(-2, -1)) if bounded else none
-            return np.count_nonzero(r < -tol, axis=(-2, -1)).tolist(), upper.tolist()
-
-        def inside(r, extremes):
-            # the step's one band test, against every entry finite with no excursion
-            passed = ((band[0] <= extremes[0]) & (extremes[1] <= band[1])).all()
-            zero = np.zeros(r.shape[:-2], dtype=int).tolist()
-            assert passed == (np.isfinite(r).all() and direct(r) == (zero, zero))
-            return passed
-
-        assert _violations(row, _extremes(row), band, bounded) == direct(row)
-        inside(row, _extremes(row))
-        # one step from a segment that holds the row at every time: a member
-        # keeps it when frozen or when its new row is not finite; with the
-        # band and no member frozen, a row inside it is committed at once
-        members = row.shape[:-2]
-        frozen = np.array(data.draw(st.lists(st.booleans(), min_size=members[0], max_size=members[0]))) if members else None
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=0.5, diff=(1e-3, 0.0, 2e-3))
         f, grid = IncidenceFn("saturated", k=0.1, k2=0.1), Grid1D(0.0, 1.0, row.shape[-1])
+        plan = _StepPlan(row.shape, f, grid)
+        assert not plan.guard(row)[1]  # no band yet: the guard passes nothing
+        plan.set_band(bounds, tol)
+        bounded = bounds is not None
+        assert _violations(row, _extremes_ref(row), plan.band, bounded) == direct_counts(row, bounds, tol)
+        assert_guard_is_direct(plan, row, bounds, tol)
+        # a jump's new band is tested by the next guard of both buffers
+        _, jump_bounds, jump_tol = again
+        plan.set_band(jump_bounds, jump_tol)
+        for _ in range(2):
+            assert_guard_is_direct(plan, row, jump_bounds, jump_tol)
+        plan.set_band(bounds, tol)
+        # one step from a segment that holds the row at every time: a member
+        # keeps it when frozen or when its new row is not finite; with the
+        # plan's band and no member frozen, a row inside it is committed at once
+        members = row.shape[:-2]
+        frozen = np.array(data.draw(st.lists(st.booleans(), min_size=members[0], max_size=members[0]))) if members else None
         seg, banded = (segment_from_profile(0.5, 0.1, 0.0, lambda t: row) for _ in range(2))
         with np.errstate(all="ignore"):
             new = row + 0.1 * rhs_ref(row, row, params, f, grid)
         cfg = SolverConfig(dt=0.1, t_end=1.0, invariance_tol=tol)
         _, _, finite, extremes = step(seg, params, f, constant_delay(0.5, 0.2), cfg, grid, frozen=frozen)
-        _, _, fast, fast_extremes = step(banded, params, f, constant_delay(0.5, 0.2), cfg, grid, frozen=frozen, band=band)
+        _, _, fast, fast_extremes = step(banded, params, f, constant_delay(0.5, 0.2), cfg, grid, frozen=frozen, plan=plan)
         assert np.array_equal(finite, np.isfinite(new).all(axis=(-2, -1)))
-        assert fast is True if frozen is None and inside(new, _extremes(new)) else np.array_equal(fast, finite)
+        checker = _StepPlan(row.shape, f, grid)
+        checker.set_band(bounds, tol)
+        inside = assert_guard_is_direct(checker, new, bounds, tol)
+        assert fast is True if frozen is None and inside else np.array_equal(fast, finite)
         assert banded.t_now == seg.t_now and banded.fields[-1].tobytes() == seg.fields[-1].tobytes()
         assert fast_extremes.tobytes() == extremes.tobytes()
         keep = ~finite if frozen is None else ~finite | frozen
@@ -384,7 +409,7 @@ class TestBoxPass:
         committed = np.where(keep[..., None, None], row, new)
         assert seg.t_now == pytest.approx(0.1) and seg.fields[-1].tobytes() == committed.tobytes()
         assert np.array_equal(extremes, np.array((committed.min(axis=-1), committed.max(axis=-1))), equal_nan=True)
-        assert _violations(seg.fields[-1], extremes, band, bounded) == direct(committed)
+        assert _violations(seg.fields[-1], extremes, plan.band, bounded) == direct_counts(committed, bounds, tol)
 
 
 class TestStep:
