@@ -2,20 +2,22 @@
 """Time the Euler step's layers at the row shapes of the three benchmark workloads.
 
 For each shape this prints the min-of-N microseconds of one call of ``rhs``,
-``laplacian_neumann``, ``incidence_values`` and ``delayed_state``, and of one
-step of a drained ``RunStream``:
+of the Laplacian and of f(T, V) as the step runs them, of ``delayed_state``,
+and of one step of a drained ``RunStream``:
 
   (2,3,101)  certify-constant: 2 members, constant lag (one float)
   (6,3,41)   certify-integral: 6 members, integral lag (one per member)
   (3,1001)   simulate-wide: no member axis, constant lag
 
 The parameters, incidence and delay are those of the shipped saturated
-configs; the rows start at their interior equilibrium, perturbed.  ``rhs``
-is timed as the stream's step calls it: through a step plan where the
-solver has one, else into a preallocated row.  The other functions are
-timed in their allocating form, on the stream's first row and its delayed
-row.  Times vary with the machine and its load; compare tables made in one
-session.
+configs; the rows start at their interior equilibrium, perturbed.  ``rhs``,
+the Laplacian and f(T, V) are timed as the stream's step calls them: through
+a step plan where the solver has one (its bound stencil, and
+``incidence_values`` of the plan's pair of rows into its buffers), else
+``rhs`` into a preallocated row and the other two in their allocating form
+(``laplacian_neumann``, ``incidence_values``), for a solver before step
+plans.  ``delayed_state`` is timed on the stream's first row.  Times vary
+with the machine and its load; compare tables made in one session.
 
 Usage: PYTHONPATH=src python scripts/step_timing.py [--repeat 15] [--number 2000] [--streams 10] [--steps 200]
 """
@@ -39,7 +41,7 @@ SHAPES = {
     "(6,3,41)": ("saturated_integral_delay.ini", 6, 41),
     "(3,1001)": ("saturated_constant_delay.ini", None, 1001),
 }
-COLUMNS = ("rhs", "laplacian_neumann", "incidence_values", "delayed_state", "stream_step")
+COLUMNS = ("rhs", "laplacian", "incidence", "delayed_state", "stream_step")
 
 
 def stream_factory(config: str, members: int | None, nx: int, steps: int):
@@ -82,15 +84,25 @@ def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps
     seg = make().history
     lag = df.eta_const if df.kind == "constant" else evaluate_eta(df, seg)
     state, delayed = seg.fields[-1], delayed_state(seg, lag)
-    plan = getattr(solver, "_StepPlan", None)
-    into = {"plan": plan(state.shape, f, grid)} if plan else {"out": np.empty(state.shape)}
-    pair = np.array((state, delayed))
-    calls = [
-        lambda: rhs(state, delayed, params, f, grid, **into),
-        lambda: laplacian_neumann(grid, state),
-        lambda: incidence_values(f, pair[..., 0, :], pair[..., 2, :]),
-        lambda: delayed_state(seg, lag),
-    ]
+    make_plan = getattr(solver, "_StepPlan", None)
+    if make_plan:
+        plan = make_plan(state.shape, f, grid)
+        np.copyto(plan.state, state)
+        np.copyto(plan.delayed, delayed)
+        den = (plan.den,) if hasattr(plan, "den") else ()  # a plan without a bound denominator allocates it
+        calls = [
+            lambda: rhs(state, delayed, params, f, grid, plan=plan),
+            plan.laplacian,
+            lambda: incidence_values(f, plan.T, plan.V, plan.fv, *den),
+        ]
+    else:
+        pair, out = np.array((state, delayed)), np.empty(state.shape)
+        calls = [
+            lambda: rhs(state, delayed, params, f, grid, out=out),
+            lambda: laplacian_neumann(grid, state),
+            lambda: incidence_values(f, pair[..., 0, :], pair[..., 2, :]),
+        ]
+    calls.append(lambda: delayed_state(seg, lag))
     with np.errstate(all="ignore"):
         return [time_calls(fn, repeat, number) for fn in calls] + [time_stream(make, streams, steps)]
 

@@ -72,9 +72,10 @@ def laplacian_neumann(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 def _bind_laplacian(grid: Grid1D, u: np.ndarray, out: np.ndarray):
     """A call that writes ``laplacian_neumann`` of what ``u`` then holds into
-    ``out``, the stencil's views and dx^2 taken once; ``u`` (else copied now)
+    ``out`` by ufuncs with positional outs, the stencil's views and its -2, 2
+    and dx^2 (as 0-d float64 operands) bound once; ``u`` (else copied now)
     and ``out`` are C-contiguous, of one shape, and do not overlap."""
-    dx2 = grid.dx * grid.dx
+    minus_two, two, dx2 = (np.array(c) for c in (-2.0, 2.0, grid.dx * grid.dx))
     # u[i-1] - 2 u[i] + u[i+1], summed in that order, in one pass over the
     # rows laid end to end; each row's two ends are then set apart, and every
     # entry is divided by dx2 once, at the end
@@ -84,12 +85,9 @@ def _bind_laplacian(grid: Grid1D, u: np.ndarray, out: np.ndarray):
     inner, ends, out_ends = u[..., 1 : n : max(n - 2, 1)], u[..., ::n], out[..., ::n]
 
     def apply() -> np.ndarray:
-        np.multiply(centre, -2.0, out=mid)
-        np.add(mid, left, out=mid)
-        np.add(mid, right, out=mid)
-        np.subtract(inner, ends, out=out_ends)  # 2 (u[1] - u[0]), and its mirror
-        np.multiply(out_ends, 2.0, out=out_ends)
-        return np.divide(out, dx2, out=out)
+        np.add(np.add(np.multiply(centre, minus_two, mid), left, mid), right, mid)
+        np.multiply(np.subtract(inner, ends, out_ends), two, out_ends)  # 2 (u[1] - u[0]), and its mirror
+        return np.divide(out, dx2, out)
 
     return apply
 

@@ -57,6 +57,13 @@ Box = tuple[tuple[float, float], tuple[float, float]]
 _EPS_STRICT = 1e-12  # hf3's margin: a product at or below it is a failure
 
 
+def _operand(value) -> np.ndarray:
+    """``value`` as a read-only float64 array (0-d for a float), which a ufunc takes without converting it."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All scalar constants of the system.
@@ -71,7 +78,8 @@ class ModelParams:
     diff     diffusion coefficients (d1, d2, d3), each >= 0
 
     Derived once per parameter set, for the solver's step: ``emwh`` =
-    e^{-omega h}, ``burst_delta`` = N delta, the (3, 1) columns ``loss`` =
+    e^{-omega h}, ``burst_delta`` = N delta, ``gains``, the two of them as
+    read-only 0-d float64 operands, the read-only (3, 1) columns ``loss`` =
     (d, delta, c) and ``diff_column``, which scale (..., 3, nx) rows, and
     ``diffusing``, the indices of the components with d_i > 0.
     """
@@ -99,16 +107,18 @@ class ModelParams:
         for name, value in {
             "emwh": math.exp(-self.omega * self.h_max),
             "burst_delta": self.burst_n * self.delta,
-            "loss": np.array((self.d, self.delta, self.c), dtype=float)[:, None],
-            "diff_column": np.array(self.diff, dtype=float)[:, None],
+            "loss": _operand((self.d, self.delta, self.c))[:, None],
+            "diff_column": _operand(self.diff)[:, None],
             "diffusing": tuple(i for i, di in enumerate(self.diff) if di),
         }.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "gains", (_operand(self.emwh), _operand(self.burst_delta)))
 
 
 @dataclass(frozen=True)
 class IncidenceFn:
-    """Tagged incidence family with optional linear-bound constant mu."""
+    """Tagged incidence family with optional linear-bound constant mu; ``operands``
+    holds k, k1, k2 and 1.0, derived once, as read-only 0-d float64 arrays."""
 
     kind: str
     k: float
@@ -130,22 +140,24 @@ class IncidenceFn:
             raise ValueError(f"k1, k2: must be positive for crowley_martin, got {self.k1}, {self.k2}")
         if self.mu is not None and not self.mu > 0.0:
             raise ValueError(f"mu: must be positive when given, got {self.mu}")
+        object.__setattr__(self, "operands", tuple(map(_operand, (self.k, self.k1, self.k2, 1.0))))
 
 
-def incidence_values(f: IncidenceFn, T, V, out=None):
-    """Closed-form f(T, V), vectorized, no domain checks (solver hot path): k T,
-    times V, over the kind's denominator, in place in ``out`` (the broadcast
-    shape, overlapping neither input) if given, with a new array's bits."""
-    T = np.asarray(T, dtype=float)
-    V = np.asarray(V, dtype=float)
-    out = np.multiply(np.multiply(f.k, T, out=out), V, out=out)
-    if f.kind == "saturated":
-        out /= 1.0 + f.k2 * V
-    elif f.kind == "beddington_deangelis":
-        out /= 1.0 + f.k1 * T + f.k2 * V
-    elif f.kind == "crowley_martin":
-        out /= (1.0 + f.k1 * T) * (1.0 + f.k2 * V)
-    return out
+def incidence_values(f: IncidenceFn, T, V, out=None, den=None):
+    """Closed-form f(T, V), vectorized, no domain checks (solver hot path), on
+    ``f.operands``, one ufunc with a positional out per operation: the kind's
+    denominator into ``den``, k T, times V, into ``out``, over it.  Given both
+    (the broadcast shape, overlapping neither input nor each other; ``out`` is
+    also scratch) nothing is allocated; else the ufuncs allocate, same bits."""
+    k, k1, k2, one = f.operands
+    if f.kind == "saturated":  # 1 + k2 V
+        den = np.add(one, np.multiply(k2, V, den), den)
+    elif f.kind == "beddington_deangelis":  # 1 + k1 T + k2 V
+        den = np.add(np.add(one, np.multiply(k1, T, den), den), np.multiply(k2, V, out), den)
+    elif f.kind == "crowley_martin":  # (1 + k1 T) (1 + k2 V)
+        den = np.multiply(np.add(one, np.multiply(k1, T, den), den), np.add(one, np.multiply(k2, V, out), out), den)
+    num = np.multiply(np.multiply(k, T, out), V, out)
+    return num if f.kind == "bilinear" else np.divide(num, den, out)
 
 
 def incidence_ab(f: IncidenceFn, v_hat: float) -> tuple[float, float]:

@@ -8,12 +8,14 @@ a continuous extension of the history, not just more stages on a frozen
 delayed field (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003).  A component with d_i == 0 gets no diffusion term at all.
 
-The step's constants are derived once per parameter set, in ``ModelParams``
-(at the stream's start and at each jump), and its buffers and views once per
-stream, in a ``_StepPlan``.  ``rhs`` copies the current and delayed rows in
-and runs ``tests/oracles.rhs_ref``'s operations in their order, each into a
-bound buffer; ``step`` writes dt times that into the store's next row, adds
-the current row in place and commits it at t + dt.
+The step's constants are bound 0-d float64 operands, derived once per
+parameter set in ``ModelParams`` (at the start and at each jump), per f in
+``IncidenceFn`` and, with its buffers and views, per stream in a ``_StepPlan``
+(the stencil's by ``grid._bind_laplacian``).  ``rhs`` copies the rows in and
+runs ``tests/oracles.rhs_ref``'s operations in their order, each a ufunc with
+a positional out into a bound buffer; ``step`` writes dt (a 0-d operand,
+rebuilt when the step length changes) times that into the store's next row,
+adds the current row in place and commits it at t + dt.
 
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
@@ -261,8 +263,9 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
 class _StepPlan:
     """``rhs`` for one stream's (*members, 3, nx) rows, f and grid, with every
     buffer and view bound once: the pair of current and delayed rows (f(T, V)
-    of both in one evaluation), f(T, V), the result by component, the
-    Laplacian, whose buffer also takes the loss product, and the box guard's buffers.
+    of both in one evaluation), f(T, V) and its denominator, the result by
+    component, the Laplacian, whose buffer also takes the loss product, and
+    the box guard's buffers; ``step`` keeps dt there as a 0-d ``dt``.
     Nothing of ``params`` is kept: a jump replaces them in the middle of a
     stream; the stream sets the guard's band itself."""
 
@@ -271,6 +274,7 @@ class _StepPlan:
         self.state, self.delayed = pair
         self.T, self.V, self.T_star = pair[..., 0, :], pair[..., 2, :], self.state[..., 1, :]
         self.f_now, self.f_delayed = self.fv = np.empty(self.T.shape)
+        self.den, self.dt_step, self.dt = np.empty(self.T.shape), math.nan, None
         self.parts, self.lap_parts = ([a[..., i, :] for i in range(3)] for a in (self.out, self.lap))
         self.laplacian = _bind_laplacian(grid, self.state, self.lap)
         # the guard's two (4, *members, 3) buffers [lo, min, max, hi], taken in turn, as a sample's extremes
@@ -291,45 +295,40 @@ class _StepPlan:
         if not again:
             self._guards.reverse()
         low, high, extremes, left, right, ok = self._guards[0]
-        np.minimum.reduce(row, axis=-1, out=low)
-        np.maximum.reduce(row, axis=-1, out=high)
-        np.less_equal(left, right, out=ok)
+        np.minimum.reduce(row, -1, None, low)
+        np.maximum.reduce(row, -1, None, high)
+        np.less_equal(left, right, ok)
         return extremes, np.count_nonzero(ok) == ok.size
 
     def __call__(self, state, delayed, params: ModelParams) -> np.ndarray:
         np.copyto(self.state, state)
         np.copyto(self.delayed, delayed)
-        incidence_values(self.f, self.T, self.V, out=self.fv)
-        out, (dT, dT_star, dV) = self.out, self.parts
+        incidence_values(self.f, self.T, self.V, self.fv, self.den)
+        out, (dT, dT_star, dV), (emwh, burst_delta) = self.out, self.parts, params.gains
         # the gains, then the losses d T, delta T_star, c V of all three at once
         dT.fill(params.lam)
-        np.multiply(self.f_delayed, params.emwh, out=dT_star)
-        np.multiply(self.T_star, params.burst_delta, out=dV)
-        out -= np.multiply(self.state, params.loss, out=self.lap)
-        dT -= self.f_now
+        np.multiply(self.f_delayed, emwh, dT_star)
+        np.multiply(self.T_star, burst_delta, dV)
+        np.subtract(out, np.multiply(self.state, params.loss, self.lap), out)
+        np.subtract(dT, self.f_now, dT)
         if params.diffusing:
-            lap = self.laplacian()
-            lap *= params.diff_column
+            lap = np.multiply(self.laplacian(), params.diff_column, self.lap)
             if len(params.diffusing) == 3:
-                out += lap
+                np.add(out, lap, out)
             else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan
                 for i in params.diffusing:
-                    np.add(self.parts[i], self.lap_parts[i], out=self.parts[i])
+                    np.add(self.parts[i], self.lap_parts[i], self.parts[i])
         return out
 
 
 def rhs(state: np.ndarray, delayed: np.ndarray, params: ModelParams, f: IncidenceFn, grid: Grid1D,
-        out: np.ndarray | None = None, plan: _StepPlan | None = None) -> np.ndarray:
+        plan: _StepPlan | None = None) -> np.ndarray:
     """Reaction plus diffusion right-hand side of (..., 3, nx) rows T, T_star,
     V; the delayed row feeds only the infected-cell production term.  Each
     entry is made by ``tests/oracles.rhs_ref``'s operations in their order, so
-    it has the oracle's bits.  Computed by ``plan`` (built for this f, grid
-    and shape; its result buffer is returned, valid until its next call) or a
-    one-off plan, and copied into ``out`` if given."""
-    k = (plan or _StepPlan(np.shape(state), f, grid))(state, delayed, params)
-    if out is not None:
-        np.copyto(out, k)
-    return k if out is None else out
+    it has the oracle's bits.  Computed by ``plan`` (built for this f, grid and
+    shape) or a one-off plan, into its result buffer, valid until its next call."""
+    return (plan or _StepPlan(np.shape(state), f, grid))(state, delayed, params)
 
 
 def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunctional, cfg: SolverConfig, grid: Grid1D,
@@ -355,11 +354,12 @@ def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunc
     delayed = delayed_state(seg, df.eta_const if df.kind == "constant" else lag)
     u, plan = seg.fields[-1], plan or _StepPlan(row.shape, f, grid)
     t_next = seg.t_now + dt_step
+    if dt_step != plan.dt_step:  # the first step, a jump-shortened one and the next, a shortened last one
+        plan.dt_step, plan.dt = dt_step, np.array(dt_step)
     # blow-ups are detected below and surfaced as an abort, so let the
     # arithmetic produce inf/nan silently instead of warning
     with np.errstate(all="ignore"):
-        np.multiply(rhs(u, delayed, params, f, grid, plan=plan), dt_step, out=row)
-        row += u
+        np.add(np.multiply(rhs(u, delayed, params, f, grid, plan=plan), plan.dt, row), u, row)
     clipped = 0
     if cfg.clip_negative:
         clipped = np.count_nonzero(row < 0.0, axis=(-2, -1))

@@ -14,10 +14,11 @@ package:
   ``tests/test_model.py`` checks against ``scipy.optimize.nnls``;
 - ``delay_tails_per_window`` is the Lyapunov window sum one window at a
   time, against which the one-pass sum must agree bit for bit;
-- ``rhs_ref`` is the solver's right-hand side written out plainly (the
-  package's ``incidence_values``, the Laplacian ``laplacian_neumann_ref``
-  and a masked diffusion add), against which ``solver.rhs`` must agree bit
-  for bit;
+- ``rhs_ref`` is the solver's right-hand side written out plainly (f by
+  the closed forms of ``incidence_ref``, the Laplacian
+  ``laplacian_neumann_ref`` and a masked diffusion add), against which
+  ``solver.rhs`` must agree bit for bit; of the package it reads only the
+  grid's ``dx`` and the params' and f's fields;
 - ``initial_segment_ref`` builds the initial history one time at a time,
   one profile call per row and one segment per member stacked afterwards,
   against which the one-broadcast ``solver.build_initial_segment`` must
@@ -62,6 +63,20 @@ from sddlab.model import (
     incidence_mu,
     incidence_values,
 )
+
+
+def incidence_ref(f: IncidenceFn, T, V):
+    """f(T, V) as each kind's closed form, on Python-float constants: k T,
+    times V, over the denominator, each summed and multiplied left to right.
+    Both forms of ``model.incidence_values`` must agree with it bit for bit."""
+    T, V = np.asarray(T, dtype=float), np.asarray(V, dtype=float)
+    if f.kind == "bilinear":
+        return f.k * T * V
+    if f.kind == "saturated":
+        return f.k * T * V / (1.0 + f.k2 * V)
+    if f.kind == "beddington_deangelis":
+        return f.k * T * V / (1.0 + f.k1 * T + f.k2 * V)
+    return f.k * T * V / ((1.0 + f.k1 * T) * (1.0 + f.k2 * V))
 
 
 def saturated_closed_form(k: float, k2: float):
@@ -227,8 +242,8 @@ def rhs_ref(state: np.ndarray, delayed: np.ndarray, params, f: IncidenceFn, grid
     T, T_star, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
     emwh = math.exp(-params.omega * params.h_max)
     out = np.empty(state.shape)
-    np.subtract(params.lam - params.d * T, incidence_values(f, T, V), out=out[..., 0, :])
-    f_delayed = incidence_values(f, delayed[..., 0, :], delayed[..., 2, :])
+    np.subtract(params.lam - params.d * T, incidence_ref(f, T, V), out=out[..., 0, :])
+    f_delayed = incidence_ref(f, delayed[..., 0, :], delayed[..., 2, :])
     np.subtract(emwh * f_delayed, params.delta * T_star, out=out[..., 1, :])
     np.subtract(params.burst_n * params.delta * T_star, params.c * V, out=out[..., 2, :])
     if any(params.diff):

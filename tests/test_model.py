@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sddlab.model import (
     default_sample_box,
 )
 
-from .oracles import check_hf3_loop, check_hf4_loop
+from .oracles import check_hf3_loop, check_hf4_loop, incidence_ref
 
 BOX = ((0.0, 100.0), (0.0, 200.0))
 
@@ -48,6 +49,19 @@ class TestTypes:
             IncidenceFn("crowley_martin", k=1.0, k1=0.0, k2=1.0)
         with pytest.raises(ValueError, match="mu"):
             IncidenceFn("bilinear", k=1.0, mu=-2.0)
+
+    def test_bound_operands_are_read_only_and_follow_a_replace(self):
+        params = ModelParams(lam=1, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.3, h_max=1, diff=(0.1, 0, 0.2))
+        f = IncidenceFn("crowley_martin", k=0.3, k1=0.2, k2=0.7)
+        for p, g in ((params, f), (replace(params, omega=1.2, burst_n=6, delta=0.3, c=2), replace(f, k=0.4, k2=0.9))):
+            operands = (*p.gains, p.loss, p.diff_column, *g.operands)
+            assert [a.dtype for a in operands] == [np.float64] * 8
+            assert not any(a.flags.writeable for a in operands)
+            assert [a.shape for a in operands] == [(), (), (3, 1), (3, 1), (), (), (), ()]
+            assert [a.item() for a in p.gains] == [p.emwh, p.burst_delta]
+            assert p.loss[:, 0].tolist() == [p.d, p.delta, p.c]
+            assert p.diff_column[:, 0].tolist() == list(p.diff)
+            assert [a.item() for a in g.operands] == [g.k, g.k1, g.k2, 1.0]
 
 
 class TestEvalIncidence:
@@ -92,11 +106,13 @@ class TestEvalIncidence:
         n = math.prod(shape)
         T, V = (np.array(data.draw(st.lists(st.floats(-50.0, 50.0) | special, min_size=n, max_size=n))).reshape(shape)
                 for _ in range(2))
-        out = np.full(shape, 7.0)  # whatever the buffer held before
+        out, den = np.full(shape, 7.0), np.full(shape, 7.0)  # whatever the buffers held before
         with np.errstate(all="ignore"):
-            want = incidence_values(f, T, V)
-            got = incidence_values(f, T, V, out=out)
+            want = incidence_ref(f, T, V)
+            new = incidence_values(f, T, V)
+            got = incidence_values(f, T, V, out, den)
         assert got is out
+        assert new.tobytes() == want.tobytes()
         assert got.tobytes() == want.tobytes()
 
 

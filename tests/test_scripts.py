@@ -34,7 +34,7 @@ def test_step_timing_prints_one_row_per_shape():
     assert proc.returncode == 0, proc.stderr
     title, header, *rows = proc.stdout.strip().splitlines()
     assert title == "min-of-N microseconds per call"
-    assert header.split() == ["shape", "rhs", "laplacian_neumann", "incidence_values", "delayed_state", "stream_step"]
+    assert header.split() == ["shape", "rhs", "laplacian", "incidence", "delayed_state", "stream_step"]
     assert [row.split()[0] for row in rows] == ["(2,3,101)", "(6,3,41)", "(3,1001)"]
     assert all(len(row.split()) == 6 for row in rows)
 

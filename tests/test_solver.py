@@ -103,12 +103,16 @@ def rhs_inputs(draw):
 
 
 # jumps as a schedule makes them: each d_i to and from 0, omega (e^{-omega h}),
-# burst_n (N delta) and lambda
+# burst_n (N delta), lambda, and d, delta and c (the loss column; delta also
+# N delta), so that every derived constant moves
 PLAN_JUMPS = st.one_of(
     st.tuples(st.sampled_from(["d1", "d2", "d3"]), st.sampled_from([0.0, 1e-3, 0.25])),
     st.tuples(st.just("omega"), st.sampled_from([0.0, 0.3, 1.2])),
     st.tuples(st.just("burst_n"), st.sampled_from([6.0, 10.0])),
     st.tuples(st.just("lambda"), st.sampled_from([5.0, 10.0])),
+    st.tuples(st.just("d"), st.sampled_from([0.05, 0.1])),
+    st.tuples(st.just("delta"), st.sampled_from([0.3, 0.5])),
+    st.tuples(st.just("c"), st.sampled_from([2.0, 5.0])),
 )
 
 
