@@ -13,7 +13,8 @@ The parameters, incidence and delay are those of the shipped saturated
 configs; the rows start at their interior equilibrium, perturbed.  ``rhs``,
 the Laplacian and f(T, V) are timed as the stream's step calls them: through
 a step plan where the solver has one (its bound stencil, and
-``incidence_values`` of the plan's pair of rows into its buffers), else
+``incidence_values`` of the plan's T and V, as one ``rhs`` call on the
+shape's rows leaves them, into its buffers), else
 ``rhs`` into a preallocated row and the other two in their allocating form
 (``laplacian_neumann``, ``incidence_values``), for a solver before step
 plans.  ``delayed_state`` is timed on the stream's first row.  Times vary
@@ -87,8 +88,7 @@ def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps
     make_plan = getattr(solver, "_StepPlan", None)
     if make_plan:
         plan = make_plan(state.shape, f, grid)
-        np.copyto(plan.state, state)
-        np.copyto(plan.delayed, delayed)
+        rhs(state, delayed, params, f, grid, plan=plan)  # fills the plan's rows and f's inputs
         den = (plan.den,) if hasattr(plan, "den") else ()  # a plan without a bound denominator allocates it
         calls = [
             lambda: rhs(state, delayed, params, f, grid, plan=plan),

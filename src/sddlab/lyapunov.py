@@ -59,7 +59,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401  every certify seeds a Generator; load it with the module, not in the run
@@ -237,8 +237,7 @@ def _c1_seven_v(state: np.ndarray, eq: Equilibrium, parts) -> tuple[np.ndarray, 
     return _v(args[0]) + _v(args[1]) - _v(args[2]) - _v(args[3]) - _v(args[4]) - _v(args[5]) - _v(args[6]), ok
 
 
-@dataclass(frozen=True)
-class LyapunovSample:
+class LyapunovSample(NamedTuple):
     """One monitored instant: the functional, its rates, and the split."""
 
     t: float
@@ -394,7 +393,7 @@ def _monitor_members(
     seg, h, dt = stream.history, params.h_max, stream.history.dt
     warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
     samples = [[] for _ in range(seg.members[0])]
-    times, etas, base, k = [], [], 0, None  # the held samples base, base + 1, ...; the pending block's first k
+    times, etas, base, k, held = [], [], 0, None, None  # samples base, base + 1, ...; the pending block's first k
     for s, sample in enumerate(stream):
         times.append(sample.t)
         etas.append(sample.eta)
@@ -419,11 +418,11 @@ def _monitor_members(
                 for i, m in enumerate(live):
                     samples[m] += got[i * len(got) // len(live) : (i + 1) * len(got) // len(live)]
             k += MONITOR_BLOCK * stride
-        held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt
-        seg.hold(held)
-        cut = bisect_left(times, held)
-        del times[:cut], etas[:cut]
-        base += cut
+        if held != (held := (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt):
+            seg.hold(held)  # it moved: an unchanged hold would cut nothing
+            cut = bisect_left(times, held)
+            del times[:cut], etas[:cut]
+            base += cut
     return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row
 
 

@@ -11,11 +11,13 @@ Equations, 2003).  A component with d_i == 0 gets no diffusion term at all.
 The step's constants are bound 0-d float64 operands, derived once per
 parameter set in ``ModelParams`` (at the start and at each jump), per f in
 ``IncidenceFn`` and, with its buffers and views, per stream in a ``_StepPlan``
-(the stencil's by ``grid._bind_laplacian``).  ``rhs`` copies the rows in and
-runs ``tests/oracles.rhs_ref``'s operations in their order, each a ufunc with
-a positional out into a bound buffer; ``step`` writes dt (a 0-d operand,
-rebuilt when the step length changes) times that into the store's next row,
-adds the current row in place and commits it at t + dt.
+(the stencil's by ``grid._bind_laplacian``); the plan broadcasts the loss and
+diffusion columns to row-shaped blocks once per parameter set.  ``rhs``
+copies the current row and both rows' T and V (f's inputs) into contiguous
+blocks and runs ``tests/oracles.rhs_ref``'s operations in their order, each a
+ufunc with a positional out into a bound buffer; ``step`` writes dt (a 0-d
+operand, rebuilt when the step length changes) times that into the store's
+next row, adds the current row in place and commits it at t + dt.
 
 The time loop is one iterator, ``RunStream``, that yields each sample once
 its row is complete.  Each step writes one row of the array-backed history
@@ -262,19 +264,22 @@ def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, floa
 
 class _StepPlan:
     """``rhs`` for one stream's (*members, 3, nx) rows, f and grid, with every
-    buffer and view bound once: the pair of current and delayed rows (f(T, V)
-    of both in one evaluation), f(T, V) and its denominator, the result by
-    component, the Laplacian, whose buffer also takes the loss product, and
-    the box guard's buffers; ``step`` keeps dt there as a 0-d ``dt``.
-    Nothing of ``params`` is kept: a jump replaces them in the middle of a
-    stream; the stream sets the guard's band itself."""
+    buffer and view bound once: the current row, f's inputs as one contiguous
+    block [T | V][current | delayed] (f(T, V) of both rows in one evaluation),
+    f(T, V) and its denominator, the result by component, the Laplacian, whose
+    buffer also takes the loss product, and the box guard's buffers; ``step``
+    keeps dt there as a 0-d ``dt``.  The params' ``loss`` and ``diff_column``
+    are kept as contiguous row-shaped blocks, rebuilt when the params are not
+    the last call's (a jump replaces them); the stream sets the guard's band."""
 
     def __init__(self, shape: tuple[int, ...], f: IncidenceFn, grid: Grid1D):
-        self.f, self.out, self.lap, pair = f, np.empty(shape), np.empty(shape), np.empty((2, *shape))
-        self.state, self.delayed = pair
-        self.T, self.V, self.T_star = pair[..., 0, :], pair[..., 2, :], self.state[..., 1, :]
+        self.f, self.out, self.lap, self.state = f, np.empty(shape), np.empty(shape), np.empty(shape)
+        self.T, self.V = block = np.empty((2, 2, *shape[:-2], shape[-1]))
+        # (*members, 2, nx) views of the block's current and delayed T and V, and of the current row's
+        (self.TV_now, self.TV_delayed), self.state_TV = np.moveaxis(block, (1, 0), (0, -2)), self.state[..., ::2, :]
+        self.params, self.loss, self.diff_column = None, np.empty(shape), np.empty(shape)
         self.f_now, self.f_delayed = self.fv = np.empty(self.T.shape)
-        self.den, self.dt_step, self.dt = np.empty(self.T.shape), math.nan, None
+        self.den, self.dt_step, self.dt, self.T_star = np.empty(self.T.shape), math.nan, None, self.state[..., 1, :]
         self.parts, self.lap_parts = ([a[..., i, :] for i in range(3)] for a in (self.out, self.lap))
         self.laplacian = _bind_laplacian(grid, self.state, self.lap)
         # the guard's two (4, *members, 3) buffers [lo, min, max, hi], taken in turn, as a sample's extremes
@@ -302,17 +307,22 @@ class _StepPlan:
 
     def __call__(self, state, delayed, params: ModelParams) -> np.ndarray:
         np.copyto(self.state, state)
-        np.copyto(self.delayed, delayed)
+        np.copyto(self.TV_now, self.state_TV)
+        np.copyto(self.TV_delayed, delayed[..., ::2, :])
         incidence_values(self.f, self.T, self.V, self.fv, self.den)
+        if params is not self.params:  # the first call's, or a jump's
+            self.params = params
+            np.copyto(self.loss, params.loss)
+            np.copyto(self.diff_column, params.diff_column)
         out, (dT, dT_star, dV), (emwh, burst_delta) = self.out, self.parts, params.gains
         # the gains, then the losses d T, delta T_star, c V of all three at once
         dT.fill(params.lam)
         np.multiply(self.f_delayed, emwh, dT_star)
         np.multiply(self.T_star, burst_delta, dV)
-        np.subtract(out, np.multiply(self.state, params.loss, self.lap), out)
+        np.subtract(out, np.multiply(self.state, self.loss, self.lap), out)
         np.subtract(dT, self.f_now, dT)
         if params.diffusing:
-            lap = np.multiply(self.laplacian(), params.diff_column, self.lap)
+            lap = np.multiply(self.laplacian(), self.diff_column, self.lap)
             if len(params.diffusing) == 3:
                 np.add(out, lap, out)
             else:  # + 0 * lap would turn -0.0 into +0.0 and inf into nan

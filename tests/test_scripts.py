@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -37,6 +38,7 @@ def test_step_timing_prints_one_row_per_shape():
     assert header.split() == ["shape", "rhs", "laplacian", "incidence", "delayed_state", "stream_step"]
     assert [row.split()[0] for row in rows] == ["(2,3,101)", "(6,3,41)", "(3,1001)"]
     assert all(len(row.split()) == 6 for row in rows)
+    assert all(0.0 < float(t) < math.inf for row in rows for t in row.split()[1:])
 
 
 def test_readme_library_example_runs(capsys):

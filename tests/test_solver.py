@@ -161,6 +161,34 @@ class TestRhsOracle:
             assert got is plan.out
             assert_oracle_bits(got, want)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("loss", [("d", 0.05), ("delta", 0.3), ("c", 2.0)])
+    def test_a_plan_rebuilds_its_columns_when_the_params_switch_and_back(self, shape, loss):
+        # B moves one loss rate and one diffusing d_i; A, B, then A again, each call with the oracle's bits
+        a = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.3, h_max=1.0, diff=(1e-3, 0.0, 0.25))
+        b = apply_jump(apply_jump(a, ParamJump(1.0, *loss)), ParamJump(1.0, "d1", 0.25))
+        f, grid = IncidenceFn("beddington_deangelis", k=0.1, k1=0.05, k2=0.1), Grid1D(0.0, 1.0, shape[-1])
+        plan, rng = _StepPlan(shape, f, grid), np.random.default_rng(0)
+        for params in (a, b, a):
+            state, delayed = rng.uniform(1.0, 100.0, (2, *shape))
+            assert_oracle_bits(rhs(state, delayed, params, f, grid, plan=plan), rhs_ref(state, delayed, params, f, grid))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 3, 5), (4, 3, 5)])
+    def test_f_inputs_and_columns_are_contiguous_blocks_of_their_own(self, shape, ref_params, saturated):
+        grid, rng = Grid1D(0.0, 1.0, shape[-1]), np.random.default_rng(1)
+        plan = _StepPlan(shape, saturated, grid)
+        state, delayed = rng.uniform(1.0, 100.0, (2, *shape))
+        params = apply_jump(ref_params, ParamJump(1.0, "d3", 0.25))
+        rhs(state, delayed, params, saturated, grid, plan=plan)
+        blocks = (plan.T, plan.V, plan.fv, plan.den, plan.loss, plan.diff_column)
+        assert all(block.flags.c_contiguous for block in blocks)
+        assert not any(np.shares_memory(block, rows) for block in blocks for rows in (state, delayed))
+        # [current | delayed] T and V, and the params' columns over the row
+        assert np.array_equal(plan.T, np.stack((state[..., 0, :], delayed[..., 0, :])))
+        assert np.array_equal(plan.V, np.stack((state[..., 2, :], delayed[..., 2, :])))
+        assert np.array_equal(plan.loss, np.broadcast_to(params.loss, shape))
+        assert np.array_equal(plan.diff_column, np.broadcast_to(params.diff_column, shape))
+
     def test_run_rows_match_a_loop_over_the_oracle(self):
         # dt = 1/64 puts every step, jump and the lag 1/4 exactly on the step
         # grid; the jumps give a new e^{-omega h}, a new N delta, and new
