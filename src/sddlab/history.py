@@ -357,7 +357,7 @@ def evaluate_eta(df: DelayFunctional, seg: HistorySegment):
     if df.kappa is not None:
         g = df.kappa(nodes - t_now)[col] * g
     # summed left to right; 0.0 + turns an all -0.0 sum into +0.0, as summing from 0.0 does
-    raw = 0.0 + np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.diff(nodes)[col])[-1]
+    raw = 0.0 + np.add.accumulate(0.5 * (g[:-1] + g[1:]) * np.subtract(nodes[1:], nodes[:-1])[col])[-1]
     if df.kind == "wrapped" and df.rho is not None:
         raw = df.rho(raw)
     eta = np.minimum(np.maximum(raw, 0.0), df.h_max)  # a -0.0 from rho becomes +0.0
@@ -389,20 +389,22 @@ def delayed_state(seg: HistorySegment, lag) -> np.ndarray:
     return seg._rows.fields[seg._lo + i] if start is None else start
 
 
-def window_starts(seg: HistorySegment, k, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def window_starts(seg: HistorySegment, k, lags: np.ndarray,
+                  components=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``HistorySegment.window`` at t_k - lag, for sample rows k of the segment
     (counted from its first row: an int, or (n,)) and lags (*k.shape, *members),
     with one search over the row times: (j, off, start).  j is each window's
     first row at or after t_k - lag, counted as k is, off whether t_k - lag
     falls between rows j - 1 and j, and start the interpolated (3, nx) rows
-    where it does, in (sample, member) order.  Each lag must lie in [0, h_max]
-    and each t_k - lag at or after the first row, as the window checks."""
+    where it does, in (sample, member) order, or only their ``components``
+    (a slice of T, T_star, V).  Each lag must lie in [0, h_max] and each
+    t_k - lag at or after the first row, as the window checks."""
     bound, most = seg.h_max * (1.0 + 1e-12), np.maximum.reduce(lags, None)
     if not (0.0 <= np.minimum.reduce(lags, None) and most <= bound):  # NaN fails too
         bad = next(lag for lag in lags.ravel().tolist() if not 0.0 <= lag <= bound)
         raise ValueError(f"delayed_state: lag {bad} outside [0, {seg.h_max}]")
-    times, fields, slack = seg.times, seg.fields, 1e-9 * seg.dt
-    members = fields.ndim - 3  # fields (len, *members, 3, nx)
+    times, fields, slack = seg.times, seg.fields[..., components, :], 1e-9 * seg.dt
+    members = fields.ndim - 3  # fields (len, *members, components, nx)
     t_k = times[k]
     if t_k.ndim:  # samples (n,): a sample's time against its members
         t_k = t_k[(...,) + (None,) * members]

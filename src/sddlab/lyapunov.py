@@ -35,18 +35,20 @@ reported as a discretization health metric.
 
 The monitor works on blocks of ``MONITOR_BLOCK`` samples, as stacks of fields
 (one row per sample and member) read by row index and integrated row by row;
-one ``window_starts`` search starts every window.  In the last piece,
-v(f/f_hat) is computed once per stored row of the block, and the trapezoid
-term between two consecutive rows once per pair.  Every window of the block,
-one per sample and member, then sums into one accumulator, stepped over row
-offsets: first the window's own term from t - eta, then its pair terms in row
-order, a window that has ended masked out.  Each window so adds its terms left
-to right from 0, as one window alone would, and each member gets the bits of
-its solo run.  A difference of one running trapezoid sum would be cheaper, but
-near the equilibrium the small window integral would cancel against the large
-running sum.  ``certify`` hands ``monitor`` each block of all its live members
-as its stream yields the rows, so it stores about MONITOR_BLOCK * stride + h/dt
-rows, however long the run.
+one ``window_starts`` search, of T and V only, starts every window.  In the
+last piece, f(T, V) and v(f/f_hat) are computed once per stored row of the
+block, and the trapezoid term between two consecutive rows once per pair.
+Every window of the block, one per sample and member, then sums into one
+accumulator, stepped over row offsets: first the window's own term from
+t - eta, then its pair terms in row order, a window that has ended masked out.
+Each window so adds its terms left to right from 0, as one window alone would,
+and each member gets the bits of its solo run.  A difference of one running
+trapezoid sum would be cheaper, but near the equilibrium the small window
+integral would cancel against the large running sum.  The rates read f at a
+sample and at its t - eta from these windows and share each Volterra term, all
+in the buffers of a ``_MonitorPlan``, kept for ``certify``'s stream, which
+hands ``monitor`` each block of all its live members as it yields the rows, so
+it stores about MONITOR_BLOCK * stride + h/dt rows, however long the run.
 
 Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
 instead of producing infinities; clamping would silently corrupt the
@@ -87,11 +89,86 @@ log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-30
 MONITOR_BLOCK = 16  # samples a block decomposes, for every live member at once; sets the peak memory
+_TV = slice(None, None, 2)  # T and V of a (3, nx) row: all the monitor reads of a window's interpolated start
 
 
-def _v(arr: np.ndarray) -> np.ndarray:
-    """Vectorized Volterra function; the caller guarantees positivity."""
-    return arr - 1.0 - np.log(arr)
+def _v(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized Volterra function, into ``out`` if given (``arr`` may be it); the caller guarantees positivity."""
+    log = np.log(arr)
+    return np.subtract(np.subtract(arr, 1.0, out), log, out)
+
+
+class _MonitorPlan:
+    """The buffers of one stream's monitor blocks, sized for blocks of up to
+    ``rows`` stored rows of (*members, nx) ``shape``, regrown for a larger
+    block and sliced per block: per stored row of its windows f(T, V), then v
+    of its ratio to f_hat, and a scratch (f's denominator, the ratio, the pair
+    terms); per window its accumulator.  ``tails`` also leaves f(T, V) at each
+    window's t - eta (``f_start``) and at its sample (``f_at``) for the rates,
+    which take them, so that they are freed before the rates' arrays."""
+
+    def __init__(self, rows: int = 0, shape: tuple[int, ...] = ()):
+        size = math.prod(shape)
+        self.rows, self.windows = np.empty((2, rows * size)), np.empty((1, 3 * MONITOR_BLOCK * size))
+
+    def _take(self, name: str, count: int, shape: tuple[int, ...]) -> np.ndarray:
+        """``count`` entries of ``shape`` from the start of each flat array of buffer ``name``, regrown if short."""
+        buf, size = getattr(self, name), count * math.prod(shape)
+        if buf.shape[1] < size:
+            setattr(self, name, buf := np.empty((len(buf), size)))
+        return buf[:, :size].reshape((len(buf), count) + shape)
+
+    def tails(self, traj: Trajectory, ks: np.ndarray, f: IncidenceFn, f_hat: float, nx: int):
+        """``_delay_tails`` in this plan's buffers; the tails are one of them."""
+        etas = traj.eta[ks]
+        live = etas > 0.0
+        lags = np.where(live, etas, 0.0)
+        col = (slice(None),) + (None,) * (etas.ndim - 1)  # a sample's value against its members
+        t_lo = traj.times[ks][col] - lags
+        first, off, start = window_starts(traj.history, ks, lags, _TV)
+        f0 = incidence_values(f, start[:, 0], start[:, 1])  # f at each interpolated start
+        del start  # the arrays over every window, or every stored row, set the peak memory: hold few at once
+        lo = first.min()
+        times, rows = traj.times[lo : ks.max() + 1], traj.fields[lo : ks.max() + 1]
+        shape, width = etas.shape[1:] + (nx,), math.prod(etas.shape[1:])
+        w_rows, scratch = self._take("rows", len(times), shape)  # f of each row first
+        ratio = np.divide(incidence_values(f, rows[..., 0, :], rows[..., 2, :], w_rows, scratch), f_hat, scratch)
+        floors = np.any(ratio <= LOG_FLOOR, axis=-1)
+        low = np.cumsum(np.concatenate((np.zeros_like(floors[:1]), floors)), axis=0).reshape(-1)
+
+        # window rows [a, e) of the block; the first term runs from t - eta to
+        # row b: from the interpolated start to row a, or from row a to row a + 1.
+        # A window's (row, member) entry of the flat rows is row * width + cell.
+        cell = np.arange(width).reshape(etas.shape[1:])
+        a, e = first - lo, (ks + 1 - lo)[col]
+        b = a + ~off
+        terms = e - b  # the first term, then pairs b, b+1, ..., e-2
+        floored = low[e * width + cell] > low[a * width + cell]
+        acc = self._take("windows", len(ks), shape)[0]
+        flat, at_a = w_rows.reshape(-1, nx), a * width + cell
+        self.f_start, self.f_at = flat.take(at_a, 0), flat.take((e - 1) * width + cell, 0)
+        self.f_start[off] = f0
+        r0 = np.divide(f0, f_hat, f0)  # the ratio at each interpolated start, in place of f
+        floored[off] |= np.any(r0 <= LOG_FLOOR, axis=-1)
+        np.log(ratio, w_rows)
+        np.subtract(np.subtract(ratio, 1.0, ratio), w_rows, w_rows)  # v(ratio), as _v computes it
+        flat.take(at_a, 0, acc, "clip")  # the first term
+        acc[off] = _v(r0)
+        right = np.minimum(b, len(times) - 1)  # a one-row window has no term
+        np.add(acc, flat.take(right * width + cell, 0, mode="clip"), acc)
+        pairs, term = scratch[:-1], np.empty_like(acc)
+        dts = np.subtract(times[1:], times[:-1])[(slice(None),) + (None,) * etas.ndim]
+        np.multiply(np.multiply(0.5, np.add(w_rows[:-1], w_rows[1:], pairs), pairs), dts, pairs)
+        np.multiply(np.multiply(acc, 0.5, acc), (times[right] - t_lo)[..., None], acc)
+        np.add(acc, 0.0, acc)  # added to 0, as the sum starts: -0.0 becomes +0.0
+        acc[terms <= 0] = 0.0
+        # pair b + k - 1 of each window, from the (pair, member) rows; masked once a window is past its last
+        flat, shortest, row = pairs.reshape(-1, nx), terms.min(), b * width + cell
+        for k in range(1, terms.max()):
+            flat.take(row, 0, term, "clip")
+            row += width
+            np.add(acc, term, out=acc, where=True if k < shortest else (k < terms)[..., None])
+        return acc, ~(live & floored)
 
 
 def _delay_tails(
@@ -100,7 +177,7 @@ def _delay_tails(
     """Per-node trapezoid of v(f(T,V)/f_hat) over [t_k - eta_k, t_k] for each
     sample k of ks and member, with the lag the run recorded in ``traj.eta``:
     tails (*eta.shape, nx), eta (len(ks), *members), and whether no ratio hit
-    the floor; no positive eta, no tail.
+    the floor; no positive eta, no tail.  Computed in a one-off plan.
 
     v and its floor flag are computed once per stored row of the block the
     windows touch, and the trapezoid term between two consecutive rows once
@@ -108,47 +185,7 @@ def _delay_tails(
     stored row stands for it, so its first term is its own; the rest are
     pair terms, summed left to right in one accumulator for all windows.
     """
-    etas = traj.eta[ks]
-    live = etas > 0.0
-    lags = np.where(live, etas, 0.0)
-    col = (slice(None),) + (None,) * (etas.ndim - 1)  # a sample's value against its members
-    t_lo = traj.times[ks][col] - lags
-    first, off, start = window_starts(traj.history, ks, lags)
-    # the arrays over every window, or every stored row, of all members set the peak memory: hold few at once
-    r0 = incidence_values(f, start[:, 0], start[:, 2]) / f_hat  # the ratio at each interpolated start
-    del start
-    lo = first.min()
-    times, rows = traj.times[lo : ks.max() + 1], traj.fields[lo : ks.max() + 1]
-    ratio = incidence_values(f, rows[..., 0, :], rows[..., 2, :]) / f_hat
-    floors = np.any(ratio <= LOG_FLOOR, axis=-1)
-    low = np.cumsum(np.concatenate((np.zeros_like(floors[:1]), floors)), axis=0)
-    w_rows = _v(ratio)
-    del ratio
-
-    # window rows [a, e) of the block; the first term runs from t - eta to
-    # row b: from the interpolated start to row a, or from row a to row a + 1
-    member = tuple(np.indices(etas.shape[1:]))  # a window's member, to gather its rows
-    a, e = first - lo, (ks + 1 - lo)[col]
-    b = a + ~off
-    terms = e - b  # the first term, then pairs b, b+1, ..., e-2
-    floored = low[(e, *member)] > low[(a, *member)]
-    floored[off] |= np.any(r0 <= LOG_FLOOR, axis=-1)
-    first_term = w_rows[(a, *member)]
-    first_term[off] = _v(r0)
-    right = np.minimum(b, len(times) - 1)  # a one-row window has no term
-    first_term += w_rows[(right, *member)]
-    pairs = 0.5 * (w_rows[:-1] + w_rows[1:]) * np.diff(times)[(slice(None),) + (None,) * etas.ndim]
-    del w_rows
-    acc, term = np.zeros(etas.shape + (nx,)), np.empty(etas.shape + (nx,))
-    np.add(acc, first_term * 0.5 * (times[right] - t_lo)[..., None], out=acc, where=(terms > 0)[..., None])
-    # pair b + k - 1 of each window, from the (pair, member) rows; masked once a window is past its last
-    flat, width, shortest = pairs.reshape(-1, nx), math.prod(etas.shape[1:]), terms.min()
-    row = b * width + np.arange(width).reshape(etas.shape[1:])
-    for k in range(1, terms.max()):
-        np.take(flat, row, axis=0, out=term, mode="clip")
-        row += width
-        np.add(acc, term, out=acc, where=True if k < shortest else (k < terms)[..., None])
-    return acc, ~(live & floored)
+    return _MonitorPlan().tails(traj, ks, f, f_hat, nx)
 
 
 def u_sdd_fields(
@@ -158,33 +195,35 @@ def u_sdd_fields(
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
+    plan: _MonitorPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise functional at each sample k of ks (and member), with the
     delay the run recorded in ``traj.eta``: (*traj.eta[ks].shape, nx) fields
     and a validity mask.
 
-    The delay window of a sample is read from the trajectory's own rows.  A
-    sample whose logarithm argument falls at or below the floor, at its row
-    or in its delay window, is invalid and its row is NaN (invalidated, not
-    clamped).
+    The delay window of a sample is read from the trajectory's own rows, in
+    the buffers of ``plan`` or of a one-off plan.  A sample whose logarithm
+    argument falls at or below the floor, at its row or in its delay window,
+    is invalid and its row is NaN (invalidated, not clamped).
     """
     ks = np.asarray(ks, dtype=int)
     shape = traj.eta[ks].shape
-    fields = np.full(shape + (grid.nx,), math.nan)
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
     f_hat = float(incidence_values(f, T_hat, V_hat))
-    if min(T_hat, Ts_hat, V_hat) <= 0.0 or f_hat <= 0.0:
-        return fields, np.zeros(shape, dtype=bool)
-    a, b = incidence_ab(f, V_hat)
-    weights = (params.emwh * (a * T_hat / (a + b * T_hat)), Ts_hat, V_hat / params.burst_n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail, ok = _delay_tails(traj, ks, f, f_hat, grid.nx)  # first, as it holds the most memory
-        rows = traj.fields[ks]
+        # first, as it holds the most memory; also at a degenerate equilibrium, as the rates read the plan's f
+        tail, ok = (_delay_tails if plan is None else plan.tails)(traj, ks, f, f_hat, grid.nx)
+        if min(T_hat, Ts_hat, V_hat) <= 0.0 or f_hat <= 0.0:
+            return np.full(shape + (grid.nx,), math.nan), np.zeros(shape, dtype=bool)
+        a, b = incidence_ab(f, V_hat)
+        weights = (params.emwh * (a * T_hat / (a + b * T_hat)), Ts_hat, V_hat / params.burst_n)
         for c, (hat, weight) in enumerate(zip((T_hat, Ts_hat, V_hat), weights)):  # T, T*, V, one at a time
-            r = rows[..., c, :] / hat
+            r = traj.fields[ks, ..., c, :] / hat  # one component's rows: fewer arrays live at once
             ok &= ~np.any(r <= LOG_FLOOR, axis=-1)
-            total = weight * _v(r) if c == 0 else total + weight * _v(r)
-    fields[ok] = (total + params.delta * Ts_hat * tail)[ok]
+            r = np.multiply(weight, _v(r, r), r)
+            total = r if c == 0 else np.add(total, r, total)
+    fields = np.full(shape + (grid.nx,), math.nan)
+    fields[ok] = np.add(total, np.multiply(params.delta * Ts_hat, tail, tail), total)[ok]  # the tails are scratch now
     return fields, ok
 
 
@@ -195,46 +234,12 @@ def u_sdd_total(
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
+    plan: _MonitorPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Domain integral of the pointwise functional at each sample k of ks
     (and member; NaN where invalid) and the validity mask."""
-    fields, ok = u_sdd_fields(traj, ks, eq, params, f, grid)
+    fields, ok = u_sdd_fields(traj, ks, eq, params, f, grid, plan)
     return integrate(grid, fields), ok
-
-
-def _ratio_arrays(state: np.ndarray, delayed: np.ndarray, eq: Equilibrium, f: IncidenceFn):
-    """Shared ingredients of the rate terms, for one (3, nx) row or a stack
-    of them, and per row whether no floor is hit."""
-    T, Ts, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
-    f_hat = float(incidence_values(f, eq.T_hat, eq.V_hat))
-    fT = incidence_values(f, T, eq.V_hat)
-    fTV = incidence_values(f, T, V)
-    fdel = incidence_values(f, delayed[..., 0, :], delayed[..., 2, :])
-    floors = (fT <= LOG_FLOOR) | (fTV <= LOG_FLOOR) | (fdel <= LOG_FLOOR)
-    floors |= (Ts <= LOG_FLOOR) | (V <= LOG_FLOOR)
-    ok = ~np.any(floors, axis=-1) & (f_hat > LOG_FLOOR)
-    return f_hat, fT, fTV, fdel, ok
-
-
-def _c1_algebraic(state: np.ndarray, eq: Equilibrium, parts) -> np.ndarray:
-    f_hat, fT, fTV, fdel, _ = parts
-    Ts, V = state[..., 1, :], state[..., 2, :]
-    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
-    p1 = (1.0 - f_hat / fT) * (1.0 - fTV / f_hat)
-    p2 = (1.0 - Ts_hat / Ts) * (fdel / f_hat - Ts / Ts_hat)
-    p3 = (1.0 - V_hat / V) * (Ts / Ts_hat - V / V_hat)
-    return p1 + p2 + p3
-
-
-def _c1_seven_v(state: np.ndarray, eq: Equilibrium, parts) -> tuple[np.ndarray, np.ndarray]:
-    """The seven-v form and per row whether every argument is above the floor."""
-    f_hat, fT, fTV, fdel, _ = parts
-    Ts, V = state[..., 1, :], state[..., 2, :]
-    Ts_hat, V_hat = eq.T_star_hat, eq.V_hat
-    args = (fTV / fT, fdel / f_hat, f_hat / fT, fTV / f_hat)
-    args += (fdel * Ts_hat / (f_hat * Ts), Ts * V_hat / (Ts_hat * V), V / V_hat)
-    ok = ~np.any(np.logical_or.reduce([arg <= LOG_FLOOR for arg in args]), axis=-1)
-    return _v(args[0]) + _v(args[1]) - _v(args[2]) - _v(args[3]) - _v(args[4]) - _v(args[5]) - _v(args[6]), ok
 
 
 class LyapunovSample(NamedTuple):
@@ -263,10 +268,12 @@ def rate_decomposition(
     params: ModelParams,
     f: IncidenceFn,
     grid: Grid1D,
+    plan: _MonitorPlan | None = None,
 ) -> list[LyapunovSample]:
     """Central-difference rate of the functional at each sample k of ks plus
     its split, one ``LyapunovSample`` per k (and member, member after
-    member), computed for all of ks at once.
+    member), computed for all of ks at once, in the buffers of ``plan`` or of
+    a one-off plan.
 
     Needs the two neighboring samples of each k for the central differences
     of U and of eta; the delay values are the ones the run recorded in
@@ -281,62 +288,62 @@ def rate_decomposition(
     ms = np.array(sorted(set(np.concatenate((ks - 1, ks, ks + 1)).tolist())))  # np.unique would import numpy.ma
     if (t_first := traj.times.item(ms[0])) - traj.h_max + 1e-9 * traj.dt < traj.times.item(0):  # segment_at's test
         raise ValueError(f"rate_decomposition: sample {ms[0]} (t={t_first}) lacks {traj.h_max} of trailing history")
-    at = np.searchsorted(ms, ks)
-    U, ok = u_sdd_total(traj, ms, eq, params, f, grid)
+    if not (eta_k := traj.eta[ks]).min() >= 0.0:  # NaN fails too; the functional's windows read it as no lag
+        raise ValueError(f"rate_decomposition: lag {eta_k.min()} outside [0, {traj.h_max}]")
+    at, plan = np.searchsorted(ms, ks), plan or _MonitorPlan()
+    U, ok = u_sdd_total(traj, ms, eq, params, f, grid, plan)
     U_m, U_k, U_p = U[at - 1], U[at], U[at + 1]
     ok = ok[at - 1] & ok[at] & ok[at + 1]
 
     col = (slice(None),) + (None,) * len(traj.history.members)  # a sample's value against its members
     t_k = traj.times[ks][col]
     span = (traj.times[ks + 1] - traj.times[ks - 1])[col]
-    eta_k = traj.eta[ks]
     eta_rate = (traj.eta[ks + 1] - traj.eta[ks - 1]) / span
     dU = (U_p - U_m) / span
 
     state = traj.fields[ks]
     T, Ts, V = state[..., 0, :], state[..., 1, :], state[..., 2, :]
-    rows, off, start = window_starts(traj.history, ks, eta_k)  # each k's delayed row, as delayed_state reads it
-    delayed = traj.fields[(rows, *np.indices(traj.history.members))]
-    delayed[off] = start
+    # f(T, V) at each k, and at its t - eta (each k's delayed row, as delayed_state reads it), from the windows' f
+    fTV, fdel = plan.f_at[at], plan.f_start[at]
+    plan.f_at = plan.f_start = None  # taken: freed before the rates' arrays
     T_hat, Ts_hat, V_hat = eq.T_hat, eq.T_star_hat, eq.V_hat
+    f_hat = float(incidence_values(f, T_hat, V_hat))
     emwh = params.emwh
     d1, d2, d3 = params.diff
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        parts = _ratio_arrays(state, delayed, eq, f)
-        f_hat, fT, fTV, fdel, ok_parts = parts
-        A = params.d * T_hat * emwh * integrate(grid, (1.0 - T / T_hat) * (1.0 - f_hat / fT))
-        braces = (
-            -_v(f_hat / fT)
-            - _v(fdel * Ts_hat / (f_hat * Ts))
-            - _v(Ts * V_hat / (Ts_hat * V))
-            - (_v(V / V_hat) - _v(fTV / fT))
-        )
-        B = f_hat * emwh * integrate(grid, braces)
-
-        g1 = g2 = g3 = np.zeros(eta_k.shape)
+        fT = incidence_values(f, T, V_hat)
+        floors = (fT <= LOG_FLOOR) | (fTV <= LOG_FLOOR) | (fdel <= LOG_FLOOR) | (Ts <= LOG_FLOOR) | (V <= LOG_FLOOR)
+        ok &= ~np.any(floors, axis=-1) & (f_hat > LOG_FLOOR)
+        g1 = g2 = g3 = np.zeros(eta_k.shape)  # first, and one gradient at a time: fewer arrays live at once
         if d1 != 0.0:
-            gradT = gradient_central(grid, T)
-            fp1 = incidence_dT(f, T, V_hat)
-            g1 = -d1 * emwh * f_hat * integrate(grid, fp1 / (fT * fT) * gradT * gradT)
+            grad = gradient_central(grid, T)
+            g1 = -d1 * emwh * f_hat * integrate(grid, incidence_dT(f, T, V_hat) / (fT * fT) * grad * grad)
         if d2 != 0.0:
-            gradTs = gradient_central(grid, Ts)
-            g2 = -d2 * Ts_hat * integrate(grid, gradTs * gradTs / (Ts * Ts))
+            grad = gradient_central(grid, Ts)
+            g2 = -d2 * Ts_hat * integrate(grid, grad * grad / (Ts * Ts))
         if d3 != 0.0:
-            gradV = gradient_central(grid, V)
-            g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, gradV * gradV / (V * V))
+            grad = gradient_central(grid, V)
+            g3 = -d3 * (V_hat / params.burst_n) * integrate(grid, grad * grad / (V * V))
         Ddiff = g1 + g2 + g3
 
+        # the Volterra arguments of the seven-v form of C1; B and S_int share them, and each one's v
+        args = (fTV / fT, fdel / f_hat, f_hat / fT, fTV / f_hat, fdel * Ts_hat / (f_hat * Ts))
+        args += (Ts * V_hat / (Ts_hat * V), V / V_hat)
+        ok &= ~np.any(np.logical_or.reduce([arg <= LOG_FLOOR for arg in args]), axis=-1)
+        A = params.d * T_hat * emwh * integrate(grid, (1.0 - T / T_hat) * (1.0 - args[2]))
+        c1_alg = (1.0 - args[2]) * (1.0 - args[3]) + (1.0 - Ts_hat / Ts) * (args[1] - Ts / Ts_hat)
+        c1_alg += (1.0 - V_hat / V) * (Ts / Ts_hat - args[6])
+        v = [_v(arg, arg) for arg in args]  # in place: no argument is read again
+        B = f_hat * emwh * integrate(grid, -v[2] - v[4] - v[5] - (v[6] - v[0]))
         dTs = params.delta * Ts_hat
-        S_int = eta_rate * integrate(grid, _v(fdel / f_hat))
+        S_int = eta_rate * integrate(grid, v[1])
         D_int = -(A + B + Ddiff) / dTs
         residual = np.abs(dU - (A + B + Ddiff + dTs * S_int))
 
-        c1_alg = _c1_algebraic(state, eq, parts)
-        c1_seven, ok_seven = _c1_seven_v(state, eq, parts)
+        c1_seven = v[0] + v[1] - v[2] - v[3] - v[4] - v[5] - v[6]
         c1_abs_dev = np.max(np.abs(c1_alg - c1_seven), axis=-1)
         c1_scale = np.maximum(np.max(np.abs(c1_alg), axis=-1), np.max(np.abs(c1_seven), axis=-1))
         C1_int = integrate(grid, c1_seven)
-    ok &= ok_parts & ok_seven
 
     columns = (t_k, U_k, dU, S_int, D_int, Ddiff, g1, g2, g3, C1_int, c1_abs_dev, c1_scale, residual, eta_k, eta_rate)
     table = np.column_stack([np.broadcast_to(c, ok.shape).T.ravel() for c in columns])  # member after member
@@ -358,14 +365,16 @@ def monitor(
     grid: Grid1D,
     stride: int = 10,
     warmup: float | None = None,
+    plan: _MonitorPlan | None = None,
 ) -> list[LyapunovSample]:
     """Rate decompositions on a strided sample set after a warmup window.
 
     The warmup (default 2*h_max) skips the initial transient where the
     history is still the prescribed initial segment.  The samples are
     decomposed in blocks of ``MONITOR_BLOCK``, which bounds the memory of a
-    block's per-row arrays, for all members at once when eta is (n, B); the
-    list is flat, member after member.
+    block's per-row arrays, for all members at once when eta is (n, B), each
+    in the buffers of ``plan`` or of one plan for this call; the list is
+    flat, member after member.
     """
     if len(traj) < 3:
         return []
@@ -375,7 +384,7 @@ def monitor(
     # neighbors k-1 need a full trailing window of their own
     earliest = int(np.searchsorted(traj.times, t0 + params.h_max + traj.dt * (1.0 - 1e-9))) + 1
     start = max(int(np.searchsorted(traj.times, t0 + warmup)), earliest)
-    ks, args = range(start, len(traj) - 1, max(stride, 1)), (eq, params, f, grid)
+    ks, args = range(start, len(traj) - 1, max(stride, 1)), (eq, params, f, grid, plan or _MonitorPlan())
     blocks = [rate_decomposition(traj, ks[b : b + MONITOR_BLOCK], *args) for b in range(0, len(ks), MONITOR_BLOCK)]
     n = math.prod(traj.history.members)
     return [sample for m in range(n) for got in blocks for sample in got[m * len(got) // n : (m + 1) * len(got) // n]]
@@ -388,11 +397,14 @@ def _monitor_members(
     member its samples (None if it aborted or the run has fewer than three
     samples), and the rows of the first and the last sample.  Each block of
     the live members goes to one ``monitor`` call once the stream yields the
-    sample after its last k; the store holds the rows from h_max + 3 dt before
-    the block's sample k - 1 (or the newest) on, as a step is at most dt."""
+    sample after its last k, in the buffers of one plan for the stream; the
+    store holds the rows from h_max + 3 dt before the block's sample k - 1
+    (or the newest) on, as a step is at most dt."""
     seg, h, dt = stream.history, params.h_max, stream.history.dt
     warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
     samples = [[] for _ in range(seg.members[0])]
+    # one plan for every block, sized before the stream runs for the rows the store holds for a block
+    plan = _MonitorPlan(MONITOR_BLOCK * stride + math.ceil(h / dt) + 3, (len(samples), seg.fields.shape[-1]))
     times, etas, base, k, held = [], [], 0, None, None  # samples base, base + 1, ...; the pending block's first k
     for s, sample in enumerate(stream):
         times.append(sample.t)
@@ -414,7 +426,7 @@ def _monitor_members(
             live = [m for m, gone in enumerate(stream.aborted) if not gone]
             if live:  # the rows of every live member, gathered only once one is frozen
                 rows = seg.view(end - 1 - s + w0, end, live if len(live) < len(samples) else slice(None))
-                got = monitor(Trajectory(rows, lags[:, live]), eq, params, f, grid, stride, mid - rows.times[0])
+                got = monitor(Trajectory(rows, lags[:, live]), eq, params, f, grid, stride, mid - rows.times[0], plan)
                 for i, m in enumerate(live):
                     samples[m] += got[i * len(got) // len(live) : (i + 1) * len(got) // len(live)]
             k += MONITOR_BLOCK * stride

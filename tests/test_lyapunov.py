@@ -17,6 +17,7 @@ from sddlab import (
     SolverConfig,
     certify_local_stability,
     constant_delay,
+    delayed_state,
     distance_to_equilibrium,
     equilibrium_norm,
     integral_delay,
@@ -28,6 +29,7 @@ from sddlab import (
     u_sdd_total,
 )
 from sddlab import lyapunov
+from sddlab.grid import integrate
 from sddlab.lyapunov import _delay_tails, _v, u_sdd_fields
 from sddlab.model import incidence_values
 from sddlab.solver import InitialData, RunStream, Trajectory
@@ -374,6 +376,90 @@ class TestBlocks:
                 assert math.isnan(s.U) and math.isnan(s.residual)
             else:
                 assert repr(s) == c
+
+
+@pytest.fixture(scope="module")
+def plan_stream(sat_equilibrium, saturated):
+    """Three members of one RunStream with an integral lag and a jump at t =
+    2.505 that shortens a step inside later windows, read through a view of
+    all members, of members 0 and 2 (as after member 1 aborts) and of member 1."""
+    grid = Grid1D(0.0, 1.0, 11)
+    params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=DIFFUSION)
+    norm = equilibrium_norm(sat_equilibrium)
+    members = [
+        InitialData(preset="equilibrium_perturbation", epsilon=eps * norm, equilibrium=sat_equilibrium, **BUMP)
+        for eps in (0.1, 0.05, 0.025)
+    ]
+    df = integral_delay(1.0, state_mean_reducer(grid, "V", 0.4 / sat_equilibrium.V_hat))
+    stream = RunStream(members, params, saturated, df, SolverConfig(dt=0.01, t_end=4.0), grid, [ParamJump(2.505, "c", 4.0)])
+    origin = stream.history.view(len(stream.history) - 1, len(stream.history))  # pins the store's rows
+    etas = np.array([sample.eta for sample in stream])
+    n = len(etas)
+    trajs = [Trajectory(origin.view(0, n, m), etas[:, m]) for m in (slice(None), [0, 2], 1)]
+    return params, grid, trajs
+
+
+def assert_rates_read_delayed_state(samples, traj, ks, eq, f, grid):
+    """S_int and C1_int, the rate terms that read f(T, V) at each sample k
+    and at its t - eta, have the bits of the seven-v form per sample, on k's
+    row and on delayed_state's read of k's segment."""
+    f_hat, Ts_hat, V_hat = float(incidence_values(f, eq.T_hat, eq.V_hat)), eq.T_star_hat, eq.V_hat
+    want = []
+    for k in ks:
+        seg = traj.segment_at(k)
+        rows = (seg.fields[-1], delayed_state(seg, traj.eta[k]))
+        f_now, f_del = (incidence_values(f, row[..., 0, :], row[..., 2, :]) for row in rows)
+        T, Ts, V = (rows[0][..., c, :] for c in range(3))
+        fT = incidence_values(f, T, V_hat)
+        args = (f_now / fT, f_del / f_hat, f_hat / fT, f_now / f_hat, f_del * Ts_hat / (f_hat * Ts))
+        v = [_v(arg) for arg in args + (Ts * V_hat / (Ts_hat * V), V / V_hat)]
+        rate = (traj.eta[k + 1] - traj.eta[k - 1]) / (traj.times[k + 1] - traj.times[k - 1])
+        want.append((rate * integrate(grid, v[1]), integrate(grid, v[0] + v[1] - v[2] - v[3] - v[4] - v[5] - v[6])))
+    S_int, C1_int = (np.array(terms).T.ravel().tolist() for terms in zip(*want))  # member after member
+    assert [(repr(s.S_int), repr(s.C1_int)) for s in samples] == [tuple(map(repr, p)) for p in zip(S_int, C1_int)]
+
+
+class TestPlan:
+    """One plan, reused from block to block, gives each block the bits of a fresh one."""
+
+    def test_one_plan_serves_every_block_as_a_fresh_plan(self, plan_stream, sat_equilibrium, saturated):
+        params, grid, (whole, live, solo) = plan_stream
+        args = (sat_equilibrium, params, saturated, grid)
+        ks = list(range(101, len(whole) - 1, 3))
+        t_short = 2.505  # the jump's shortened step ends here, inside the windows of the samples after it
+        assert np.any(np.isclose(whole.times, t_short)) and whole.times[ks[51]] - 0.4 < t_short < whole.times[ks[51]]
+        blocks = [
+            (whole, ks[:16]),  # the first block
+            (whole, ks[16:32]),  # full blocks, the second over the jump
+            (whole, ks[50:66]),
+            (whole, ks[-5:]),  # a short last block
+            (live, ks[50:66]),  # the live members after one aborted
+            (solo, ks[50:66]),  # no member axis
+            (solo, list(range(250, 266))),  # stride 1: the neighbours of one k are the others' samples
+        ]
+        plan = lyapunov._MonitorPlan()
+        for traj, block in blocks:
+            want = rate_decomposition(traj, block, *args)
+            assert len(want) == len(block) * math.prod(traj.history.members) and all(s.valid for s in want)
+            got = rate_decomposition(traj, block, *args, plan)
+            assert [repr(s) for s in got] == [repr(s) for s in want]
+            assert_rates_read_delayed_state(got, traj, block, sat_equilibrium, saturated, grid)
+
+    def test_a_second_call_leaves_the_first_calls_results(self, plan_stream, sat_equilibrium, saturated):
+        params, grid, (whole, _, _) = plan_stream
+        args = (sat_equilibrium, params, saturated, grid)
+        ks = list(range(250, 298, 3))
+        plan = lyapunov._MonitorPlan()
+        first = [*u_sdd_fields(whole, ks, *args, plan), *u_sdd_total(whole, ks, *args, plan)]
+        kept = [a.copy() for a in first]
+        samples = [repr(s) for s in rate_decomposition(whole, ks, *args, plan)]
+        for a in first:
+            assert not np.shares_memory(a, plan.rows) and not np.shares_memory(a, plan.windows)
+        u_sdd_fields(whole, ks[:5], *args, plan)
+        u_sdd_total(whole, ks[3:9], *args, plan)
+        second = rate_decomposition(whole, ks[1:], *args, plan)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+        assert [repr(s) for s in rate_decomposition(whole, ks, *args)] == samples != [repr(s) for s in second]
 
 
 @st.composite

@@ -41,6 +41,17 @@ def test_step_timing_prints_one_row_per_shape():
     assert all(0.0 < float(t) < math.inf for row in rows for t in row.split()[1:])
 
 
+def test_monitor_timing_prints_one_row_per_shape():
+    proc = run_script(["scripts/monitor_timing.py", "--repeat", "1", "--number", "1", "--blocks", "1"])
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows = proc.stdout.strip().splitlines()
+    assert title == "min-of-N microseconds per block; minor page faults over the first 1 blocks"
+    assert header.split() == ["shape", "u_sdd_total", "rate_decomposition", "monitor", "faults"]
+    assert [row.split()[0] for row in rows] == ["(2,101)", "(6,41)"]
+    assert all(len(row.split()) == 5 for row in rows)
+    assert all(0.0 < float(t) < math.inf for row in rows for t in row.split()[1:])
+
+
 def test_readme_library_example_runs(capsys):
     # the README's Library code block as written; its comment claims the printed rate is <= 0
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
