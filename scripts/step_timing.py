@@ -3,7 +3,8 @@
 
 For each shape this prints the min-of-N microseconds of one call of ``rhs``,
 of the Laplacian and of f(T, V) as the step runs them, of ``delayed_state``,
-and of one step of a drained ``RunStream``:
+and of one step of a drained ``RunStream``, and the rows its history store
+holds room for once drained (``store_rows``, its capacity):
 
   (2,3,101)  certify-constant: 2 members, constant lag (one float)
   (6,3,41)   certify-integral: 6 members, integral lag (one per member)
@@ -42,7 +43,7 @@ SHAPES = {
     "(6,3,41)": ("saturated_integral_delay.ini", 6, 41),
     "(3,1001)": ("saturated_constant_delay.ini", None, 1001),
 }
-COLUMNS = ("rhs", "laplacian", "incidence", "delayed_state", "stream_step")
+COLUMNS = ("rhs", "laplacian", "incidence", "delayed_state", "stream_step", "store_rows")
 
 
 def stream_factory(config: str, members: int | None, nx: int, steps: int):
@@ -70,7 +71,8 @@ def time_calls(fn, repeat: int, number: int) -> float:
     return min(timeit.Timer(fn).repeat(repeat, number)) / number * 1e6
 
 
-def time_stream(make, repeat: int, steps: int) -> float:
+def time_stream(make, repeat: int, steps: int) -> tuple[float, int]:
+    """Microseconds per step of the fastest drained stream, and its store's capacity in rows."""
     best = float("inf")
     for _ in range(repeat):
         stream = make()
@@ -78,10 +80,10 @@ def time_stream(make, repeat: int, steps: int) -> float:
         for _ in stream:
             pass
         best = min(best, timeit.default_timer() - t0)
-    return best / steps * 1e6
+    return best / steps * 1e6, len(stream.history._rows.times)
 
 
-def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps: int) -> list[float]:
+def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps: int) -> list[float | int]:
     seg = make().history
     lag = df.eta_const if df.kind == "constant" else evaluate_eta(df, seg)
     state, delayed = seg.fields[-1], delayed_state(seg, lag)
@@ -104,7 +106,7 @@ def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps
         ]
     calls.append(lambda: delayed_state(seg, lag))
     with np.errstate(all="ignore"):
-        return [time_calls(fn, repeat, number) for fn in calls] + [time_stream(make, streams, steps)]
+        return [time_calls(fn, repeat, number) for fn in calls] + [*time_stream(make, streams, steps)]
 
 
 def main() -> None:
@@ -115,11 +117,11 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=200, help="steps per stream")
     args = ap.parse_args()
 
-    print("min-of-N microseconds per call")
+    print("min-of-N microseconds per call; store_rows in rows")
     print(f"{'shape':<10}" + "".join(f"{c:>19}" for c in COLUMNS))
     for label, (config, members, nx) in SHAPES.items():
         times = row(*stream_factory(config, members, nx, args.steps), args.repeat, args.number, args.streams, args.steps)
-        print(f"{label:<10}" + "".join(f"{t:>19.2f}" for t in times))
+        print(f"{label:<10}" + "".join(f"{t:>19.2f}" for t in times[:-1]) + f"{times[-1]:>19d}")
 
 
 if __name__ == "__main__":

@@ -91,10 +91,13 @@ DEFAULTS_DOC = """\
 [time]     dt=0.01 t_end=50 clip_negative=false invariance_tol=1e-9
 [initial]  preset=uniform t0=50 tstar0=10 v0=10 profile=constant_in_time ramp_depth=0.1
            (equilibrium_perturbation: epsilon_rel=0.05 direction=constant eq_index=0)
+           bump_amp_t=5 bump_amp_tstar=1 bump_amp_v=1 (gaussian_bump)
+           bump_center=auto (midpoint) bump_width=auto (0.1 x length)
 [schedule] empty (jumpN = <t> <param> <value>)
 [output]   dir=out probe_nodes=5 monitor_stride=10 warmup=auto (2*h_max)
            tol_decrease=1e-8 eps_fractions=0.1 0.05 0.025
            directions=constant gaussian_bump seed=0 hyp_density=50
+           hyp_box_t=auto (2 lambda/d) hyp_box_v=auto (2 x the box's V bound)
 """
 
 

@@ -1,7 +1,9 @@
 """Trailing solution history and the state-dependent delay functional.
 
 The true state of a delay system is the segment of the solution over the
-trailing window [t - h, t].  The history is stored once, as two append-only
+trailing window [t - h, t]; a constant lag eta reads only [t - eta, t], and
+a segment keeps rows back to its ``reach`` (h, or eta for a constant lag,
+which ``RunStream`` sets).  The history is stored once, as two append-only
 arrays: row times (n,) and fields (n, 3, nx).  A ``HistorySegment`` is an
 index range of rows over that store; the run's ``Trajectory`` reads the
 same rows, so a step is written once and a segment ending at any sample is
@@ -83,23 +85,26 @@ class _Rows:
 
 
 class HistorySegment:
-    """Rows (time, fields) covering at least [t - h_max, t]: the index range
-    [lo, hi) of an append-only array store.
+    """Rows (time, fields) covering at least [t - reach, t]: the index range
+    [lo, hi) of an append-only array store.  ``h_max`` is the model's h;
+    ``reach`` (at most h_max, h_max unless given) is the oldest lag read.
 
     The single writer (the solver) appends via :meth:`push`; eviction moves
     lo past an oldest row only once its successor still covers the window
-    start, so an interpolation bracket for t - h_max is always retained.
+    start, so an interpolation bracket for t - reach is always retained.
     Evicted rows stay stored until a full buffer slides them out (see the
     module docstring), and :meth:`view` gives the segment over any stored
     rows without a copy, which pins the store.  Spacing is the solver step
     dt except for at most one shortened step per scheduled parameter jump.
     """
 
-    __slots__ = ("h_max", "dt", "_rows", "_lo", "_hi")
+    __slots__ = ("h_max", "reach", "dt", "_rows", "_lo", "_hi")
 
-    def __init__(self, h_max: float, dt: float, times: Sequence[float], fields: np.ndarray):
+    def __init__(self, h_max: float, dt: float, times: Sequence[float], fields: np.ndarray, reach: float | None = None):
         if not h_max > 0.0:
             raise ValueError(f"h_max: must be positive, got {h_max}")
+        if reach is not None and not 0.0 <= reach <= h_max:
+            raise ValueError(f"reach: must lie in [0, {h_max}], got {reach}")
         if not dt > 0.0:
             raise ValueError(f"dt: must be positive, got {dt}")
         if len(times) < 2:
@@ -110,13 +115,14 @@ class HistorySegment:
         if fields.ndim < 3 or fields.shape[0] != len(times) or fields.shape[-2] != 3:
             raise ValueError(f"HistorySegment: fields of shape {fields.shape} are not ({len(times)}, *members, 3, nx)")
         self.h_max = float(h_max)
+        self.reach = self.h_max if reach is None else float(reach)
         self.dt = float(dt)
         self._rows = _Rows(np.array(times, dtype=float), fields)
         self._lo, self._hi = 0, len(times)
         if not self.covers():
             raise ValueError(
                 f"HistorySegment: snapshots span [{times[0]}, {times[-1]}], "
-                f"shorter than the delay window h_max={h_max}"
+                f"shorter than the delay window reach={self.reach}"
             )
 
     def view(self, lo: int, hi: int, members=None) -> "HistorySegment":
@@ -129,7 +135,7 @@ class HistorySegment:
         if not -self._lo <= lo < hi <= self._rows.n - self._lo:
             raise ValueError(f"view: rows [{lo}, {hi}) outside the stored history")
         seg = object.__new__(HistorySegment)
-        seg.h_max, seg.dt, seg._rows = self.h_max, self.dt, self._rows
+        seg.h_max, seg.reach, seg.dt, seg._rows = self.h_max, self.reach, self.dt, self._rows
         seg._lo, seg._hi = self._lo + lo, self._lo + hi
         if members is not None:
             seg._rows = _Rows(self._rows.times[seg._lo : seg._hi], self._rows.fields[seg._lo : seg._hi, members])
@@ -172,7 +178,7 @@ class HistorySegment:
         return self._hi - self._lo
 
     def covers(self) -> bool:
-        return self._rows.times[self._lo] <= self.t_now - self.h_max + 1e-9 * self.dt
+        return self._rows.times[self._lo] <= self.t_now - self.reach + 1e-9 * self.dt
 
     def hold(self, t: float) -> None:
         """Keep the stored rows from time t on, also those older than the
@@ -221,7 +227,7 @@ class HistorySegment:
         rows.times[rows.n] = t
         rows.n += 1
         self._hi += 1
-        cutoff = t - self.h_max + 1e-9 * self.dt
+        cutoff = t - self.reach + 1e-9 * self.dt
         while self._hi - self._lo > 2 and rows.times[self._lo + 1] <= cutoff:
             self._lo += 1
 

@@ -228,13 +228,16 @@ def _target_row(initial: InitialData, grid: Grid1D) -> np.ndarray:
     return _column((eq.T_hat, eq.T_star_hat, eq.V_hat)) + initial.epsilon * w[:, None] * shape
 
 
-def build_initial_segment(initial, grid: Grid1D, h_max: float, dt: float) -> HistorySegment:
+def build_initial_segment(initial, grid: Grid1D, h_max: float, dt: float, reach: float | None = None) -> HistorySegment:
     """Materialize a preset, or a sequence of them (the members, stacked on
-    axis 1), as a history segment over [-h_max, 0]: rows every dt back
-    from 0, the oldest at or before -h_max."""
+    axis 1), as a history segment over [-reach, 0] (reach defaults to
+    h_max): rows every dt back from 0, the oldest at or before -reach, at
+    least two.  They are the last rows of the segment over [-h_max, 0], and
+    a linear ramp still ramps over [-h_max, 0]."""
     single = isinstance(initial, InitialData)
-    m = int(np.ceil(h_max / dt - 1e-9))
-    if m * dt < h_max:
+    reach = h_max if reach is None else reach
+    m = max(int(np.ceil(reach / dt - 1e-9)), 1)
+    if m * dt < reach:
         m += 1
     times = 0.0 - np.arange(m, -1, -1) * dt  # 0.0 - x, not -x: the newest time is +0.0
     a = np.clip((times + h_max) / h_max, 0.0, 1.0)[:, None, None]  # the ramp's weight of the goal
@@ -248,7 +251,7 @@ def build_initial_segment(initial, grid: Grid1D, h_max: float, dt: float) -> His
         start = (1.0 - one.ramp_depth) * goal if eq is None else _column((eq.T_hat, eq.T_star_hat, eq.V_hat))
         rows.append(start + a * (goal - start))
     fields = rows[0] if single else np.stack(rows, axis=1)
-    return HistorySegment(h_max, dt, times, fields)
+    return HistorySegment(h_max, dt, times, fields, reach)
 
 
 def omega_lip_bounds(params: ModelParams, mu: float | None) -> tuple[float, float, float] | None:
@@ -487,7 +490,9 @@ class RunStream:
         self.jumps = validate_schedule(schedule, cfg.t_end, params) if schedule else ()
         if not isinstance(initial, InitialData) and not (initial := list(initial)):
             raise ValueError("RunStream: no members")
-        self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt)
+        # a constant lag reads no row older than t - eta: the store keeps only those
+        reach = min(df.eta_const, params.h_max) if df.kind == "constant" else None
+        self.history = build_initial_segment(initial, grid, params.h_max, cfg.dt, reach)
         self.compat_residual = compatibility_residual(self.history, params, f, df, grid)
         self._args = (params, f, df, cfg, grid)
         self._mu = incidence_mu(f)

@@ -211,7 +211,15 @@ def test_defaults_doc_matches_schema():
             default, parse = _SCHEMA[name][key]
             assert parse(value) == default, f"[{name}] {key}={value}"
             stated += 1
-    assert stated == 46  # all 53 keys but bump_* (5) and hyp_box_* (2)
+    assert stated == 53  # every key
+
+
+def test_defaults_doc_names_every_schema_key():
+    # --help prints DEFAULTS_DOC as its epilog: a key the loader accepts must be there, in its section
+    sections = dict(zip(*[iter(re.split(r"^\[(\w+)\]", DEFAULTS_DOC, flags=re.M)[1:])] * 2))
+    missing = [f"[{name}] {key}" for name, keys in _SCHEMA.items() for key in keys
+               if not re.search(rf"\b{key}=", sections.get(name, ""))]
+    assert not missing
 
 
 @pytest.mark.parametrize(

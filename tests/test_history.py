@@ -58,6 +58,18 @@ class TestHistorySegment:
             assert seg.covers()
         assert len(seg) <= int(np.ceil(1.0 / 0.1)) + 2
 
+    def test_a_reach_below_h_max_keeps_rows_back_to_it(self):
+        grid = Grid1D(0, 1, 3)
+        s = const_state(grid, 1, 1, 1)
+        seg = HistorySegment(1.0, 0.1, [-0.3, -0.2, -0.1, 0.0], np.array([s] * 4), reach=0.25)
+        for k in range(1, 30):
+            push_state(seg, k * 0.1, s)
+            assert seg.covers() and len(seg) == 4  # t - 0.25 lies between the two oldest rows
+        assert (seg.h_max, seg.view(0, 2).reach) == (1.0, 0.25)
+        for reach in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="reach"):
+                HistorySegment(1.0, 0.1, [-1.0, 0.0], np.array([s, s]), reach=reach)
+
     def test_push_requires_advancing_time(self):
         grid = Grid1D(0, 1, 3)
         seg = segment_with_v(grid, lambda t: 1.0)

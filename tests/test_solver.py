@@ -25,6 +25,7 @@ from sddlab import (
     run,
     state_mean_reducer,
     step,
+    wrapped_delay,
 )
 from sddlab.model import KINDS, incidence_mu, incidence_values
 from sddlab.solver import (
@@ -884,3 +885,43 @@ class TestRunStream:
         assert np.array_equal(np.array(rows), traj.fields)
         assert np.array_equal(np.array(etas), traj.eta)
         assert len(np.unique(traj.eta)) > 1
+
+    @pytest.mark.parametrize("profile", ["constant_in_time", "linear_ramp"])
+    @pytest.mark.parametrize("eta, window", [(0.0, 2), (0.1, 11), (0.105, 12), (0.2, 21)])
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_a_constant_lag_keeps_rows_back_to_eta_and_matches_a_full_window(
+        self, ref_params, saturated, members, eta, window, profile
+    ):
+        # the store starts with the newest rows of the [-h, 0] segment that reach -eta
+        # (at least two) and stays within twice those; every sample has the bits of the
+        # same stream drained from the whole [-h, 0] segment, across one shortened step
+        h, dt = 0.2, 0.01
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=h)
+        grid = Grid1D(0.0, 1.0, 5)
+        df, cfg = constant_delay(h, eta), SolverConfig(dt=dt, t_end=2.0)
+        each = [InitialData(preset="gaussian_bump", values=(50.0 + m, 10.0, 10.0 - m), profile=profile)
+                for m in range(members or 1)]
+        initial = each if members else each[0]
+        schedule = [ParamJump(0.505, "burst_n", 5.0)]
+        stream, ref = (RunStream(initial, params, saturated, df, cfg, grid, schedule) for _ in range(2))
+        full = ref.history = build_initial_segment(initial, grid, h, dt)
+        seg = stream.history
+        assert (len(seg), len(full), seg.h_max, seg.reach) == (window, 21, h, eta)
+        assert seg.times.tobytes() == full.times[-window:].tobytes()
+        assert seg.fields.tobytes() == full.fields[-window:].tobytes()
+        want, *_ = stream_box_ref(ref, params, saturated, df, cfg, grid)
+        got, capacity = [], []
+        for s in stream:
+            capacity.append(len(seg._rows.times))
+            got.append((s.t, s.row.tobytes(), np.array(s.eta).tobytes(), s.lower, s.upper))
+        assert got == [(t, row.tobytes(), e.tobytes(), lower, upper) for t, row, e, lower, upper, _ in want]
+        assert len(got) == 202 and max(capacity) <= 2 * window + 2
+
+    @pytest.mark.parametrize("kind", ["integral", "wrapped"])
+    def test_a_state_dependent_lag_keeps_h_max_of_rows(self, ref_params, saturated, kind):
+        h, dt = 0.2, 0.01
+        grid = Grid1D(0.0, 1.0, 5)
+        params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=h)
+        df = (integral_delay if kind == "integral" else wrapped_delay)(h, state_mean_reducer(grid, "V", 0.03))
+        seg = RunStream(InitialData(), params, saturated, df, SolverConfig(dt=dt, t_end=1.0), grid).history
+        assert (len(seg), seg.reach) == (21, h)  # h/dt + 1
