@@ -889,9 +889,7 @@ class TestRunStream:
     @pytest.mark.parametrize("profile", ["constant_in_time", "linear_ramp"])
     @pytest.mark.parametrize("eta, window", [(0.0, 2), (0.1, 11), (0.105, 12), (0.2, 21)])
     @pytest.mark.parametrize("members", [None, 3])
-    def test_a_constant_lag_keeps_rows_back_to_eta_and_matches_a_full_window(
-        self, ref_params, saturated, members, eta, window, profile
-    ):
+    def test_a_constant_lag_keeps_rows_back_to_eta_and_matches_a_full_window(self, saturated, members, eta, window, profile):
         # the store starts with the newest rows of the [-h, 0] segment that reach -eta
         # (at least two) and stays within twice those; every sample has the bits of the
         # same stream drained from the whole [-h, 0] segment, across one shortened step
@@ -918,7 +916,7 @@ class TestRunStream:
         assert len(got) == 202 and max(capacity) <= 2 * window + 2
 
     @pytest.mark.parametrize("kind", ["integral", "wrapped"])
-    def test_a_state_dependent_lag_keeps_h_max_of_rows(self, ref_params, saturated, kind):
+    def test_a_state_dependent_lag_keeps_h_max_of_rows(self, saturated, kind):
         h, dt = 0.2, 0.01
         grid = Grid1D(0.0, 1.0, 5)
         params = ModelParams(lam=10.0, d=0.1, delta=0.5, burst_n=10.0, c=5.0, omega=0.0, h_max=h)
