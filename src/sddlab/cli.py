@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         if args.seed < 0 or args.seed >= 2**64:
             print("config error: --seed must fit an unsigned 64-bit integer", file=sys.stderr)
             return EXIT_USAGE
-        cfg = replace(cfg, output=replace(cfg.output, seed=args.seed))
+        cfg = cfg._replace(output=cfg.output._replace(seed=args.seed))
 
     out_path: Path | None = None
     if args.command != "check-hypotheses":

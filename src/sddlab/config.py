@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from difflib import get_close_matches
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .grid import Grid1D
 from .history import DelayFunctional, constant_delay, integral_delay, smooth_clamp, state_mean_reducer, wrapped_delay
@@ -45,8 +43,7 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     dir: str
     probe_nodes: int
     monitor_stride: int
@@ -60,8 +57,7 @@ class OutputConfig:
     hyp_density: int
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     params: ModelParams
     incidence: IncidenceFn
     delay: DelayFunctional
@@ -102,6 +98,7 @@ DEFAULTS_DOC = """\
 
 
 def _hint(word: str, names, form: str = "{!r}") -> str:
+    from difflib import get_close_matches  # only the error paths pay its import
     match = get_close_matches(word, names, n=1)
     return f"; did you mean {form.format(match[0])}?" if match else ""
 

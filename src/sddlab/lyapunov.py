@@ -60,7 +60,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -444,8 +443,7 @@ def distance_to_equilibrium(row: np.ndarray, eq: Equilibrium, grid: Grid1D) -> f
     return math.sqrt(max(integrate(grid, dev) / grid.length, 0.0))
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Empirical verdict for one perturbation size."""
 
     equilibrium: Equilibrium

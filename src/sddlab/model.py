@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from difflib import get_close_matches
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -128,6 +127,7 @@ class IncidenceFn:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
+            from difflib import get_close_matches  # only this error path pays its import
             hint = get_close_matches(self.kind, KINDS, n=1)
             extra = f" (did you mean {hint[0]!r}?)" if hint else ""
             raise ValueError(f"kind: unknown incidence kind {self.kind!r}{extra}")
@@ -238,8 +238,7 @@ class Verdict:
         return self.status == HOLDS
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Verdicts of all four checks plus the sampling used to obtain them."""
 
     hf1: Verdict

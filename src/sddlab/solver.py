@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -102,6 +102,8 @@ _JUMPABLE = {
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Step size and end time; whether each step clips negative entries to 0, and the box excursion tolerance."""
+
     dt: float
     t_end: float
     clip_negative: bool = False
@@ -117,8 +119,7 @@ class SolverConfig:
             raise ValueError(f"invariance_tol: must be nonnegative and finite, got {self.invariance_tol}")
 
 
-@dataclass(frozen=True)
-class ParamJump:
+class ParamJump(NamedTuple):
     """One scheduled discontinuous parameter change."""
 
     t: float
@@ -391,27 +392,23 @@ def step(seg: HistorySegment, params: ModelParams, f: IncidenceFn, df: DelayFunc
     return lag, clipped, finite, extremes
 
 
-@dataclass
 class Trajectory:
     """Sampled run output with per-sample delay and box diagnostics.
 
     ``history`` holds the run's rows from the first sample on; ``times``
     (n,), ``fields`` (n, 3, nx), ``h_max`` and ``dt`` are read from it, the
-    first two as views of its rows.
+    first two as views of its rows.  A plain class, as ``@dataclass`` would
+    build its methods by ``exec`` at every import.
     """
 
-    history: HistorySegment
-    eta: np.ndarray
-    lower_violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    upper_violations: np.ndarray | None = None
-    bounds: tuple[float, float, float] | None = None
-    clip_events: int = 0
-    aborted: bool = False
-    abort_time: float | None = None
-    compat_residual: float | None = None
-
-    def __post_init__(self) -> None:
-        history = self.history
+    def __init__(self, history: HistorySegment, eta: np.ndarray, lower_violations: np.ndarray | None = None,
+                 upper_violations: np.ndarray | None = None, bounds: tuple[float, float, float] | None = None,
+                 clip_events: int = 0, aborted: bool = False, abort_time: float | None = None,
+                 compat_residual: float | None = None) -> None:
+        self.history, self.eta = history, eta
+        self.lower_violations = np.empty(0, dtype=int) if lower_violations is None else lower_violations
+        self.upper_violations, self.bounds, self.clip_events = upper_violations, bounds, clip_events
+        self.aborted, self.abort_time, self.compat_residual = aborted, abort_time, compat_residual
         self.times, self.fields, self.h_max, self.dt = history.times, history.fields, history.h_max, history.dt
 
     def __len__(self) -> int:

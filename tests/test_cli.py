@@ -375,3 +375,52 @@ def test_the_cli_loads_no_scipy_and_main_imports_nothing_heavy(tmp_path):
     for command, (code, modules) in loaded.items():
         assert code == 0, command
         assert set(modules) <= {"locale", "_locale"}, command
+
+
+HINTS_ON_ERROR_PATHS = """
+import json, sys
+from pathlib import Path
+import sddlab.cli
+from sddlab.config import ConfigError, load_config
+from sddlab.model import IncidenceFn
+for path in sorted(Path(sys.argv[1]).glob("*.ini")):
+    load_config(path)
+good_path = "difflib" in sys.modules
+hints = {}
+try:
+    load_config(sys.argv[2])
+except ConfigError as exc:
+    hints["config"] = exc.errors
+try:
+    IncidenceFn("saturatd", k=0.1, k2=0.1)
+except ValueError as exc:
+    hints["incidence"] = str(exc)
+print(json.dumps({"good_path": good_path, "hints": hints}))
+"""
+
+
+def test_difflib_is_imported_only_for_a_did_you_mean_hint(tmp_path):
+    """``import sddlab.cli`` and loading every shipped config leave
+    ``difflib`` unimported; a misspelled config key or incidence kind still
+    gets its nearest-name hint.  A fresh process, as in the test above."""
+    cfg = write_cfg(tmp_path, "[params]\nlamda = 5\n[incidence]\nkind = saturatd\n")
+    src = str(Path(sddlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", HINTS_ON_ERROR_PATHS, str(CONFIGS), str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["good_path"] is False
+    assert result["hints"] == {
+        "config": [
+            "line 2: unknown key 'lamda' in [params]; did you mean 'lambda'?",
+            "line 4: [incidence] kind: must be one of bilinear, saturated, beddington_deangelis, crowley_martin; "
+            "did you mean 'saturated'?",
+        ],
+        "incidence": "kind: unknown incidence kind 'saturatd' (did you mean 'saturated'?)",
+    }

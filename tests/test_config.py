@@ -475,9 +475,9 @@ def _loaded_values(cfg) -> dict:
             ("grid", cfg.grid),
             ("solver", cfg.solver),
             ("initial", cfg.initial),
-            ("output", cfg.output),
         )
     }
+    out["output"] = {name: _plain(value) for name, value in cfg.output._asdict().items()}  # a NamedTuple
     out["eq_index"], out["epsilon_rel"] = cfg.eq_index, _plain(cfg.epsilon_rel)
     out["schedule"] = [[_plain(j.t), j.name, _plain(j.value)] for j in cfg.schedule]
     delay = cfg.delay

@@ -53,6 +53,22 @@ def test_monitor_timing_prints_one_row_per_shape():
     assert all(0.0 < float(t) < math.inf for row in rows for t in row.split()[1:])
 
 
+def test_import_timing_prints_one_row_per_module():
+    proc = run_script(["scripts/import_timing.py", "--repeat", "1"])
+    assert proc.returncode == 0, proc.stderr
+    title, header, *rows, decorations, load, difflib = proc.stdout.strip().splitlines()
+    assert title == "min-of-1 milliseconds per fresh process, PYTHONDONTWRITEBYTECODE=1"
+    assert header.split() == ["module", "compile", "body"]
+    modules = ["sddlab", "sddlab.cli", "sddlab.config", "sddlab.equilibria", "sddlab.grid", "sddlab.history",
+               "sddlab.lyapunov", "sddlab.model", "sddlab.solver"]
+    assert sorted(row.split()[0] for row in rows[:-1]) == modules and rows[-1].split()[0] == "total"
+    assert all(len(row.split()) == 3 for row in rows)
+    assert all(0.0 <= float(t) < math.inf for row in rows for t in row.split()[1:])
+    assert decorations.startswith("@dataclass decorations ") and 0.0 <= float(decorations.split()[-1]) < math.inf
+    assert load.startswith("load_config ") and 0.0 <= float(load.split()[-1]) < math.inf
+    assert difflib == "difflib imported no"
+
+
 def test_readme_library_example_runs(capsys):
     # the README's Library code block as written; its comment claims the printed rate is <= 0
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

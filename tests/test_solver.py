@@ -526,6 +526,36 @@ class TestRun:
             err = max(err, abs(T[0] - r[0]), abs(T_star[0] - r[1]), abs(V[0] - r[2]))
         assert err <= 20.0 * dt
 
+    @pytest.mark.parametrize(
+        "lag, profile, jump",
+        [
+            (0.4, "constant_in_time", None),
+            (0.41, "constant_in_time", None),  # off the dt grid
+            (0.4, "linear_ramp", None),  # Lipschitz, not C1, history
+            (0.4, "constant_in_time", ParamJump(1.013, "burst_n", 5.0)),  # a jump off the dt grid
+            ("integral", "constant_in_time", None),
+            ("integral", "linear_ramp", None),
+            ("integral", "constant_in_time", ParamJump(1.013, "burst_n", 5.0)),
+        ],
+    )
+    def test_first_order_under_dt_halving(self, ref_params, saturated, grid3, sat_equilibrium, lag, profile, jump):
+        # the paper's setting: Lipschitz-in-time data, and drug jumps; the
+        # integral lag's xi_scale puts its eta near 0.42 at the equilibrium
+        if lag == "integral":
+            df = integral_delay(1.0, state_mean_reducer(grid3, "V", 0.0232))
+        else:
+            df = constant_delay(1.0, lag)
+        eps = 0.05 * equilibrium_norm(sat_equilibrium)
+        initial = InitialData("equilibrium_perturbation", epsilon=eps, equilibrium=sat_equilibrium, profile=profile)
+        schedule = [jump] if jump else []
+        finals = [
+            run(initial, ref_params, saturated, df, SolverConfig(dt=dt, t_end=2.0), grid3, schedule).fields[-1]
+            for dt in (0.04, 0.02, 0.01, 0.005)
+        ]
+        diffs = [max_state_dev(a, b) for a, b in zip(finals, finals[1:])]
+        ratios = [diffs[0] / diffs[1], diffs[1] / diffs[2]]
+        assert all(1.6 <= r <= 2.6 for r in ratios), ratios  # Richardson ratios of a first-order scheme
+
     def test_box_containment_short(self, ref_params, saturated):
         params = ModelParams(lam=10, d=0.1, delta=0.5, burst_n=10, c=5, omega=0.0, h_max=1.0, diff=(1e-3, 1e-3, 2e-3))
         grid = Grid1D(0.0, 1.0, 41)
