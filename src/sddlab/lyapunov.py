@@ -50,9 +50,11 @@ in the buffers of a ``_MonitorPlan``, kept for ``certify``'s stream, which
 hands ``monitor`` each block of all its live members as it yields the rows, so
 it stores about MONITOR_BLOCK * stride + h/dt rows, however long the run.
 
-Any logarithm argument at or below ``LOG_FLOOR`` marks the sample invalid
-instead of producing infinities; clamping would silently corrupt the
-decrease verdict near the boundary of the positive cone.
+``monitor`` returns one ``np.recarray`` of ``LyapunovSample`` rows, member
+after member; a row reads by attribute, a column is an array.  Any logarithm
+argument at or below ``LOG_FLOOR`` marks the sample invalid, its row NaN but
+for t, eta and eta_rate, instead of producing infinities; clamping would
+silently corrupt the decrease verdict near the boundary of the positive cone.
 """
 
 from __future__ import annotations
@@ -241,23 +243,12 @@ def u_sdd_total(
     return integrate(grid, fields), ok
 
 
-class LyapunovSample(NamedTuple):
-    """One monitored instant: the functional, its rates, and the split."""
-
-    t: float
-    U: float
-    dU_dt_fd: float
-    S_int: float
-    D_int: float
-    Ddiff: float
-    Ddiff_terms: tuple[float, float, float]
-    C1_int: float
-    c1_abs_dev: float
-    c1_scale: float
-    residual: float
-    eta: float
-    eta_rate: float
-    valid: bool
+# one monitored instant: the functional, its rates, and the split; a row of ``monitor``'s record array
+LyapunovSample = np.dtype(
+    [("t", float), ("U", float), ("dU_dt_fd", float), ("S_int", float), ("D_int", float), ("Ddiff", float),
+     ("Ddiff_terms", float, (3,)), ("C1_int", float), ("c1_abs_dev", float), ("c1_scale", float),
+     ("residual", float), ("eta", float), ("eta_rate", float), ("valid", bool)]
+)
 
 
 def rate_decomposition(
@@ -268,9 +259,9 @@ def rate_decomposition(
     f: IncidenceFn,
     grid: Grid1D,
     plan: _MonitorPlan | None = None,
-) -> list[LyapunovSample]:
+) -> np.recarray:
     """Central-difference rate of the functional at each sample k of ks plus
-    its split, one ``LyapunovSample`` per k (and member, member after
+    its split, one ``LyapunovSample`` row per k (and member, member after
     member), computed for all of ks at once, in the buffers of ``plan`` or of
     a one-off plan.
 
@@ -344,16 +335,12 @@ def rate_decomposition(
         c1_scale = np.maximum(np.max(np.abs(c1_alg), axis=-1), np.max(np.abs(c1_seven), axis=-1))
         C1_int = integrate(grid, c1_seven)
 
-    columns = (t_k, U_k, dU, S_int, D_int, Ddiff, g1, g2, g3, C1_int, c1_abs_dev, c1_scale, residual, eta_k, eta_rate)
-    table = np.column_stack([np.broadcast_to(c, ok.shape).T.ravel() for c in columns])  # member after member
-    valid = ok.T.ravel()
-    table[~valid, 1:13] = math.nan  # an invalid sample keeps its t, eta and eta_rate
-    return [
-        LyapunovSample(t, U, dU, S, D, Dd, (g1, g2, g3), C1, dev, scale, res, eta, rate, good)
-        for good, (t, U, dU, S, D, Dd, g1, g2, g3, C1, dev, scale, res, eta, rate) in zip(
-            valid.tolist(), table.tolist()
-        )
-    ]
+    rows = np.recarray(ok.T.shape, LyapunovSample)  # (*members, samples), flat member after member
+    columns = (t_k, U_k, dU, S_int, D_int, Ddiff, np.stack((g1, g2, g3)), C1_int, c1_abs_dev, c1_scale, residual)
+    for name, column in zip(LyapunovSample.names, columns + (eta_k, eta_rate, ok)):
+        rows[name] = column.T
+    rows[list(LyapunovSample.names[1:11])][~ok.T] = math.nan  # an invalid sample keeps its t, eta and eta_rate
+    return rows.ravel()
 
 
 def monitor(
@@ -365,18 +352,18 @@ def monitor(
     stride: int = 10,
     warmup: float | None = None,
     plan: _MonitorPlan | None = None,
-) -> list[LyapunovSample]:
+) -> np.recarray:
     """Rate decompositions on a strided sample set after a warmup window.
 
     The warmup (default 2*h_max) skips the initial transient where the
     history is still the prescribed initial segment.  The samples are
     decomposed in blocks of ``MONITOR_BLOCK``, which bounds the memory of a
     block's per-row arrays, for all members at once when eta is (n, B), each
-    in the buffers of ``plan`` or of one plan for this call; the list is
-    flat, member after member.
+    in the buffers of ``plan`` or of one plan for this call; the record
+    array is flat, member after member.
     """
     if len(traj) < 3:
-        return []
+        return np.recarray(0, LyapunovSample)
     if warmup is None:
         warmup = 2.0 * params.h_max
     t0 = float(traj.times[0])
@@ -386,22 +373,23 @@ def monitor(
     ks, args = range(start, len(traj) - 1, max(stride, 1)), (eq, params, f, grid, plan or _MonitorPlan())
     blocks = [rate_decomposition(traj, ks[b : b + MONITOR_BLOCK], *args) for b in range(0, len(ks), MONITOR_BLOCK)]
     n = math.prod(traj.history.members)
-    return [sample for m in range(n) for got in blocks for sample in got[m * len(got) // n : (m + 1) * len(got) // n]]
+    rows = [got.reshape(n, -1) for got in blocks] or [np.recarray((n, 0), LyapunovSample)]  # (members, samples)
+    return np.concatenate(rows, axis=1).ravel().view(np.recarray)
 
 
 def _monitor_members(
     stream: RunStream, eq: Equilibrium, params: ModelParams, f: IncidenceFn, grid: Grid1D, stride: int, warmup: float | None
 ):
     """``monitor`` of every member, drained from one batched stream: per
-    member its samples (None if it aborted or the run has fewer than three
-    samples), and the rows of the first and the last sample.  Each block of
-    the live members goes to one ``monitor`` call once the stream yields the
-    sample after its last k, in the buffers of one plan for the stream; the
-    store holds the rows from h_max + 3 dt before the block's sample k - 1
-    (or the newest) on, as a step is at most dt."""
+    member its record array (None if it aborted or the run has fewer than
+    three samples), and the rows of the first and the last sample.  Each
+    block of the live members goes to one ``monitor`` call once the stream
+    yields the sample after its last k, in the buffers of one plan for the
+    stream; the store holds the rows from h_max + 3 dt before the block's
+    sample k - 1 (or the newest) on, as a step is at most dt."""
     seg, h, dt = stream.history, params.h_max, stream.history.dt
     warmup, stride = 2.0 * h if warmup is None else warmup, max(stride, 1)
-    samples = [[] for _ in range(seg.members[0])]
+    samples = [[np.recarray(0, LyapunovSample)] for _ in range(seg.members[0])]  # per member its blocks' rows
     # one plan for every block, sized before the stream runs for the rows the store holds for a block
     plan = _MonitorPlan(MONITOR_BLOCK * stride + math.ceil(h / dt) + 3, (len(samples), seg.fields.shape[-1]))
     times, etas, base, k, held = [], [], 0, None, None  # samples base, base + 1, ...; the pending block's first k
@@ -426,14 +414,15 @@ def _monitor_members(
             if live:  # the rows of every live member, gathered only once one is frozen
                 rows = seg.view(end - 1 - s + w0, end, live if len(live) < len(samples) else slice(None))
                 got = monitor(Trajectory(rows, lags[:, live]), eq, params, f, grid, stride, mid - rows.times[0], plan)
-                for i, m in enumerate(live):
-                    samples[m] += got[i * len(got) // len(live) : (i + 1) * len(got) // len(live)]
+                for m, block in zip(live, got.reshape(len(live), -1)):
+                    samples[m].append(block)
             k += MONITOR_BLOCK * stride
         if held != (held := (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt):
             seg.hold(held)  # it moved: an unchanged hold would cut nothing
             cut = bisect_left(times, held)
             del times[:cut], etas[:cut]
             base += cut
+    samples = [np.concatenate(blocks).view(np.recarray) for blocks in samples]
     return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row
 
 
@@ -545,19 +534,14 @@ def certify_local_stability(
                 continue
             d0 = distance_to_equilibrium(row0, eq, grid)
             d1 = distance_to_equilibrium(row1, eq, grid)
-            valid = [s for s in samples if s.valid]
+            valid = samples[samples.valid]
             n_samples += len(samples)
             n_valid += len(valid)
-            frac = (
-                sum(1 for s in valid if s.dU_dt_fd <= tol_decrease) / len(valid)
-                if valid
-                else 0.0
-            )
+            frac = np.count_nonzero(valid.dU_dt_fd <= tol_decrease).item() / len(valid) if len(valid) else 0.0
             frac_min = min(frac_min, frac)
-            if valid:
-                eta_max = max(eta_max, max(abs(s.eta_rate) for s in valid))
-                max_s = max(abs(s.S_int) for s in valid)
-                min_d = min(s.D_int for s in valid)
+            if len(valid):
+                eta_max = max(eta_max, np.abs(valid.eta_rate).max().item())
+                max_s, min_d = np.abs(valid.S_int).max().item(), valid.D_int.min().item()
                 ratio_max = max(ratio_max, max_s / min_d if min_d > 0.0 else math.inf)
             if d1 >= d0:
                 all_contracted = False

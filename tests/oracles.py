@@ -34,7 +34,11 @@ package:
   are copied member by member into a segment of their own and each
   member's solo trajectory goes to ``lyapunov.monitor`` alone, against
   which the one pass per block over every live member must agree bit for
-  bit.
+  bit;
+- ``certify_stats_ref`` is ``certify``'s verdict per eps from the
+  monitored runs by one Python loop per statistic over the rows, as it was
+  before the record array; it takes the distances from the package's
+  ``distance_to_equilibrium``, which it does not check.
 """
 
 from __future__ import annotations
@@ -535,7 +539,8 @@ def monitor_members_ref(stream, eq, params, f, grid, stride: int, warmup):
             store, lo = seg._rows, seg._lo + end - 1 - s + w0
             for m in [m for m, gone in enumerate(stream.aborted) if not gone]:
                 one = HistorySegment(h, dt, store.times[lo : seg._lo + end], store.fields[lo : seg._lo + end, m])
-                samples[m] += lyapunov.monitor(Trajectory(one, lags[:, m]), eq, params, f, grid, stride, mid - one.times[0])
+                got = lyapunov.monitor(Trajectory(one, lags[:, m]), eq, params, f, grid, stride, mid - one.times[0])
+                samples[m].extend(got)
             k += size * stride
         held = (times[k - 1 - base] if k is not None and k <= s + 1 else sample.t) - h - 3.0 * dt
         seg.hold(held)
@@ -543,3 +548,57 @@ def monitor_members_ref(stream, eq, params, f, grid, stride: int, warmup):
         del times[:cut], etas[:cut]
         base += cut
     return [None if gone or s < 2 else got for got, gone in zip(samples, stream.aborted)], first, sample.row
+
+
+def certify_stats_ref(eq, epsilons, directions, runs, grid: Grid1D, tol_decrease: float):
+    """``certify_local_stability``'s verdicts from its monitored runs, one
+    (samples or None, first row, last row, aborted, abort time) per member,
+    eps after eps and direction after direction: each statistic by a loop
+    over the rows."""
+    runs = iter(runs)
+    verdicts = []
+    for eps in epsilons:
+        frac_min, n_valid, n_samples, eta_max, ratio_max = math.inf, 0, 0, 0.0, 0.0
+        worst_ratio, dist_pair, any_aborted, abort = -math.inf, (math.nan, math.nan), False, None
+        all_contracted, any_expanded_badly = True, False
+        for name in directions:
+            samples, row0, row1, aborted, abort_time = next(runs)
+            if samples is None:
+                any_aborted = True
+                if aborted and abort is None:
+                    abort = (name, abort_time)
+                frac_min, all_contracted = 0.0, False
+                continue
+            d0 = lyapunov.distance_to_equilibrium(row0, eq, grid)
+            d1 = lyapunov.distance_to_equilibrium(row1, eq, grid)
+            valid = [s for s in samples if s.valid]
+            n_samples += len(samples)
+            n_valid += len(valid)
+            frac = sum(1 for s in valid if s.dU_dt_fd <= tol_decrease) / len(valid) if valid else 0.0
+            frac_min = min(frac_min, frac)
+            if valid:
+                eta_max = max(eta_max, max(abs(float(s.eta_rate)) for s in valid))
+                max_s = max(abs(float(s.S_int)) for s in valid)
+                min_d = min(float(s.D_int) for s in valid)
+                ratio_max = max(ratio_max, max_s / min_d if min_d > 0.0 else math.inf)
+            if d1 >= d0:
+                all_contracted = False
+            if d1 > d0 and frac < 0.9:
+                any_expanded_badly = True
+            ratio = d1 / d0 if d0 > 0.0 else math.inf
+            if ratio > worst_ratio:
+                worst_ratio, dist_pair = ratio, (d0, d1)
+        if frac_min is math.inf:
+            frac_min = 0.0
+        if any_aborted or n_valid == 0:
+            verdict = "inconclusive"
+        elif frac_min >= 0.99 and all_contracted:
+            verdict = "stable_evidence"
+        elif any_expanded_badly:
+            verdict = "instability_evidence"
+        else:
+            verdict = "inconclusive"
+        verdicts.append(lyapunov.StabilityVerdict(
+            eq, float(eps), frac_min, n_valid, n_samples, eta_max, ratio_max, *dist_pair, verdict, abort
+        ))
+    return verdicts

@@ -269,7 +269,7 @@ class TestRateDecomposition:
         (sample,) = rate_decomposition(traj, [len(traj) - 10], sat_equilibrium, ref_params, saturated, grid5)
         assert sample.valid
         assert sample.Ddiff == 0.0
-        assert sample.Ddiff_terms == (0.0, 0.0, 0.0)
+        assert sample.Ddiff_terms.tolist() == [0.0, 0.0, 0.0]
 
     def test_needs_neighbors(self, perturbed_traj, sat_equilibrium, saturated):
         params, df, grid, traj = perturbed_traj
@@ -416,7 +416,8 @@ def assert_rates_read_delayed_state(samples, traj, ks, eq, f, grid):
         rate = (traj.eta[k + 1] - traj.eta[k - 1]) / (traj.times[k + 1] - traj.times[k - 1])
         want.append((rate * integrate(grid, v[1]), integrate(grid, v[0] + v[1] - v[2] - v[3] - v[4] - v[5] - v[6])))
     S_int, C1_int = (np.array(terms).T.ravel().tolist() for terms in zip(*want))  # member after member
-    assert [(repr(s.S_int), repr(s.C1_int)) for s in samples] == [tuple(map(repr, p)) for p in zip(S_int, C1_int)]
+    got = [(repr(s.S_int.item()), repr(s.C1_int.item())) for s in samples]
+    assert got == [tuple(map(repr, p)) for p in zip(S_int, C1_int)]
 
 
 class TestPlan:

@@ -13,6 +13,7 @@ import re
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -43,11 +44,11 @@ from sddlab import (
 )
 from sddlab.config import load_config
 from sddlab.history import window_starts
-from sddlab.lyapunov import MONITOR_BLOCK
+from sddlab.lyapunov import MONITOR_BLOCK, LyapunovSample
 from sddlab.solver import InitialData, ParamJump, RunStream, Trajectory
 
 from .helpers import segment_from_profile
-from .oracles import monitor_members_ref
+from .oracles import certify_stats_ref, monitor_members_ref
 from .test_cli import ABORT_CONFIG, JUMP_CONFIG
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -109,7 +110,7 @@ def assert_monitored_as_solo(members, monitored, eq, cfg, solver, schedule=(), s
             assert samples[m] is None
             continue
         want = monitor(solo, eq, cfg.params, cfg.incidence, cfg.grid, stride=stride, warmup=warmup)
-        assert want and sample_bits(samples[m]) == sample_bits(want)
+        assert len(want) and sample_bits(samples[m]) == sample_bits(want)
         assert bits(first[m]) == bits(solo.fields[0]) and bits(last[m]) == bits(solo.fields[-1])
 
 
@@ -536,3 +537,62 @@ class TestMonitorOnePass:
         ]
         assert bits(first) == bits(want_first) and bits(last) == bits(want_last)
         assert not all(stream.aborted)
+
+
+NAMES = ("t", "U", "dU_dt_fd", "S_int", "D_int", "Ddiff", "Ddiff_terms", "C1_int", "c1_abs_dev", "c1_scale",
+         "residual", "eta", "eta_rate", "valid")
+
+
+class TestMonitorRecords:
+    """The monitor's record array over the live members of a drained stream,
+    with a node of one member zeroed on no row, on one or on every row (no
+    valid sample): each member's rows are its solo monitor's, an invalid row
+    is NaN from U to residual, and certify's verdicts from the rows are the
+    per-row loops'."""
+
+    def test_dtype(self):
+        assert LyapunovSample.names == NAMES
+        assert LyapunovSample["Ddiff_terms"].shape == (3,) and LyapunovSample["valid"] == bool
+        assert all(LyapunovSample[name] == float for name in NAMES if name not in ("Ddiff_terms", "valid"))
+
+    @given(data=st.data())
+    def test_rows_and_verdicts(self, sat_equilibrium, data):
+        stream_of, eq, (params, f, df, solver, grid, _), stride, warmup, size = data.draw(monitored_runs(sat_equilibrium))
+        stream = stream_of()
+        origin = stream.history.view(len(stream.history) - 1, len(stream.history))  # pins the store's rows
+        etas = np.array([sample.eta for sample in stream])
+        n, members = len(etas), len(stream.aborted)
+        live = [m for m, gone in enumerate(stream.aborted) if not gone]
+        args = (eq, params, f, grid, stride, warmup)
+        with mock.patch.object(lyapunov, "MONITOR_BLOCK", size):
+            clean = monitor(Trajectory(origin.view(0, n, live), etas[:, live]), *args)
+            rows = data.draw(st.one_of(st.just(slice(0)), st.just(slice(None)), st.integers(0, n - 1)), "zeroed rows")
+            zeroed, c = data.draw(st.sampled_from(live)), data.draw(st.integers(0, 2))
+            origin.view(0, n).fields[rows, zeroed, c, data.draw(st.integers(0, grid.nx - 1))] = 0.0
+            got = monitor(Trajectory(origin.view(0, n, live), etas[:, live]), *args)
+            per_member = got.reshape(len(live), -1)
+            for i, m in enumerate(live):
+                assert per_member[i].tobytes() == monitor(Trajectory(origin.view(0, n, m), etas[:, m]), *args).tobytes()
+
+        assert isinstance(got, np.recarray) and got.dtype.names == NAMES and len(got) == len(clean)
+        bad = ~got.valid
+        assert all(np.isnan(got[name][bad]).all() for name in NAMES[1:11])
+        assert all(got[name][bad].tobytes() == clean[name][bad].tobytes() for name in ("t", "eta", "eta_rate"))
+
+        samples = [None] * members
+        for i, m in enumerate(live):
+            samples[m] = per_member[i]
+        first, last = origin.view(0, n).fields[[0, -1]]
+        both = members % 2 == 0 and data.draw(st.booleans())
+        directions = ("constant", "gaussian_bump") if both else ("constant",)
+        eps = [0.1 * (j + 1) for j in range(members // len(directions))]
+        tol = data.draw(st.sampled_from([1e-8, 0.0, 1.0, *got.dU_dt_fd[got.valid][:5].tolist()]))  # or a sample's rate
+        run_stream = SimpleNamespace(history=SimpleNamespace(reserve=lambda _: None), aborted=stream.aborted,
+                                     abort_time=stream.abort_time)
+        with mock.patch.object(lyapunov, "RunStream", lambda *_: run_stream), \
+                mock.patch.object(lyapunov, "_monitor_members", lambda *_: (samples, first, last)):
+            verdicts = certify_local_stability(eq, eps, params, f, df, solver, grid, directions, tol_decrease=tol)
+        runs = zip(samples, first, last, stream.aborted, stream.abort_time)
+        want = certify_stats_ref(eq, eps, directions, runs, grid, tol)
+        assert [[type(x) for x in v] for v in verdicts] == [[type(x) for x in v] for v in want]
+        assert repr(verdicts) == repr(want)  # repr tells every float's bits, NaN and -0.0 included

@@ -404,3 +404,38 @@ def test_check_all_report(ref_params, saturated):
     report_no_eq = check_all(saturated, box, n=40, v_hat=None)
     assert report_no_eq.hf3.status == "not_applicable"
     assert report_no_eq.hf4.status == "not_applicable"
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A kind with k and k1 log-uniform in [1e-3, 10] and k2 log-uniform in
+    [1e-2, 10] (0 for bilinear), the default box of a drawn parameter set,
+    a density n and a v_hat on one of the box's V samples.  Below k2 = 1e-2
+    and off the samples, a V sample close to v_hat can take hf3's strictness
+    product, which vanishes quadratically at v_hat, under its 1e-12 margin."""
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    kind = draw(st.sampled_from(["bilinear", "saturated", "beddington_deangelis", "crowley_martin"]))
+    k = log_uniform(1e-3, 10.0)
+    k1 = log_uniform(1e-3, 10.0) if kind in ("beddington_deangelis", "crowley_martin") else 0.0
+    k2 = 0.0 if kind == "bilinear" else log_uniform(1e-2, 10.0)
+    params = ModelParams(lam=log_uniform(1.0, 100.0), d=log_uniform(0.01, 1.0), delta=0.5,
+                         burst_n=log_uniform(1.0, 100.0), c=log_uniform(0.5, 10.0), omega=0.0, h_max=1.0)
+    f = IncidenceFn(kind, k=k, k1=k1, k2=k2)
+    box, n = default_sample_box(params, f), draw(st.integers(5, 50))
+    return f, box, n, box[1][1] * draw(st.integers(1, n - 1)) / (n - 1)
+
+
+@given(case=closed_form_cases())
+def test_check_all_matches_the_closed_form_table(case):
+    # hf1 holds with mu = k/k2 for the saturating kinds and is not applicable
+    # for bilinear; hf1+ and hf4 hold for every kind; hf3 holds iff k2 > 0
+    f, box, n, v_hat = case
+    report = check_all(f, box, n=n, v_hat=v_hat)
+    if f.kind == "bilinear":
+        assert report.hf1.status == "not_applicable"
+    else:
+        assert report.hf1.status == "holds" and report.hf1.info["mu"] == f.k / f.k2
+    assert report.hf1_plus.status == report.hf4.status == "holds"
+    assert report.hf3.status == ("holds" if f.k2 > 0.0 else "fails")

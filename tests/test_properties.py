@@ -94,7 +94,7 @@ def test_short_run_invariants(case):
         assert np.all(traj.fields[0] <= np.array(traj.bounds)[:, None])
         assert not np.any(traj.upper_violations)
     samples = monitor(traj, eq, params, f, grid, stride=5)
-    assert samples
+    assert len(samples)
     for s in samples:
         if s.valid:
             assert s.U >= 0.0

@@ -24,6 +24,27 @@ def test_convergence_study_runs():
     assert 1.6 <= float(rows[-1].split()[-1]) <= 2.6  # first order
 
 
+def test_convergence_matrix_runs():
+    # the paper's setting in dt (three ratios and compat_residual per case) and the order in dx
+    proc = run_script(["scripts/convergence_matrix.py"])
+    assert proc.returncode == 0, proc.stderr
+    matrix, dx = proc.stdout.strip().split("\n\n")
+    title, header, *rows = matrix.splitlines()
+    assert title == "explicit Euler at nx = 3, t_end = 5, dt = 0.04 0.02 0.01 0.005 0.0025:"
+    assert header.split() == ["case", "ratios", "compat_residual"]
+    cases = [re.split(r"\s{2,}", row.strip())[0] for row in rows]
+    assert cases == [
+        "constant lag 0.4", "constant lag 0.41", "constant lag, linear_ramp", "constant lag, jump", "integral lag",
+        "wrapped lag", "wrapped lag, linear_ramp", "wrapped lag, jump",
+    ]
+    numbers = [[float(x) for x in row.split()[-4:]] for row in rows]
+    assert all(math.isfinite(x) for row in numbers for x in row)
+    title, header, *rows = dx.splitlines()
+    assert title == "explicit Euler with diffusion, gaussian_bump, dt = 0.01, t_end = 2:"
+    assert [row.split()[0] for row in rows] == ["11", "21", "41"]
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split()[1:] if x != "-")
+
+
 def test_eta_rate_sweep_runs():
     proc = run_script(["scripts/eta_rate_sweep.py", "--eps-fractions", "0.05", "--t-end", "4"])
     assert proc.returncode == 0, proc.stderr

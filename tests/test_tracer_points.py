@@ -93,21 +93,22 @@ def test_the_stream_calls_step_and_rhs_through_their_solver_bindings(monkeypatch
 
 
 def test_a_traced_certify_counts_every_members_samples_and_one_decomposition_per_block(tracer):
-    # the monitor's samples are one flat list over the members, which the
-    # tracer counts; each block of every member is decomposed in one call
+    # the monitor's samples are one flat record array over the members, whose
+    # rows the tracer counts; each block of every member is decomposed in one
+    # call, and the verdicts are the untraced run's
     cfg = load_config(CONFIGS / "saturated_integral_delay.ini")
     (eq,) = [e for e in find_equilibria(cfg.params, cfg.incidence) if e.kind == "interior"]
     eps = [frac * equilibrium_norm(eq) for frac in cfg.output.eps_fractions]
+    args = (eq, eps, cfg.params, cfg.incidence, cfg.delay, replace(cfg.solver, t_end=4.0), cfg.grid)
+    kwargs = dict(directions=cfg.output.directions, stride=cfg.output.monitor_stride)
     t = tracer.Tracer()
     t.install()
     try:
-        verdicts = lyapunov.certify_local_stability(
-            eq, eps, cfg.params, cfg.incidence, cfg.delay, replace(cfg.solver, t_end=4.0), cfg.grid,
-            directions=cfg.output.directions, stride=cfg.output.monitor_stride,
-        )
+        verdicts = lyapunov.certify_local_stability(*args, **kwargs)
     finally:
         t.uninstall()
     assert tracer.leftover_wrappers() == []
+    assert repr(verdicts) == repr(lyapunov.certify_local_stability(*args, **kwargs))
     members = len(eps) * len(cfg.output.directions)
     total = sum(v.n_samples for v in verdicts)
     assert members == 6 and all(v.abort is None for v in verdicts) and total % members == 0
