@@ -3,8 +3,10 @@
 
 For each shape this prints the min-of-N microseconds of one call of ``rhs``,
 of the Laplacian and of f(T, V) as the step runs them, of ``delayed_state``,
-and of one step of a drained ``RunStream``, and the rows its history store
-holds room for once drained (``store_rows``, its capacity):
+of one step of a drained ``RunStream``, of formatting one trajectory.csv
+line of the shape's first row at the default five probes (``csv_line``, the
+work ``simulate`` hands to its writer process), and the rows its history
+store holds room for once drained (``store_rows``, its capacity):
 
   (2,3,101)  certify-constant: 2 members, constant lag (one float)
   (6,3,41)   certify-integral: 6 members, integral lag (one per member)
@@ -32,6 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from sddlab import delayed_state, equilibrium_norm, evaluate_eta, find_equilibria, laplacian_neumann, rhs, solver
+from sddlab._trajectory_writer import _line_template
+from sddlab.cli import _probe_indices
 from sddlab.config import load_config
 from sddlab.model import incidence_values
 from sddlab.solver import InitialData, RunStream
@@ -43,7 +47,7 @@ SHAPES = {
     "(6,3,41)": ("saturated_integral_delay.ini", 6, 41),
     "(3,1001)": ("saturated_constant_delay.ini", None, 1001),
 }
-COLUMNS = ("rhs", "laplacian", "incidence", "delayed_state", "stream_step", "store_rows")
+COLUMNS = ("rhs", "laplacian", "incidence", "delayed_state", "stream_step", "csv_line", "store_rows")
 
 
 def stream_factory(config: str, members: int | None, nx: int, steps: int):
@@ -106,7 +110,12 @@ def row(make, params, f, df, grid, repeat: int, number: int, streams: int, steps
         ]
     calls.append(lambda: delayed_state(seg, lag))
     with np.errstate(all="ignore"):
-        return [time_calls(fn, repeat, number) for fn in calls] + [*time_stream(make, streams, steps)]
+        times = [time_calls(fn, repeat, number) for fn in calls]
+        step_us, store_rows = time_stream(make, streams, steps)
+    # t, T/T*/V at the probes, eta, eta_rate and the flag, as simulate's writer gets them
+    probes = state.reshape(-1, 3, grid.nx)[0][:, _probe_indices(grid.nx, 5)].T.ravel().tolist()
+    values, line = (seg.t_now, *probes, float(np.mean(lag)), 0.0, 0.0), _line_template(len(probes) + 3)
+    return times + [step_us, time_calls(lambda: line % values, repeat, number), store_rows]
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 All file output lands inside the configured output directory; CSV headers
 are single lines and every float is serialized with 17 significant digits
 so values round-trip exactly.  With a fixed config and seed, outputs are
-byte-identical across runs.
+byte-identical across runs.  ``simulate`` hands its trajectory.csv rows, as
+float64 blocks, to a writer process that formats them on another core.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime abort.
 """
@@ -11,9 +12,11 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -41,11 +44,6 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.
 def _fmt(x: float) -> str:
     """17 significant digits: enough for exact float64 round-trips."""
     return f"{float(x):.17g}"
-
-
-def _line_template(floats: int) -> str:
-    """%-template of a CSV line: ``floats`` columns as ``_fmt`` writes them, then a 0/1 flag."""
-    return ",".join(["%.17g"] * floats) + ",%d\n"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -101,6 +99,39 @@ def cmd_equilibria(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _trajectory_rows(path: Path, header: list[str]):
+    """Open ``path`` at its header line; yield ``write(block)`` for (n, len(header)) float64 rows, which a
+    ``_trajectory_writer.py`` process formats onto it from a pipe (reaped on leaving, its failure an error),
+    or ``write_rows`` in-process where ``os.posix_spawn`` or ``sys.executable`` is missing."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if not (hasattr(os, "posix_spawn") and sys.executable):
+            from ._trajectory_writer import write_rows
+
+            yield lambda block: write_rows(fh, block)
+            return
+        fh.flush()
+        read, write = os.pipe()  # both ends close on exec: the writer holds only what it is given
+        pipe = open(write, "wb")
+        try:
+            writer = str(Path(__file__).with_name("_trajectory_writer.py"))
+            pid = os.posix_spawn(sys.executable, [sys.executable, "-S", "-I", writer, str(len(header))], os.environ,
+                                 file_actions=[(os.POSIX_SPAWN_DUP2, read, 0), (os.POSIX_SPAWN_DUP2, fh.fileno(), 1)])
+        except BaseException:
+            pipe.close()
+            raise
+        finally:
+            os.close(read)
+    try:
+        with pipe:
+            yield pipe.write
+    finally:  # the pipe is closed: the writer reads to its end and exits
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise RuntimeError(f"trajectory writer exited with status {status}")
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     t_start = time.perf_counter()
     probes = _probe_indices(cfg.grid.nx, cfg.output.probe_nodes)
@@ -112,18 +143,22 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     t_prev = eta_prev = None
     eta_min, eta_max, max_rate = math.inf, -math.inf, 0.0
     comp_min = np.full(3, math.inf)
-    line = _line_template(len(header) - 1)
     columns = (np.array(probes)[:, None] + cfg.grid.nx * np.arange(3)).ravel()  # T, T_star, V per probe, in a flat row
-    with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    block = np.empty((max(1, 65536 // (8 * len(header))), len(header)))  # the rows that fill a 64 KiB pipe buffer
+    with _trajectory_rows(out / "trajectory.csv", header) as write:
         for s in stream:
             rate = 0.0 if t_prev is None else (s.eta - eta_prev) / (s.t - t_prev)
-            fh.write(line % (s.t, *s.row.take(columns).tolist(), s.eta, rate, s.lower + s.upper > 0))
+            row = block[samples % len(block)]
+            row[0], row[-3], row[-2], row[-1] = s.t, s.eta, rate, s.lower + s.upper > 0
+            s.row.take(columns, out=row[1:-3], mode="clip")  # in range: clip only skips the bounds buffer
             samples, lower, upper = samples + 1, lower + s.lower, upper + s.upper
+            if samples % len(block) == 0:
+                write(block)
             t_prev, eta_prev = s.t, s.eta
             eta_min, eta_max, max_rate = min(eta_min, s.eta), max(eta_max, s.eta), max(max_rate, abs(rate))
             np.minimum(comp_min, s.extremes[0], out=comp_min)
             last = s.row
+        write(block[: samples % len(block)])
 
     wall = time.perf_counter() - t_start
     summary = {

@@ -53,7 +53,7 @@ KINDS = ("bilinear", "saturated", "beddington_deangelis", "crowley_martin")
 
 Box = tuple[tuple[float, float], tuple[float, float]]
 
-_EPS_STRICT = 1e-12  # hf3's margin: a product at or below it is a failure
+_EPS_STRICT = 1e-12  # hf3's margin, times min(1, (V/v_hat - 1)^2): a product at or below it is a failure
 
 
 def _operand(value) -> np.ndarray:
@@ -363,10 +363,10 @@ def check_hf1_plus(f, box: Box, n: int = 50) -> Verdict:
 def check_hf3(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     """Sampled strict betweenness of f(T,V)/f(T,v_hat) vs 1 and V/v_hat.
 
-    Verifies (V/v_hat - r) * (r - 1) > _EPS_STRICT with r = f(T,V)/f(T,v_hat)
-    at all samples with T > 0, V > 0, V != v_hat.  An exactly zero product
-    away from V = v_hat is a failure (the bilinear ratio cancels T and the
-    product vanishes identically).
+    Verifies (V/v_hat - r) * (r - 1) > _EPS_STRICT * min(1, (V/v_hat - 1)^2), a margin that vanishes
+    with the product at V = v_hat, with r = f(T,V)/f(T,v_hat) at all samples with T > 0, V > 0,
+    V != v_hat.  An exactly zero product away from V = v_hat is a failure (the bilinear ratio
+    cancels T and the product vanishes identically).
     """
     fn, Ts, Vs = _samples(f, box, n, v_hat)
     Ts = Ts[Ts > 0.0]
@@ -381,7 +381,7 @@ def check_hf3(f, v_hat: float, box: Box, n: int = 50) -> Verdict:
     TT, VV = np.meshgrid(Ts[rows], Vs, indexing="ij")
     r = np.asarray(fn(TT, VV), dtype=float) / f_ref[rows, None]
     product = (Vs / v_hat - r) * (r - 1.0)
-    bad = np.argwhere(product <= _EPS_STRICT)
+    bad = np.argwhere(product <= _EPS_STRICT * np.minimum(1.0, (Vs / v_hat - 1.0) ** 2))
     if bad.size:
         i, j = bad[0]
         return Verdict(

@@ -279,7 +279,7 @@ def check_hf3_loop(f, v_hat: float, box, n: int = 50, eps_strict: float = 1e-12)
         r = np.asarray(fn(np.full_like(Vs, T), Vs), dtype=float) / f_ref
         product = (Vs / v_hat - r) * (r - 1.0)
         checked = True
-        bad = np.nonzero(product <= eps_strict)[0]
+        bad = np.nonzero(product <= eps_strict * np.minimum(1.0, (Vs / v_hat - 1.0) ** 2))[0]
         if bad.size:
             j = bad[0]
             return Verdict(

@@ -10,7 +10,8 @@ import pytest
 
 import sddlab
 from sddlab import run
-from sddlab.cli import _fmt, _line_template, _resolve_initial, main
+from sddlab._trajectory_writer import _line_template
+from sddlab.cli import _fmt, _resolve_initial, main
 from sddlab.config import DEFAULTS_DOC, load_config
 
 BILINEAR = Path("configs/bilinear_reference.ini").resolve()

@@ -439,3 +439,15 @@ def test_check_all_matches_the_closed_form_table(case):
         assert report.hf1.status == "holds" and report.hf1.info["mu"] == f.k / f.k2
     assert report.hf1_plus.status == report.hf4.status == "holds"
     assert report.hf3.status == ("holds" if f.k2 > 0.0 else "fails")
+
+
+def test_hf3_holds_with_a_v_sample_next_to_v_hat():
+    """A V sample 1.3e-5 (relative) below v_hat, where the saturated product
+    is about 1e-14: hf3 still holds, as its margin vanishes with (V/v_hat - 1)^2
+    as the product does; bilinear's zero product still fails."""
+    box, v_hat = ((0.0, 5900.9), (0.0, 3657846.6)), 373254.37
+    saturated = IncidenceFn("saturated", k=1.2452, k2=0.040348)
+    assert check_hf3(saturated, v_hat, box, 50).holds
+    assert check_hf3(saturated, v_hat, box, 50) == check_hf3_loop(saturated, v_hat, box, 50)
+    bilinear = check_hf3(IncidenceFn("bilinear", k=1.2452), v_hat, box, 50)
+    assert bilinear.status == "fails" and bilinear.note == "strictness product -0 <= 1e-12 at the witness"

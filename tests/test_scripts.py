@@ -56,9 +56,11 @@ def test_step_timing_prints_one_row_per_shape():
     assert proc.returncode == 0, proc.stderr
     title, header, *rows = proc.stdout.strip().splitlines()
     assert title == "min-of-N microseconds per call; store_rows in rows"
-    assert header.split() == ["shape", "rhs", "laplacian", "incidence", "delayed_state", "stream_step", "store_rows"]
+    assert header.split() == [
+        "shape", "rhs", "laplacian", "incidence", "delayed_state", "stream_step", "csv_line", "store_rows",
+    ]
     assert [row.split()[0] for row in rows] == ["(2,3,101)", "(6,3,41)", "(3,1001)"]
-    assert all(len(row.split()) == 7 for row in rows)
+    assert all(len(row.split()) == 8 for row in rows)
     assert all(0.0 < float(t) < math.inf for row in rows for t in row.split()[1:-1])
     assert all(row.split()[-1].isdigit() and int(row.split()[-1]) > 0 for row in rows)
 
