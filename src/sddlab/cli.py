@@ -4,7 +4,9 @@ All file output lands inside the configured output directory; CSV headers
 are single lines and every float is serialized with 17 significant digits
 so values round-trip exactly.  With a fixed config and seed, outputs are
 byte-identical across runs.  ``simulate`` hands its trajectory.csv rows, as
-float64 blocks, to a writer process that formats them on another core.
+float64 blocks, to a writer process that formats them on another core;
+where the OS allows it, the writer is kept off the CPU this process is
+running on, where the kernel would mostly put it.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime abort.
 """
@@ -102,8 +104,8 @@ def cmd_equilibria(cfg: RunConfig, out: Path) -> int:
 @contextlib.contextmanager
 def _trajectory_rows(path: Path, header: list[str]):
     """Open ``path`` at its header line; yield ``write(block)`` for (n, len(header)) float64 rows, which a
-    ``_trajectory_writer.py`` process formats onto it from a pipe (reaped on leaving, its failure an error),
-    or ``write_rows`` in-process where ``os.posix_spawn`` or ``sys.executable`` is missing."""
+    ``_trajectory_writer.py`` process off this process's CPU formats onto it from a pipe (reaped on leaving, its
+    failure an error), or ``write_rows`` in-process where ``os.posix_spawn`` or ``sys.executable`` is missing."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         if not (hasattr(os, "posix_spawn") and sys.executable):
@@ -125,11 +127,32 @@ def _trajectory_rows(path: Path, header: list[str]):
             os.close(read)
     try:
         with pipe:
+            with contextlib.suppress(OSError):  # off this process's CPU: left to the kernel, the two mostly share one
+                if hasattr(os, "sched_setaffinity") and len(allowed := os.sched_getaffinity(0)) > 1:
+                    with open("/proc/self/stat", "rb") as stat:  # field 39, processor: the CPU this process runs on
+                        cpu = int(stat.read().rpartition(b")")[2].split()[36])
+                    os.sched_setaffinity(pid, allowed - {cpu})
             yield pipe.write
     finally:  # the pipe is closed: the writer reads to its end and exits
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status:
         raise RuntimeError(f"trajectory writer exited with status {status}")
+
+
+def _fold_block(rows: np.ndarray, minima: np.ndarray, stats: tuple) -> tuple:
+    """Fill the eta_rate column of ``rows`` (t, ..., eta, eta_rate, flag); fold them into ``stats`` ((t, eta) before
+    them or None, eta_min, eta_max, max |eta_rate|) and their minima ``minima[1:]`` into ``minima[0]``, row by row."""
+    prev, eta_min, eta_max, max_rate = stats
+    t, eta, rate = rows[:, 0], rows[:, -3], rows[:, -2]
+    with np.errstate(all="ignore"):  # nan and inf as float arithmetic gives them
+        np.divide(np.diff(eta, prepend=eta[:1] if prev is None else prev[1]),
+                  np.diff(t, prepend=t[:1] if prev is None else prev[0]), out=rate)
+    if prev is None:
+        rate[:1] = 0.0
+    minima[0] = np.minimum.reduce(minima[: len(rows) + 1])
+    etas = eta.tolist()
+    return ((t[-1], eta[-1]) if len(rows) else prev, min([eta_min, *etas]), max([eta_max, *etas]),
+            max([max_rate, *np.abs(rate).tolist()]))
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -140,25 +163,26 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     initial = _resolve_initial(cfg)
     stream = RunStream(initial, cfg.params, cfg.incidence, cfg.delay, cfg.solver, cfg.grid, cfg.schedule)
     samples = lower = upper = 0
-    t_prev = eta_prev = None
-    eta_min, eta_max, max_rate = math.inf, -math.inf, 0.0
-    comp_min = np.full(3, math.inf)
+    stats = (None, math.inf, -math.inf, 0.0)
     columns = (np.array(probes)[:, None] + cfg.grid.nx * np.arange(3)).ravel()  # T, T_star, V per probe, in a flat row
     block = np.empty((max(1, 65536 // (8 * len(header))), len(header)))  # the rows that fill a 64 KiB pipe buffer
+    minima = np.full((len(block) + 1, 3), math.inf)  # the running per-component minima, then the block's rows'
     with _trajectory_rows(out / "trajectory.csv", header) as write:
         for s in stream:
-            rate = 0.0 if t_prev is None else (s.eta - eta_prev) / (s.t - t_prev)
-            row = block[samples % len(block)]
-            row[0], row[-3], row[-2], row[-1] = s.t, s.eta, rate, s.lower + s.upper > 0
+            k = samples % len(block)
+            row = block[k]
+            row[0], row[-3], row[-1] = s.t, s.eta, s.lower + s.upper > 0
             s.row.take(columns, out=row[1:-3], mode="clip")  # in range: clip only skips the bounds buffer
+            minima[k + 1] = s.extremes[0]
             samples, lower, upper = samples + 1, lower + s.lower, upper + s.upper
             if samples % len(block) == 0:
+                stats = _fold_block(block, minima, stats)
                 write(block)
-            t_prev, eta_prev = s.t, s.eta
-            eta_min, eta_max, max_rate = min(eta_min, s.eta), max(eta_max, s.eta), max(max_rate, abs(rate))
-            np.minimum(comp_min, s.extremes[0], out=comp_min)
             last = s.row
+        stats = _fold_block(block[: samples % len(block)], minima, stats)
         write(block[: samples % len(block)])
+    _, eta_min, eta_max, max_rate = stats
+    comp_min = minima[0]
 
     wall = time.perf_counter() - t_start
     summary = {

@@ -39,6 +39,9 @@ package:
   monitored runs by one Python loop per statistic over the rows, as it was
   before the record array; it takes the distances from the package's
   ``distance_to_equilibrium``, which it does not check.
+
+``simulate_stats_ref`` is ``simulate``'s bookkeeping one sample at a time,
+as it was before it went per block; it calls nothing of the package.
 """
 
 from __future__ import annotations
@@ -602,3 +605,20 @@ def certify_stats_ref(eq, epsilons, directions, runs, grid: Grid1D, tol_decrease
             eq, float(eps), frac_min, n_valid, n_samples, eta_max, ratio_max, *dist_pair, verdict, abort
         ))
     return verdicts
+
+
+def simulate_stats_ref(times, etas, minima):
+    """``simulate``'s eta_rate per sample and its summary statistics, one
+    sample at a time: (rates, eta_min, eta_max, max |eta_rate|, the
+    per-component minima of ``minima``'s rows)."""
+    t_prev = eta_prev = None
+    eta_min, eta_max, max_rate = math.inf, -math.inf, 0.0
+    comp_min = np.full(3, math.inf)
+    rates = []
+    for t, eta, row_min in zip(times, etas, minima):
+        rate = 0.0 if t_prev is None else (eta - eta_prev) / (t - t_prev)
+        rates.append(rate)
+        t_prev, eta_prev = t, eta
+        eta_min, eta_max, max_rate = min(eta_min, eta), max(eta_max, eta), max(max_rate, abs(rate))
+        np.minimum(comp_min, row_min, out=comp_min)
+    return rates, eta_min, eta_max, max_rate, comp_min

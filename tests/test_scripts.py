@@ -92,6 +92,19 @@ def test_import_timing_prints_one_row_per_module():
     assert difflib == "difflib imported no"
 
 
+def test_writer_overlap_prints_one_row_per_run():
+    proc = run_script(["scripts/writer_overlap.py", "--config", "configs/bilinear_reference.ini", "--repeat", "2"])
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split() == ["run", "wall_s", "cpu_s", "gap_s", "writer_s", "invol"]
+    assert [row.split()[0] for row in rows] == ["0", "1"]
+    for row in rows:
+        wall, cpu, gap, writer = (float(x) for x in row.split()[1:5])
+        assert 0.0 < wall < math.inf and 0.0 <= cpu < math.inf and 0.0 <= writer < math.inf
+        assert abs(gap - (wall - cpu)) <= 0.002  # each printed to 3 decimals
+        assert row.split()[5].isdigit()
+
+
 def test_readme_library_example_runs(capsys):
     # the README's Library code block as written; its comment claims the printed rate is <= 0
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
